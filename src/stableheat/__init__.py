@@ -42,20 +42,15 @@ from .kernels import (
     survival_profile,
 )
 from .montecarlo import (
-    ExitSample,
     MCEstimate,
     bhp_cross_ratio,
     estimate_beta,
     estimate_heat_kernel,
     estimate_lambda1,
     estimate_survival,
-    sample_ball_exit_position,
     sample_ball_exit_positions,
-    sample_exit_position_wos,
     sample_exit_positions_wos,
-    sample_stable_increment,
     sample_stable_increments,
-    simulate_exit,
     survival_curve,
 )
 from .stable import (

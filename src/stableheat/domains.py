@@ -9,7 +9,7 @@ Boundary points count as outside (open-set convention).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -42,6 +42,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "radius", float(self.radius))
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", tuple(float(c) for c in np.atleast_1d(self.center)))
@@ -76,6 +77,7 @@ class ExteriorBall:
     radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "radius", float(self.radius))
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "center", tuple(float(c) for c in np.atleast_1d(self.center)))
@@ -95,6 +97,7 @@ class CircularCone:
     beta: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "angle", float(self.angle))
         if not (0.0 < self.angle < math.pi):
             raise ValueError("half-aperture must lie in (0, pi)")
         u = np.atleast_1d(np.asarray(self.axis, dtype=float))
@@ -111,6 +114,7 @@ class HyperplaneComplement:
     dim: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", int(self.dim))
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
 
@@ -128,6 +132,7 @@ class SpecialLipschitz:
     lipschitz_constant: float
 
     def __post_init__(self):
+        object.__setattr__(self, "lipschitz_constant", float(self.lipschitz_constant))
         bp = tuple(sorted((float(s), float(v)) for s, v in self.breakpoints))
         if len(bp) < 2:
             raise ValueError("need at least two breakpoints")
@@ -139,7 +144,6 @@ class SpecialLipschitz:
         if np.any(np.abs(slopes) > self.lipschitz_constant + 1e-12):
             raise ValueError("a segment violates the declared Lipschitz constant")
         object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "lipschitz_constant", float(self.lipschitz_constant))
 
     def graph(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -181,6 +185,8 @@ class BallUnionExteriorBall:
     outer_radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "inner_radius", float(self.inner_radius))
+        object.__setattr__(self, "outer_radius", float(self.outer_radius))
         if not (0 < self.inner_radius < self.outer_radius):
             raise ValueError("need 0 < inner radius < outer radius")
         object.__setattr__(self, "center", tuple(float(c) for c in np.atleast_1d(self.center)))
@@ -442,8 +448,7 @@ def fat_witness(domain: Domain, x, r: float) -> Optional[FatWitness]:
         return FatWitness(tuple(A), 0.5, r)
 
     if isinstance(domain, SpecialLipschitz):
-        lam = domain.lipschitz_constant
-        kap = 1.0 / (2.0 * math.sqrt(1.0 + lam * lam))
+        kap = declared_kappa(domain)
         g = float(domain.graph(xa[0]))
         height = xa[1] - g
         target = max(height, r / 2)
@@ -492,6 +497,13 @@ def _cone_witness(domain: CircularCone, xa, r, dx) -> Optional[FatWitness]:
         axis_pt = nx * u
         for w in (0.25, 0.5, 0.75):
             cands.append((1 - w) * xa + w * axis_pt)
+    return _best_witness(domain, cands, xa, r, 1e-9)
+
+
+def _best_witness(domain, cands, xa, r, slack) -> Optional[FatWitness]:
+    """The candidate with the largest fit radius min(delta(A), r - |A-x|)
+    (the first one on ties), or None when it misses the declared kappa by
+    more than ``slack``."""
     best = None
     for A in cands:
         dA = dist_to_complement(domain, A)
@@ -501,7 +513,7 @@ def _cone_witness(domain: CircularCone, xa, r, dx) -> Optional[FatWitness]:
     if best is None:
         return None
     kappa = best[1] / r
-    if kappa < declared_kappa(domain) - 1e-9:
+    if kappa < declared_kappa(domain) - slack:
         return None
     return FatWitness(tuple(best[0]), min(kappa, 1.0), r)
 
@@ -552,16 +564,7 @@ def _annular_witness(domain, xa, r, dx) -> Optional[FatWitness]:
     s_opt = 0.5 * (r + ro - ln)
     if s_opt > 0:
         cands.append(xa + s_opt * outward)
-    best = None
-    for A in cands:
-        dA = dist_to_complement(domain, A)
-        rho = min(dA, r - float(np.linalg.norm(A - xa)))
-        if best is None or rho > best[1]:
-            best = (A, rho)
-    kappa = best[1] / r
-    if kappa < declared_kappa(domain) - 1e-12:
-        return None
-    return FatWitness(tuple(best[0]), min(kappa, 1.0), r)
+    return _best_witness(domain, cands, xa, r, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -636,69 +639,63 @@ def complement_diameter(domain: Domain) -> float:
 # structured-document (de)serialization for the CLI surface
 
 
+#: document type tag of each serializable variant
+_DOC_TYPES = {
+    "ball": Ball,
+    "halfspace": HalfSpace,
+    "exterior_ball": ExteriorBall,
+    "cone": CircularCone,
+    "hyperplane_complement": HyperplaneComplement,
+    "special_lipschitz": SpecialLipschitz,
+    "interval_complement": IntervalComplement,
+    "ball_union_exterior_ball": BallUnionExteriorBall,
+}
+_DOC_TAGS = {cls: tag for tag, cls in _DOC_TYPES.items()}
+
+#: document keys that differ from the dataclass field name
+_DOC_KEYS = {"normal": "axis"}
+
+
+def _doc_value(v):
+    return [_doc_value(e) for e in v] if isinstance(v, tuple) else v
+
+
 def domain_to_dict(domain: Domain) -> dict:
-    if isinstance(domain, Ball):
-        return {"type": "ball", "center": list(domain.center), "radius": domain.radius}
-    if isinstance(domain, HalfSpace):
-        return {"type": "halfspace", "axis": list(domain.normal), "offset": domain.offset}
-    if isinstance(domain, ExteriorBall):
-        return {"type": "exterior_ball", "center": list(domain.center), "radius": domain.radius}
-    if isinstance(domain, CircularCone):
-        out = {"type": "cone", "angle": domain.angle, "axis": list(domain.axis)}
-        if domain.beta is not None:
-            out["beta"] = domain.beta
-        return out
-    if isinstance(domain, HyperplaneComplement):
-        return {"type": "hyperplane_complement", "dim": domain.dim}
-    if isinstance(domain, SpecialLipschitz):
-        return {
-            "type": "special_lipschitz",
-            "breakpoints": [list(b) for b in domain.breakpoints],
-            "lipschitz_constant": domain.lipschitz_constant,
-        }
-    if isinstance(domain, IntervalComplement):
-        return {"type": "interval_complement", "intervals": [list(i) for i in domain.intervals]}
-    if isinstance(domain, BallUnionExteriorBall):
-        return {
-            "type": "ball_union_exterior_ball",
-            "center": list(domain.center),
-            "inner_radius": domain.inner_radius,
-            "outer_radius": domain.outer_radius,
-        }
-    raise TypeError(f"cannot serialize {type(domain).__name__}")
+    """The document of a domain: its type tag and one key per dataclass
+    field (an unset cone exponent is omitted)."""
+    if type(domain) not in _DOC_TAGS:
+        raise TypeError(f"cannot serialize {type(domain).__name__}")
+    out = {"type": _DOC_TAGS[type(domain)]}
+    for f in fields(domain):
+        v = getattr(domain, f.name)
+        if v is not None:
+            out[_DOC_KEYS.get(f.name, f.name)] = _doc_value(v)
+    return out
 
 
 def domain_from_dict(doc: dict, expect_dim: Optional[int] = None) -> Domain:
     """Parse a domain document; dimensions are inferred from point fields
-    and validated against ``expect_dim`` when given."""
+    and validated against ``expect_dim`` when given (a hyperplane
+    complement without a ``dim`` takes ``expect_dim``)."""
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("domain document must be an object with a 'type' field")
     t = doc["type"]
+    if not isinstance(t, str) or t not in _DOC_TYPES:
+        raise ValueError(f"unknown domain type {t!r}")
+    cls = _DOC_TYPES[t]
+    kwargs = {}
+    for f in fields(cls):
+        key = _DOC_KEYS.get(f.name, f.name)
+        if key in doc:
+            kwargs[f.name] = doc[key]
+        elif cls is HyperplaneComplement:
+            kwargs[f.name] = expect_dim or 1
+        elif f.default is MISSING:
+            raise ValueError(f"domain document for {t!r} is missing field {key!r}")
     try:
-        if t == "ball":
-            dom = Ball(tuple(doc["center"]), float(doc["radius"]))
-        elif t == "halfspace":
-            dom = HalfSpace(tuple(doc["axis"]), float(doc.get("offset", 0.0)))
-        elif t == "exterior_ball":
-            dom = ExteriorBall(tuple(doc["center"]), float(doc["radius"]))
-        elif t == "cone":
-            dom = CircularCone(float(doc["angle"]), tuple(doc["axis"]), doc.get("beta"))
-        elif t == "hyperplane_complement":
-            dom = HyperplaneComplement(int(doc.get("dim", expect_dim or 1)))
-        elif t == "special_lipschitz":
-            dom = SpecialLipschitz(
-                tuple(tuple(b) for b in doc["breakpoints"]), float(doc["lipschitz_constant"])
-            )
-        elif t == "interval_complement":
-            dom = IntervalComplement(tuple(tuple(i) for i in doc["intervals"]))
-        elif t == "ball_union_exterior_ball":
-            dom = BallUnionExteriorBall(
-                tuple(doc["center"]), float(doc["inner_radius"]), float(doc["outer_radius"])
-            )
-        else:
-            raise ValueError(f"unknown domain type {t!r}")
-    except KeyError as exc:
-        raise ValueError(f"domain document for {t!r} is missing field {exc}") from exc
+        dom = cls(**kwargs)
+    except TypeError as exc:
+        raise ValueError(f"malformed domain document for {t!r}: {exc}") from exc
     if expect_dim is not None and dim(dom) != expect_dim:
         raise ValueError(f"domain has dimension {dim(dom)}, expected {expect_dim}")
     return dom

@@ -26,9 +26,7 @@ from .errors import EstimateDiagnostic, InconclusiveError
 from .stable import (
     StableParams,
     free_density,
-    incomplete_kernel_integral,
     levy_symbol_quadrature,
-    peak_density,
 )
 
 #: cells whose relative standard error exceeds this are flagged and
@@ -109,8 +107,10 @@ class RatioReport:
 
 
 def _assemble_report(domain, params, t_values, cells) -> RatioReport:
+    """Aggregate the usable cells; ``domain`` is a catalog domain or its
+    document.  Noisy and diagnostic cells count against the majority rule."""
     usable = [c.ratio for c in cells if c.flag == "ok" and c.ratio is not None and c.ratio > 0]
-    noisy = sum(1 for c in cells if c.flag == "noisy")
+    noisy = sum(1 for c in cells if c.flag in ("noisy", "diagnostic"))
     if not usable:
         raise InconclusiveError("all cells were flagged; nothing to report", required_n=None)
     if noisy > 0.5 * len(cells):
@@ -493,58 +493,7 @@ def bhp_sweep(
     domain_desc = dom.domain_to_dict(first.u_domain) if not isinstance(
         first.u_domain, dom.Intersection
     ) else {"type": "intersection"}
-    return _assemble_report_desc(domain_desc, params, (0.0,), cells)
-
-
-def _assemble_report_desc(domain_desc, params, t_values, cells) -> RatioReport:
-    usable = [c.ratio for c in cells if c.flag == "ok" and c.ratio is not None and c.ratio > 0]
-    noisy = sum(1 for c in cells if c.flag in ("noisy", "diagnostic"))
-    if not usable:
-        raise InconclusiveError("all cells were flagged; nothing to report")
-    arr = np.array(usable)
-    q05, q50, q95 = np.quantile(arr, [0.05, 0.5, 0.95])
-    return RatioReport(
-        domain=domain_desc,
-        params=params,
-        t_values=tuple(t_values),
-        cells=tuple(cells),
-        ratios=tuple(arr.tolist()),
-        min_ratio=float(arr.min()),
-        max_ratio=float(arr.max()),
-        q05=float(q05),
-        q50=float(q50),
-        q95=float(q95),
-        empirical_C=float(max(arr.max(), 1.0 / arr.min())),
-        stderr_flags=noisy,
-    )
-
-
-# ---------------------------------------------------------------------------
-# localization helper for boundary-Harnack configurations
-
-
-def localized_sets(domain: dom.Domain, x, kappa_ball_center, kappa: float):
-    """The localization U = D intersect B(x, |x-A| + kappa/3) and the two
-    reference balls used to compare boundary behavior at unit scale.
-
-    A is a fat-ball witness center with B(A, kappa) inside D and B(x, 1).
-    The second reference ball sits at A' = A + (2 kappa / 3) u where u
-    points from x to A; the triangle inequality puts B(A', kappa/3)
-    inside B(A, kappa) and outside U, so no search is needed.
-    """
-    xa = np.atleast_1d(np.asarray(x, float))
-    A = np.atleast_1d(np.asarray(kappa_ball_center, float))
-    gap = A - xa
-    ln = float(np.linalg.norm(gap))
-    if ln == 0:
-        raise ValueError("witness must differ from the base point")
-    u = gap / ln
-    radius_u = ln + kappa / 3.0
-    U = dom.Intersection((domain, dom.Ball(tuple(xa), radius_u)))
-    b1 = dom.Ball(tuple(A), kappa / 3.0)
-    a_prime = A + (2.0 * kappa / 3.0) * u
-    b2 = dom.Ball(tuple(a_prime), kappa / 6.0)
-    return U, b1, b2
+    return _assemble_report(domain_desc, params, (0.0,), cells)
 
 
 # ---------------------------------------------------------------------------

@@ -56,19 +56,6 @@ class MCEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ExitSample:
-    """One simulated exit: time (inf marks censoring), position, flag."""
-
-    tau: float
-    position: tuple
-    survived: bool
-
-    def __post_init__(self):
-        if self.survived != math.isinf(self.tau):
-            raise ValueError("survived must mark exactly the censored runs")
-
-
 def _stream(seed: int, index: int) -> np.random.Generator:
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)])
     return np.random.Generator(np.random.Philox(key=key))
@@ -107,29 +94,33 @@ def sample_stable_increments(
     return np.sqrt(2.0 * s)[:, None] * z
 
 
-def sample_stable_increment(params: StableParams, dt: float, rng: np.random.Generator):
-    """Single exact increment (see :func:`sample_stable_increments`)."""
-    return sample_stable_increments(params, dt, rng, 1)[0]
+def _jump(params: StableParams, p, radius, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Exact exit positions from balls of the given radii centred at p
+    (one point, or one row per draw), for walkers starting at the centres.
+
+    The radial law is |Y - c| = r / sqrt(U) with U ~ Beta(a/2, 1 - a/2)
+    (inverting the radial variable of the exit density); the direction is
+    uniform by isotropy.  The jump-size clamp guards float overflow on
+    astronomically long excursions (critical recurrent case); bounded
+    targets are unaffected.
+    """
+    a, d = params.alpha, params.d
+    u = rng.beta(a / 2.0, 1.0 - a / 2.0, n)
+    rad = radius / np.sqrt(np.maximum(u, 1e-300))
+    np.minimum(rad, 1e150, out=rad)
+    if d == 1:
+        sgn = rng.integers(0, 2, n) * 2.0 - 1.0
+        return p + (rad * sgn)[:, None]
+    z = rng.standard_normal((n, d))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    return p + rad[:, None] * z
 
 
 def _exit_from_center(
     params: StableParams, center: np.ndarray, radius: float, rng: np.random.Generator, n: int
 ) -> np.ndarray:
-    """Exact exit positions from a ball for a walker starting at its center.
-
-    The radial law is |Y - c| = r / sqrt(U) with U ~ Beta(a/2, 1 - a/2)
-    (inverting the radial variable of the exit density); the direction is
-    uniform by isotropy.
-    """
-    a, d = params.alpha, params.d
-    u = rng.beta(a / 2.0, 1.0 - a / 2.0, n)
-    rad = radius / np.sqrt(np.maximum(u, 1e-300))
-    if d == 1:
-        sgn = rng.integers(0, 2, n) * 2.0 - 1.0
-        return center[None, :] + (rad * sgn)[:, None]
-    z = rng.standard_normal((n, d))
-    z /= np.linalg.norm(z, axis=1)[:, None]
-    return center[None, :] + rad[:, None] * z
+    """Exact exit positions from a ball for a walker starting at its center."""
+    return _jump(params, center, radius, rng, n)
 
 
 def sample_ball_exit_positions(
@@ -186,22 +177,10 @@ def _exit_compose(params, c, radius, xa, rng, n) -> np.ndarray:
         idx = np.nonzero(active)[0]
         p = pos[idx]
         gap = radius - np.linalg.norm(p - c, axis=1)
-        u = rng.beta(params.alpha / 2.0, 1.0 - params.alpha / 2.0, len(idx))
-        rad = gap / np.sqrt(np.maximum(u, 1e-300))
-        if params.d == 1:
-            sgn = rng.integers(0, 2, len(idx)) * 2.0 - 1.0
-            newp = p + (rad * sgn)[:, None]
-        else:
-            z = rng.standard_normal((len(idx), params.d))
-            z /= np.linalg.norm(z, axis=1)[:, None]
-            newp = p + rad[:, None] * z
+        newp = _jump(params, p, gap, rng, len(idx))
         pos[idx] = newp
         active[idx] = np.linalg.norm(newp - c, axis=1) < radius
     return pos
-
-
-def sample_ball_exit_position(params, center, radius, x, rng) -> np.ndarray:
-    return sample_ball_exit_positions(params, center, radius, x, rng, 1)[0]
 
 
 def sample_exit_positions_wos(
@@ -227,7 +206,6 @@ def sample_exit_positions_wos(
         raise UnsupportedRegimeError(
             "walk-on-spheres cannot terminate on a measure-zero boundary"
         )
-    d = dom.dim(domain)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if not dom.contains(domain, xa):
         raise ValueError("start point must lie in the domain")
@@ -245,27 +223,11 @@ def sample_exit_positions_wos(
         idx = np.nonzero(active)[0]
         p = pos[idx]
         radii = shrink * dom.dist_many(domain, p)
-        u = rng.beta(params.alpha / 2.0, 1.0 - params.alpha / 2.0, len(idx))
-        # jump-size clamp guards float overflow on astronomically long
-        # excursions (critical recurrent case); bounded targets are
-        # unaffected
-        rad = np.minimum(radii / np.sqrt(np.maximum(u, 1e-300)), 1e150)
-        if d == 1:
-            sgn = rng.integers(0, 2, len(idx)) * 2.0 - 1.0
-            newp = p + (rad * sgn)[:, None]
-        else:
-            z = rng.standard_normal((len(idx), d))
-            z /= np.linalg.norm(z, axis=1)[:, None]
-            newp = p + rad[:, None] * z
+        newp = _jump(params, p, radii, rng, len(idx))
         pos[idx] = newp
         steps[idx] += 1
         active[idx] = dom.contains_many(domain, newp)
     return pos, steps
-
-
-def sample_exit_position_wos(domain, params, x, rng, shrink: float = 1.0):
-    pos, _ = sample_exit_positions_wos(domain, params, x, rng, 1, shrink=shrink)
-    return pos[0]
 
 
 # ---------------------------------------------------------------------------
@@ -319,27 +281,6 @@ def _walk_batch(
     return tau, pos, ~np.isfinite(tau)
 
 
-def simulate_exit(
-    domain: dom.Domain,
-    params: StableParams,
-    x,
-    h: float,
-    horizon: float,
-    rng: np.random.Generator,
-    clock: float = 1.0,
-) -> ExitSample:
-    """One grid-walk exit sample (see :func:`_walk_batch` for the bias note)."""
-    if h <= 0 or horizon <= 0:
-        raise ValueError("step and horizon must be positive")
-    if h > horizon:
-        raise ValueError("step must not exceed the horizon")
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if not dom.contains(domain, xa):
-        raise ValueError("start point must lie in the domain")
-    tau, pos, surv = _walk_batch(domain, params, xa, h, horizon, rng, 1, clock=clock)
-    return ExitSample(float(tau[0]), tuple(pos[0]), bool(surv[0]))
-
-
 # ---------------------------------------------------------------------------
 # batch scheduling
 
@@ -347,6 +288,8 @@ def simulate_exit(
 def _run_batches(n: int, worker, workers: int = 1):
     """Split n paths into fixed batches, run ``worker(batch_index, m)`` and
     return partial results merged in batch order."""
+    if n < 1:
+        raise ValueError(f"path count must be positive, got {n}")
     sizes = [BATCH] * (n // BATCH)
     if n % BATCH:
         sizes.append(n % BATCH)
