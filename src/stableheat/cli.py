@@ -57,12 +57,24 @@ def _load_domain(args, expect_dim=None) -> dom.Domain:
 
 
 def _workers(args) -> int:
-    if getattr(args, "workers", None):
+    if args.workers is not None:
         return args.workers
-    env = os.environ.get("STABLEHEAT_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
+    env = os.environ.get("STABLEHEAT_WORKERS") or "1"
+    if int(env) < 1:
+        raise ValueError(f"STABLEHEAT_WORKERS must be a positive integer, got {env!r}")
+    return int(env)
+
+
+def _positive(convert):
+    """argparse ``type=`` that accepts only finite values above zero."""
+    def parse(s: str):
+        v = convert(s)
+        if not (v > 0 and math.isfinite(v)):
+            raise argparse.ArgumentTypeError(f"must be positive, got {s!r}")
+        return v
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _params(args) -> StableParams:
@@ -180,15 +192,18 @@ def _default_points(domain: dom.Domain) -> list:
     raise ValueError(f"no default probe grid for {type(domain).__name__}")
 
 
-def _default_times(domain: dom.Domain, alpha: float) -> tuple:
+def _default_times(domain: dom.Domain, alpha: float, h: float) -> tuple:
+    """Default horizons per variant on the step grid, max(round(t/h), 1) h, without repeats."""
     diam = dom.complement_diameter(domain)
     if math.isfinite(diam) and diam > 0:
         base = diam ** alpha
-        return (0.5 * base, 2 * base, 8 * base, 32 * base)
-    if isinstance(domain, dom.Ball):
+        times = (0.5 * base, 2 * base, 8 * base, 32 * base)
+    elif isinstance(domain, dom.Ball):
         ra = domain.radius ** alpha
-        return (0.125 * ra, 0.25 * ra, 0.5 * ra, ra)
-    return (1.0, 16.0, 256.0)
+        times = (0.125 * ra, 0.25 * ra, 0.5 * ra, ra)
+    else:
+        times = (1.0, 16.0, 256.0)
+    return tuple(dict.fromkeys(max(round(t / h), 1) * h for t in times))
 
 
 def _cmd_verify(args) -> int:
@@ -206,7 +221,7 @@ def _cmd_verify(args) -> int:
 
     if args.suite in ("factorization", "profiles"):
         domain = _load_domain(args, expect_dim=params.d)
-        t_set = _parse_list(args.t) if args.t else _default_times(domain, params.alpha)
+        t_set = _parse_list(args.t) if args.t else _default_times(domain, params.alpha, args.h)
         if args.points:
             pts = [_parse_vec(p) for p in args.points.split(";")]
         else:
@@ -311,10 +326,10 @@ def _add_common(p, mc_opts=True):
     p.add_argument("--d", type=int, default=1, help="space dimension")
     p.add_argument("--alpha", type=float, default=1.0, help="stability index in (0,2)")
     if mc_opts:
-        p.add_argument("--n", type=int, default=100_000, help="sample paths")
-        p.add_argument("--h", type=float, default=1.0 / 64, help="time step")
+        p.add_argument("--n", type=_positive(int), default=100_000, help="sample paths")
+        p.add_argument("--h", type=_positive(float), default=1.0 / 64, help="time step")
         p.add_argument("--seed", type=int, default=1, help="64-bit stream seed")
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", type=_positive(int), default=None,
                        help="worker processes (default: STABLEHEAT_WORKERS or 1)")
 
 
