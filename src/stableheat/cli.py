@@ -66,10 +66,10 @@ def _workers(args) -> int:
 
 
 def _positive(convert):
-    """argparse ``type=`` that accepts only finite values above zero."""
+    """argparse ``type=`` that accepts only values above zero."""
     def parse(s: str):
         v = convert(s)
-        if not (v > 0 and math.isfinite(v)):
+        if not v > 0:
             raise argparse.ArgumentTypeError(f"must be positive, got {s!r}")
         return v
 
