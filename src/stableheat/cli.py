@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -250,7 +251,12 @@ def _cmd_verify(args) -> int:
             raise ValueError("verify bhp needs --config FILE")
         with open(args.config) as fh:
             doc = json.load(fh)
-        configs = [_parse_bhp_config(c) for c in doc["configs"]]
+        if not doc.get("configs"):
+            raise ValueError("verify bhp needs a non-empty \"configs\" list")
+        try:
+            configs = [_parse_bhp_config(c, params.d) for c in doc["configs"]]
+        except KeyError as exc:
+            raise ValueError(f"bhp config is missing the key {exc}") from None
         rep = harness.bhp_sweep(configs, params, args.n, args.seed, _workers(args))
         jpath, cpath = harness.write_report(rep, out_dir, "bhp")
         print(f"empirical_C {_fmt(rep.empirical_C)}")
@@ -271,8 +277,8 @@ def _parse_region(doc: dict):
     raise ValueError(f"unknown region type {t!r}")
 
 
-def _parse_bhp_config(doc: dict) -> harness.BHPConfig:
-    ambient = dom.domain_from_dict(doc["domain"])
+def _parse_bhp_config(doc: dict, d: Optional[int] = None) -> harness.BHPConfig:
+    ambient = dom.domain_from_dict(doc["domain"], expect_dim=d)
     x0 = tuple(doc["x0"])
     r = float(doc["r"])
     u = dom.Intersection((ambient, dom.Ball(x0, r)))

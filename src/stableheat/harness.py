@@ -115,8 +115,8 @@ def _assemble_report(domain, params, t_values, cells) -> RatioReport:
         raise InconclusiveError("all cells were flagged; nothing to report", required_n=None)
     if noisy > 0.5 * len(cells):
         raise InconclusiveError(
-            f"{noisy}/{len(cells)} cells exceed the noise threshold; "
-            "increase n by at least 4x",
+            f"{noisy}/{len(cells)} cells are noisy or diagnostic; increase n "
+            "(by at least 4x for noisy cells, 10x or larger targets for diagnostic ones)",
             required_n=None,
         )
     arr = np.array(usable)

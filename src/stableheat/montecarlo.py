@@ -140,6 +140,8 @@ def sample_ball_exit_positions(
     d = params.d
     c = np.atleast_1d(np.asarray(center, dtype=float))
     xa = np.atleast_1d(np.asarray(x, dtype=float))
+    if c.shape != (d,) or xa.shape != (d,):
+        raise ValueError(f"center and start point must have dimension d = {d}")
     rho = float(np.linalg.norm(xa - c))
     if rho >= radius:
         raise ValueError("start point must lie in the open ball")
@@ -206,6 +208,8 @@ def sample_exit_positions_wos(
         raise UnsupportedRegimeError(
             "walk-on-spheres cannot terminate on a measure-zero boundary"
         )
+    if dom.dim(domain) != params.d:
+        raise ValueError(f"domain has dimension {dom.dim(domain)}, but d = {params.d}")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if not dom.contains(domain, xa):
         raise ValueError("start point must lie in the domain")

@@ -4,11 +4,13 @@ inconclusive sweep."""
 
 import json
 
+import numpy as np
 import pytest
 
 from stableheat import cli
 from stableheat import domains as dom
 from stableheat import montecarlo as mc
+from stableheat.stable import StableParams
 
 BALL_1D = '{"type": "ball", "center": [0], "radius": 1}'
 
@@ -101,4 +103,50 @@ def test_bhp_with_a_majority_of_diagnostic_cells_is_inconclusive(tmp_path, capsy
     argv = ["verify", "bhp", "--d", "2", "--alpha", "1.5", "--config", str(config),
             "--n", "16384", "--seed", "9", "--out", str(tmp_path)]
     assert cli.main(argv) == 3
-    assert "inconclusive: 2/3 cells" in capsys.readouterr().err
+    assert "inconclusive: 2/3 cells are noisy or diagnostic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_bhp_config_of_another_dimension_exits_2(tmp_path, capsys, d):
+    good = {
+        "domain": {"type": "halfspace", "axis": [0, 1]}, "x0": [0, 0], "r": 1, "p": 0.5,
+        "x1": [0, 0.1], "x2": [0.2, 0.3],
+        "target1": {"type": "box", "lo": [-4, 1.2], "hi": [0, 4]},
+        "target2": {"type": "box", "lo": [0, 1.2], "hi": [4, 4]},
+    }
+    config = tmp_path / "bhp.json"
+    config.write_text(json.dumps({"configs": [good]}))
+    argv = ["verify", "bhp", "--d", str(d), "--alpha", "1.5", "--config", str(config),
+            "--n", "64", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: domain has dimension 2, expected")
+    assert "Traceback" not in err
+
+
+def test_exact_samplers_reject_a_dimension_mismatch():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="domain has dimension 2, but d = 1"):
+        mc.sample_exit_positions_wos(dom.HalfSpace((0.0, 1.0)), StableParams(1, 1.5),
+                                     (0.0, 0.5), rng, 8)
+    with pytest.raises(ValueError, match="dimension d = 1"):
+        mc.sample_ball_exit_positions(StableParams(1, 1.5), (0.0, 0.0), 1.0, (0.0, 0.5), rng, 8)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"configs": []}, 'error: verify bhp needs a non-empty "configs" list'),
+        ({"configs": [{"domain": {"type": "halfspace", "axis": [0, 1]}, "r": 1}]},
+         "error: bhp config is missing the key 'x0'"),
+    ],
+)
+def test_bhp_config_without_cells_or_keys_exits_2(tmp_path, capsys, doc, message):
+    config = tmp_path / "bhp.json"
+    config.write_text(json.dumps(doc))
+    argv = ["verify", "bhp", "--d", "2", "--alpha", "1.5", "--config", str(config),
+            "--n", "64", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
