@@ -2,7 +2,7 @@
 
 Entries are JSON objects, one per line, keyed by kind, (d, alpha) and a
 domain descriptor, with full provenance (seed, n, h, fit window, wall
-time).  Lookups return the most recent matching entry.
+time).
 """
 
 from __future__ import annotations
@@ -46,23 +46,3 @@ def append_entry(
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
     return entry
 
-
-def lookup(path, kind: str, d: int, alpha: float, domain_desc: Optional[dict] = None):
-    """Most recent stored value for the key, or None."""
-    if not os.path.exists(path):
-        return None
-    found = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            entry = json.loads(line)
-            if entry.get("kind") != kind or entry.get("d") != d:
-                continue
-            if abs(entry.get("alpha", -1) - alpha) > 1e-12:
-                continue
-            if domain_desc is not None and entry.get("domain") != domain_desc:
-                continue
-            found = entry
-    return found
