@@ -1,5 +1,6 @@
 """Fixed-seed golden values for the domain catalog, the exact samplers,
-the grid walk and the boundary-Harnack report.
+the grid walk, the estimators, the ratio sweeps and the boundary-Harnack
+report.
 
 The expected values pin the package's outputs bit for bit: arrays by a
 sha256 prefix of their bytes, reports and witnesses by a sha256 prefix of
@@ -19,7 +20,7 @@ import pytest
 from stableheat import cli, harness
 from stableheat import domains as dom
 from stableheat import montecarlo as mc
-from stableheat.stable import StableParams
+from stableheat.stable import StableParams, free_density_radial
 
 
 def _rng(*key):
@@ -172,12 +173,66 @@ SURVIVAL_CASES = {
 }
 
 
+def _estimates(*ests):
+    return _digest(np.array([(e.mean, e.stderr, e.n, e.seed, e.step) for e in ests]))
+
+
 def _survival(name):
     domain, params, x, thin = SURVIVAL_CASES[name]
     curve = mc.survival_curve(
         domain, params, x, (0.25, 0.5, 1.0), 10_000, 1.0 / 16, 5, thin=thin
     )
-    return _digest(np.array([(e.mean, e.stderr, e.n, e.seed, e.step) for e in curve]))
+    return _estimates(*curve)
+
+
+def _lambda1():
+    return _estimates(mc.estimate_lambda1(StableParams(1, 1.0), 1.0, n=20_000, h=1.0 / 32,
+                                          rng_seed=3))
+
+
+def _beta():
+    est = mc.estimate_beta(StableParams(2, 1.5), dom.HyperplaneComplement(2), (0.0, 1.0),
+                           fit_window=(1.0, 16.0), n=20_000, h=1.0 / 16, rng_seed=4, thin=0.2)
+    return _estimates(est)
+
+
+def _heat_kernel():
+    est = mc.estimate_heat_kernel(dom.Ball((0.0,), 1.0), StableParams(1, 1.0), (0.2,), (-0.3,),
+                                  0.5, 20_000, 1.0 / 32, 6)
+    return _estimates(est)
+
+
+def _radial():
+    radii = np.linspace(0.0, 6.0, 241)
+    return _digest(*(free_density_radial(StableParams(*p), t, radii)
+                     for p in SAMPLER_PARAMS for t in (0.3, 1.0, 2.5)))
+
+
+# ---------------------------------------------------------------------------
+# ratio sweeps
+
+def _report(rep):
+    return _sha(json.dumps(rep.to_json_dict(), sort_keys=True) + repr(rep.cells))
+
+
+BALL_POINTS = [(-0.5,), (0.0,), (0.6,)]
+
+
+def _factorization(form, workers):
+    pairs = [(p, q) for p in BALL_POINTS for q in BALL_POINTS]
+    rep = harness.factorization_sweep(
+        dom.Ball((0.0,), 1.0), StableParams(1, 1.0), (0.25, 0.5), pairs, 20_000, 1.0 / 32, 7,
+        form=form, workers=workers, lambda1=1.1577738836977,
+    )
+    return _report(rep)
+
+
+def _profile_sweep():
+    rep = harness.profile_sweep(
+        dom.HalfSpace((0.0, 1.0)), StableParams(2, 1.5), (0.25, 1.0), [(0.0, 0.3), (0.5, 1.0)],
+        20_000, 1.0 / 16, 8,
+    )
+    return _report(rep)
 
 
 #: the configurations of the exit-wos benchmark workload
@@ -199,8 +254,7 @@ BHP_CONFIGS = [
 
 def _bhp():
     configs = [cli._parse_bhp_config(c) for c in BHP_CONFIGS]
-    rep = harness.bhp_sweep(configs, StableParams(2, 1.5), 16384, 9)
-    return _sha(json.dumps(rep.to_json_dict(), sort_keys=True) + repr(rep.cells))
+    return _report(harness.bhp_sweep(configs, StableParams(2, 1.5), 16384, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +274,15 @@ for _name in WOS_CASES:
 for _name in SURVIVAL_CASES:
     CASES[f"survival/{_name}"] = (_survival, _name)
 CASES["bhp_sweep"] = (_bhp,)
+CASES["estimate/lambda1"] = (_lambda1,)
+CASES["estimate/beta_hyperplane_complement_thin"] = (_beta,)
+CASES["estimate/heat_kernel"] = (_heat_kernel,)
+CASES["free_density_radial"] = (_radial,)
+# bit-identical for any worker count: the two cases share one expected value
+CASES["factorization/ball_d1/workers1"] = (_factorization, "mc", 1)
+CASES["factorization/ball_d1/workers2"] = (_factorization, "mc", 2)
+CASES["factorization/ball_d1/profile"] = (_factorization, "profile", 1)
+CASES["profile_sweep/halfspace_d2"] = (_profile_sweep,)
 
 EXPECTED = {
     'ball_exit/0/0.0': '56c0121fc1dc32b3502e',
@@ -242,6 +305,13 @@ EXPECTED = {
     'document/intersection': 'TypeError: cannot serialize Intersection',
     'document/interval_complement': "{'type': 'interval_complement', 'intervals': [[-1.0, 0.0], [1.0, 2.5]]} -> IntervalComplement(intervals=((-1.0, 0.0), (1.0, 2.5)))",
     'document/special_lipschitz': "{'type': 'special_lipschitz', 'breakpoints': [[-1.0, 0.0], [0.0, 0.5], [1.0, 0.0]], 'lipschitz_constant': 0.5} -> SpecialLipschitz(breakpoints=((-1.0, 0.0), (0.0, 0.5), (1.0, 0.0)), lipschitz_constant=0.5)",
+    'estimate/beta_hyperplane_complement_thin': '39f8f6128b77c4ca66bd',
+    'estimate/heat_kernel': 'ccdab380cc35c8879945',
+    'estimate/lambda1': '6f339343c20bb50188e2',
+    'factorization/ball_d1/profile': 'a53f4c76f4832f5687eb',
+    'factorization/ball_d1/workers1': '296c40b002088dd295bc',
+    'factorization/ball_d1/workers2': '296c40b002088dd295bc',
+    'free_density_radial': '4c8e6944f0e073fe2d52',
     'geometry/ball': '600ce111d72673668fc2',
     'geometry/ball_union_exterior_ball': 'ec077829e1c83a1ff1cf',
     'geometry/cone': 'f248b4e9392508f3d722',
@@ -263,6 +333,7 @@ EXPECTED = {
     'parsed/special_lipschitz': "{'type': 'special_lipschitz', 'breakpoints': [[0.0, 0.0], [1.0, 1.0]], 'lipschitz_constant': 1.0}",
     'parsed/unknown_type': "ValueError: unknown domain type 'torus'",
     'parsed/wrong_dim': 'ValueError: domain has dimension 2, expected 3',
+    'profile_sweep/halfspace_d2': 'f7da9df2f94916589ab1',
     'survival/ball_d1': '6342a3c0fda1e0eed8d2',
     'survival/halfspace_d2': 'dd6713501ad222dd7a2f',
     'survival/hyperplane_complement_d2': 'c80a734c0bd4d87234c3',
