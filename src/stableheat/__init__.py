@@ -47,7 +47,6 @@ from .montecarlo import (
     estimate_beta,
     estimate_heat_kernel,
     estimate_lambda1,
-    estimate_survival,
     sample_ball_exit_positions,
     sample_exit_positions_wos,
     sample_stable_increments,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Optional
 
 from .montecarlo import MCEstimate
 
@@ -23,7 +22,6 @@ def append_entry(
     domain_desc: dict,
     estimate: MCEstimate,
     fit_window,
-    extra: Optional[dict] = None,
 ) -> dict:
     entry = {
         "kind": kind,
@@ -39,8 +37,6 @@ def append_entry(
         "wall_time": estimate.wall_time,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    if extra:
-        entry.update(extra)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "a") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")

@@ -30,23 +30,24 @@ def _fmt(v: float) -> str:
 
 
 def _parse_vec(s: str) -> tuple:
+    """Numbers separated by commas or blanks (a point or a list of horizons)."""
     try:
         return tuple(float(p) for p in s.replace(",", " ").split())
     except ValueError as exc:
-        raise ValueError(f"cannot parse point {s!r}") from exc
+        raise ValueError(f"cannot parse numbers from {s!r}") from exc
 
 
-def _parse_list(s: str) -> tuple:
-    return tuple(float(p) for p in s.replace(",", " ").split())
+def _read_json(path, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
 def _load_domain(args, expect_dim=None) -> dom.Domain:
     if getattr(args, "domain", None):
-        try:
-            with open(args.domain) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"cannot read domain document {args.domain!r}: {exc}") from exc
+        doc = _read_json(args.domain, "domain document")
     elif getattr(args, "domain_json", None):
         try:
             doc = json.loads(args.domain_json)
@@ -61,9 +62,13 @@ def _workers(args) -> int:
     if args.workers is not None:
         return args.workers
     env = os.environ.get("STABLEHEAT_WORKERS") or "1"
-    if int(env) < 1:
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
         raise ValueError(f"STABLEHEAT_WORKERS must be a positive integer, got {env!r}")
-    return int(env)
+    return workers
 
 
 def _positive(convert):
@@ -122,9 +127,9 @@ def _cmd_survival(args) -> int:
         )
         print(_fmt(prof.evaluate(args.t, x)))
     else:
-        est = mc.estimate_survival(
-            domain, params, x, args.t, args.n, args.h, args.seed, _workers(args)
-        )
+        est = mc.survival_curve(
+            domain, params, x, (args.t,), args.n, args.h, args.seed, _workers(args)
+        )[0]
         print(
             f"mean {_fmt(est.mean)} stderr {_fmt(est.stderr)} n {est.n} "
             f"seed {est.seed} h {_fmt(est.step)}"
@@ -222,7 +227,7 @@ def _cmd_verify(args) -> int:
 
     if args.suite in ("factorization", "profiles"):
         domain = _load_domain(args, expect_dim=params.d)
-        t_set = _parse_list(args.t) if args.t else _default_times(domain, params.alpha, args.h)
+        t_set = _parse_vec(args.t) if args.t else _default_times(domain, params.alpha, args.h)
         if args.points:
             pts = [_parse_vec(p) for p in args.points.split(";")]
         else:
@@ -249,14 +254,15 @@ def _cmd_verify(args) -> int:
     if args.suite == "bhp":
         if not args.config:
             raise ValueError("verify bhp needs --config FILE")
-        with open(args.config) as fh:
-            doc = json.load(fh)
-        if not doc.get("configs"):
+        doc = _read_json(args.config, "bhp config")
+        if not isinstance(doc, dict) or not doc.get("configs"):
             raise ValueError("verify bhp needs a non-empty \"configs\" list")
         try:
             configs = [_parse_bhp_config(c, params.d) for c in doc["configs"]]
         except KeyError as exc:
             raise ValueError(f"bhp config is missing the key {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed bhp config: {exc}") from None
         rep = harness.bhp_sweep(configs, params, args.n, args.seed, _workers(args))
         jpath, cpath = harness.write_report(rep, out_dir, "bhp")
         print(f"empirical_C {_fmt(rep.empirical_C)}")

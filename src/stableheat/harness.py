@@ -406,8 +406,6 @@ def profile_sweep(
     workers: int = 1,
     lambda1: Optional[float] = None,
     beta: Optional[float] = None,
-    c11: bool = False,
-    thin: Optional[float] = None,
 ) -> RatioReport:
     """Ratio of survival estimates to the closed profile per (t, x) cell.
 
@@ -415,11 +413,11 @@ def profile_sweep(
     lower/C <= estimate <= C upper (1 when the estimate is contained).
     """
     t_set = sorted(float(t) for t in t_set)
-    profile = kernels.survival_profile(domain, params, lambda1=lambda1, beta=beta, c11=c11)
+    profile = kernels.survival_profile(domain, params, lambda1=lambda1, beta=beta)
     cells = []
     for i, x in enumerate(x_set):
         xa = tuple(np.atleast_1d(np.asarray(x, float)))
-        curve = mc.survival_curve(domain, params, xa, t_set, n, h, seed + 31 * i, workers, thin=thin)
+        curve = mc.survival_curve(domain, params, xa, t_set, n, h, seed + 31 * i, workers)
         for t, est in zip(t_set, curve):
             br = profile.evaluate_bracket(t, xa)
             flag = "ok"

@@ -7,8 +7,10 @@ Ball exit positions are exact: the radial law from the center reduces to
 a Beta variable, and general starting points use rejection against the
 center law (falling back to an exact composition of center draws when the
 acceptance bound degrades).  Exit *times* have no exact sampler; they are
-simulated on a time grid with one-sided O(h) bias, so callers compare
-runs at h and h/2.
+simulated on a time grid with a one-sided bias, so callers compare runs
+at h and h/2.  The bias is not O(h): for E^0 tau on the unit ball (d = 1,
+alpha = 1.5) it fell by a factor 0.63-0.69 per halving of h, which is
+the order h^{1/alpha}.
 
 Reproducibility: paths are organized in fixed-size batches; batch i uses
 a counter-based Philox stream keyed by (seed, i), and partial results are
@@ -23,6 +25,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import pi
 from typing import Optional
 
@@ -30,9 +33,13 @@ import numpy as np
 
 from . import domains as dom
 from .errors import EstimateDiagnostic, FitError, UnsupportedRegimeError
-from .stable import StableParams
+from .stable import StableParams, free_density, free_density_radial
 
 BATCH = 8192
+
+#: walk-on-spheres iterations after which a configuration is declared
+#: degenerate (the step count of a regular domain is geometric)
+WOS_MAX_STEPS = 1_000_000
 
 #: half-width of the slab used to stand in for a measure-zero boundary
 #: ({x_d = 0} is invisible to a discrete walk; the thickened domain has
@@ -186,13 +193,7 @@ def _exit_compose(params, c, radius, xa, rng, n) -> np.ndarray:
 
 
 def sample_exit_positions_wos(
-    domain: dom.Domain,
-    params: StableParams,
-    x,
-    rng: np.random.Generator,
-    n: int,
-    shrink: float = 1.0,
-    max_steps: int = 1_000_000,
+    domain: dom.Domain, params: StableParams, x, rng: np.random.Generator, n: int
 ):
     """n exact draws of the exit position from a catalog domain by
     walk-on-spheres: repeated exact ball exits from inscribed balls until
@@ -202,8 +203,6 @@ def sample_exit_positions_wos(
     jumps.  Not applicable to domains whose complement has measure zero
     (the walk would never terminate).
     """
-    if not (0.0 < shrink <= 1.0):
-        raise ValueError("shrink factor must lie in (0, 1]")
     if isinstance(domain, dom.HyperplaneComplement):
         raise UnsupportedRegimeError(
             "walk-on-spheres cannot terminate on a measure-zero boundary"
@@ -219,14 +218,14 @@ def sample_exit_positions_wos(
     it = 0
     while active.any():
         it += 1
-        if it > max_steps:
+        if it > WOS_MAX_STEPS:
             raise RuntimeError(
-                f"walk-on-spheres exceeded {max_steps} steps; degenerate "
+                f"walk-on-spheres exceeded {WOS_MAX_STEPS} steps; degenerate "
                 "domain/point configuration"
             )
         idx = np.nonzero(active)[0]
         p = pos[idx]
-        radii = shrink * dom.dist_many(domain, p)
+        radii = dom.dist_many(domain, p)
         newp = _jump(params, p, radii, rng, len(idx))
         pos[idx] = newp
         steps[idx] += 1
@@ -246,18 +245,15 @@ def _walk_batch(
     horizon: float,
     rng: np.random.Generator,
     m: int,
-    clock: float = 1.0,
     thin: Optional[float] = None,
 ):
     """Simulate m grid walks; returns (tau, end_position, survived).
 
-    ``clock`` rescales the jump intensity by a constant factor, which is
-    the same as running the grid at effective step clock*h.  tau is the
-    first grid time at which the chain is found outside the domain
-    (jump-and-return excursions inside one step are missed, so survival
-    is biased upward by O(h)); censored walks carry tau = inf.
+    tau is the first grid time at which the chain is found outside the
+    domain (jump-and-return excursions inside one step are missed, so
+    survival is biased upward, by the order h^{1/alpha} measured in the
+    module docstring); censored walks carry tau = inf.
     """
-    d, a = params.d, params.alpha
     nsteps = int(round(horizon / h))
     if abs(nsteps * h - horizon) > 1e-9 * max(horizon, 1.0):
         raise ValueError("horizon must be an integer multiple of the step")
@@ -266,15 +262,11 @@ def _walk_batch(
     pos = np.tile(x0, (m, 1))
     tau = np.full(m, np.inf)
     alive = np.ones(m, dtype=bool)
-    rho = a / 2.0
-    dt_eff = clock * h
     for k in range(1, nsteps + 1):
         idx = np.nonzero(alive)[0]
         if idx.size == 0:
             break
-        s = dt_eff ** (2.0 / a) * _one_sided_stable(rho, rng, idx.size)
-        z = rng.standard_normal((idx.size, d))
-        pos[idx] += np.sqrt(2.0 * s)[:, None] * z
+        pos[idx] += sample_stable_increments(params, h, rng, idx.size)
         if isinstance(domain, dom.HyperplaneComplement):
             out = np.abs(pos[idx][:, -1]) <= thin
         else:
@@ -304,25 +296,16 @@ def _run_batches(n: int, worker, workers: int = 1):
         return [f.result() for f in futs]
 
 
-@dataclass(frozen=True)
-class _SurvivalJob:
-    domain: dom.Domain
-    params: StableParams
-    x: tuple
-    t_grid: tuple
-    h: float
-    seed: int
-    clock: float = 1.0
-    thin: Optional[float] = None
+# Batch jobs: module-level functions bound with functools.partial, so that
+# they pickle for the worker pool; each builds the Philox stream of its batch.
 
-    def __call__(self, index: int, m: int):
-        rng = _stream(self.seed, index)
-        horizon = max(self.t_grid)
-        tau, _, _ = _walk_batch(
-            self.domain, self.params, np.asarray(self.x), self.h, horizon, rng, m,
-            clock=self.clock, thin=self.thin,
-        )
-        return np.array([(tau > t).sum() for t in self.t_grid], dtype=np.int64)
+
+def _survival_counts(domain, params, x, t_grid, h, thin, seed, index, m):
+    """Walks still inside at each horizon of t_grid, for batch ``index``."""
+    tau, _, _ = _walk_batch(
+        domain, params, x, h, max(t_grid), _stream(seed, index), m, thin=thin
+    )
+    return np.array([(tau > t).sum() for t in t_grid], dtype=np.int64)
 
 
 def survival_curve(
@@ -334,7 +317,6 @@ def survival_curve(
     h: float,
     rng_seed: int,
     workers: int = 1,
-    clock: float = 1.0,
     thin: Optional[float] = None,
 ) -> list:
     """Survival estimates at several horizons from one set of paths."""
@@ -348,7 +330,7 @@ def survival_curve(
         if abs(round(t / h) * h - t) > 1e-9 * max(t, 1.0):
             raise ValueError("each horizon must be an integer multiple of the step")
     t0 = time.perf_counter()
-    job = _SurvivalJob(domain, params, tuple(xa), t_grid, h, rng_seed, clock, thin)
+    job = partial(_survival_counts, domain, params, xa, t_grid, h, thin, rng_seed)
     parts = _run_batches(n, job, workers)
     counts = np.sum(parts, axis=0)
     wall = time.perf_counter() - t0
@@ -360,53 +342,21 @@ def survival_curve(
     return out
 
 
-def estimate_survival(
-    domain, params, x, t: float, n: int, h: float, rng_seed: int, workers: int = 1,
-    clock: float = 1.0, thin: Optional[float] = None,
-) -> MCEstimate:
-    """Fraction of n grid walks still inside the domain at time t."""
-    return survival_curve(domain, params, x, (t,), n, h, rng_seed, workers, clock, thin)[0]
-
-
-@dataclass(frozen=True)
-class _KernelJob:
-    domain: dom.Domain
-    params: StableParams
-    x: tuple
-    y_list: tuple  # ((y coords), ...)
-    t_grid: tuple
-    h: float
-    seed: int
-
-    def __call__(self, index: int, m: int):
-        rng = _stream(self.seed, index)
-        horizon = max(self.t_grid)
-        tau, pos, _ = _walk_batch(
-            self.domain, self.params, np.asarray(self.x), self.h, horizon, rng, m
-        )
-        ny, nt = len(self.y_list), len(self.t_grid)
-        s1 = np.zeros((nt, ny))
-        s2 = np.zeros((nt, ny))
-        for j, y in enumerate(self.y_list):
-            ya = np.asarray(y)
-            dist = np.linalg.norm(pos - ya, axis=1)
-            for i, t in enumerate(self.t_grid):
-                sel = tau < t
-                if sel.any():
-                    vals = _density_at(self.params, t - tau[sel], dist[sel])
-                    s1[i, j] = vals.sum()
-                    s2[i, j] = (vals * vals).sum()
-        return s1, s2
-
-
-def _density_at(params: StableParams, dt: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Vectorized p(dt, z) for paired arrays via unit-time reduction."""
-    from .stable import _p1_fast
-
-    fast = _p1_fast(params.d, params.alpha)
-    a = params.alpha
-    scale = dt ** (-1.0 / a)
-    return dt ** (-params.d / a) * fast(dist * scale)
+def _kernel_sums(domain, params, x, y_list, t_grid, h, seed, index, m):
+    """Sums of p(t - tau, X_tau, y) and of its square over the walks killed
+    before t, per (t, y), for batch ``index``."""
+    tau, pos, _ = _walk_batch(domain, params, x, h, max(t_grid), _stream(seed, index), m)
+    s1 = np.zeros((len(t_grid), len(y_list)))
+    s2 = np.zeros((len(t_grid), len(y_list)))
+    for j, y in enumerate(y_list):
+        dist = np.linalg.norm(pos - np.asarray(y), axis=1)
+        for i, t in enumerate(t_grid):
+            sel = tau < t
+            if sel.any():
+                vals = free_density_radial(params, t - tau[sel], dist[sel])
+                s1[i, j] = vals.sum()
+                s2[i, j] = (vals * vals).sum()
+    return s1, s2
 
 
 def heat_kernel_grid(
@@ -421,7 +371,7 @@ def heat_kernel_grid(
     y_list = tuple(tuple(np.atleast_1d(np.asarray(y, dtype=float))) for y in y_list)
     t_grid = tuple(float(t) for t in t_grid)
     t0 = time.perf_counter()
-    job = _KernelJob(domain, params, tuple(xa), y_list, t_grid, h, rng_seed)
+    job = partial(_kernel_sums, domain, params, xa, y_list, t_grid, h, rng_seed)
     parts = _run_batches(n, job, workers)
     s1 = sum(p[0] for p in parts)
     s2 = sum(p[1] for p in parts)
@@ -429,8 +379,6 @@ def heat_kernel_grid(
     out = {}
     for i, t in enumerate(t_grid):
         for j, y in enumerate(y_list):
-            from .stable import free_density
-
             p_free = free_density(params, t, xa, np.asarray(y)).value
             mean_k = s1[i, j] / n
             var_k = max(s2[i, j] / n - mean_k ** 2, 0.0)
@@ -450,74 +398,17 @@ def estimate_heat_kernel(
     h: float,
     rng_seed: int,
     workers: int = 1,
-    method: str = "defining",
-    eps: float = 0.05,
 ) -> MCEstimate:
     """Killed transition density p_D(t, x, y) by Monte Carlo.
 
-    ``method='defining'`` uses the exit-debit formula; ``'occupation'``
-    counts surviving paths in the epsilon-ball around y, an independent
-    oracle for cross-validation (d = 1).  A mean below -3 stderr raises a
-    diagnostic: the defining estimator can go negative only by noise.
+    Uses the exit-debit formula of ``heat_kernel_grid``.  A mean below -3
+    stderr raises a diagnostic: the estimator can go negative only by
+    noise.
     """
-    if method == "defining":
-        est = heat_kernel_grid(domain, params, x, (y,), (t,), n, h, rng_seed, workers)[(t, 0)]
-        if est.mean < -3.0 * est.stderr:
-            raise EstimateDiagnostic(
-                f"killed-kernel estimate {est.mean:.3g} is below -3 stderr"
-            )
-        return est
-    if method == "occupation":
-        return _occupation_estimate(domain, params, x, y, t, n, h, rng_seed, workers, eps)
-    raise ValueError(f"unknown method {method!r}")
-
-
-@dataclass(frozen=True)
-class _OccupationJob:
-    domain: dom.Domain
-    params: StableParams
-    x: tuple
-    y: tuple
-    t: float
-    h: float
-    seed: int
-    eps: float
-
-    def __call__(self, index: int, m: int):
-        rng = _stream(self.seed, index)
-        tau, pos, surv = _walk_batch(
-            self.domain, self.params, np.asarray(self.x), self.h, self.t, rng, m
-        )
-        distv = np.linalg.norm(pos - np.asarray(self.y), axis=1)
-        hit = surv & (distv <= self.eps)
-        hit_half = surv & (distv <= self.eps / 2.0)
-        return int(hit.sum()), int(hit_half.sum())
-
-
-def _ball_volume(d: int, eps: float) -> float:
-    return pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * eps ** d
-
-
-def _occupation_estimate(domain, params, x, y, t, n, h, rng_seed, workers, eps):
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
-    t0 = time.perf_counter()
-    job = _OccupationJob(domain, params, tuple(xa), tuple(ya), float(t), h, rng_seed, eps)
-    parts = _run_batches(n, job, workers)
-    hits = sum(p[0] for p in parts)
-    hits_half = sum(p[1] for p in parts)
-    wall = time.perf_counter() - t0
-    vol = _ball_volume(params.d, eps)
-    vol_half = _ball_volume(params.d, eps / 2.0)
-    p_hat = hits / n / vol
-    se = math.sqrt(max(hits, 1)) / n / vol
-    p_half = hits_half / n / vol_half
-    se_half = math.sqrt(max(hits_half, 1)) / n / vol_half
-    if abs(p_hat - p_half) > 3.0 * math.hypot(se, se_half) :
-        warnings.warn(
-            "occupation-density window shows curvature: shrink eps", RuntimeWarning
-        )
-    return MCEstimate(p_hat, se, n, rng_seed, h, wall)
+    est = heat_kernel_grid(domain, params, x, (y,), (t,), n, h, rng_seed, workers)[(t, 0)]
+    if est.mean < -3.0 * est.stderr:
+        raise EstimateDiagnostic(f"killed-kernel estimate {est.mean:.3g} is below -3 stderr")
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +473,9 @@ def estimate_lambda1(
         raise ValueError("fit window must start at or after r^alpha")
     tvals = _window_grid(fit_window, h, n_t)
     ball = dom.Ball((0.0,) * params.d, radius)
-    t0 = time.perf_counter()
     curve = survival_curve(
         ball, params, (0.0,) * params.d, tuple(tvals), n, h, rng_seed, workers
     )
-    wall = time.perf_counter() - t0
     slope, se = _fit_exponent(curve, tvals, lambda t: t)
     lam, lam_se = -slope * ra, se * ra
     if lam <= 0:
@@ -596,7 +485,7 @@ def estimate_lambda1(
     s_b, se_b = _fit_exponent(curve[half:], tvals[half:], lambda t: t)
     if abs(s_a - s_b) > 3.0 * math.hypot(se_a, se_b):
         raise FitError("disjoint fit windows disagree beyond 3 combined stderr")
-    return MCEstimate(lam, lam_se, n, rng_seed, h, wall)
+    return MCEstimate(lam, lam_se, n, rng_seed, h, curve[0].wall_time)
 
 
 def estimate_beta(
@@ -623,9 +512,7 @@ def estimate_beta(
     if not dom.contains(cone, xa) or dom.dist_to_complement(cone, xa) <= 0:
         raise ValueError("probe point must lie strictly inside the cone")
     tvals = _window_grid(fit_window, h, n_t)
-    t0 = time.perf_counter()
     curve = survival_curve(cone, params, xa, tuple(tvals), n, h, rng_seed, workers, thin=thin)
-    wall = time.perf_counter() - t0
     slope, se = _fit_exponent(curve, tvals, math.log)
     beta = -params.alpha * slope
     beta_se = params.alpha * se
@@ -635,25 +522,17 @@ def estimate_beta(
             RuntimeWarning,
         )
         beta = min(max(beta, 0.0), params.alpha * (1 - 1e-9))
-    return MCEstimate(beta, beta_se, n, rng_seed, h, wall)
+    return MCEstimate(beta, beta_se, n, rng_seed, h, curve[0].wall_time)
 
 
 # ---------------------------------------------------------------------------
 # boundary-Harnack cross ratio
 
 
-@dataclass(frozen=True)
-class _WosCountJob:
-    domain: dom.Domain
-    params: StableParams
-    x: tuple
-    targets: tuple  # region objects
-    seed: int
-
-    def __call__(self, index: int, m: int):
-        rng = _stream(self.seed, index)
-        pos, _ = sample_exit_positions_wos(self.domain, self.params, np.asarray(self.x), rng, m)
-        return np.array([int(np.sum(t.contains_many(pos))) for t in self.targets])
+def _wos_counts(domain, params, x, targets, seed, index, m):
+    """Exit positions landing in each target region, for batch ``index``."""
+    pos, _ = sample_exit_positions_wos(domain, params, x, _stream(seed, index), m)
+    return np.array([int(np.sum(t.contains_many(pos))) for t in targets])
 
 
 def bhp_cross_ratio(
@@ -681,7 +560,7 @@ def bhp_cross_ratio(
     t0 = time.perf_counter()
     counts = []
     for i, xs in enumerate((x1a, x2a)):
-        job = _WosCountJob(u_domain, params, tuple(xs), (target1, target2), rng_seed + i)
+        job = partial(_wos_counts, u_domain, params, xs, (target1, target2), rng_seed + i)
         parts = _run_batches(n, job, workers)
         counts.append(np.sum(parts, axis=0))
     wall = time.perf_counter() - t0

@@ -487,13 +487,14 @@ def free_density(params: StableParams, t: float, x, y, *, rel_tol: float = 1e-8)
     return DensityEval(value=t ** (-d / a) * v, rel_err=rel)
 
 
-def free_density_radial(params: StableParams, t: float, radii) -> np.ndarray:
-    """Vectorized p_t at an array of radii |y - x| (fast path.
+def free_density_radial(params: StableParams, t, radii) -> np.ndarray:
+    """Vectorized p_t at an array of radii |y - x| (fast path); ``t`` is one
+    time or an array of times paired with the radii.
 
     Backed by the calibrated spline/tail evaluator; interpolation error is
-    a few 1e-8 relative, far below Monte Carlo noise).
+    a few 1e-8 relative, far below Monte Carlo noise.
     """
-    if t <= 0:
+    if np.min(t) <= 0:
         raise ValueError("time must be positive")
     d, a = params.d, params.alpha
     fast = _p1_fast(d, a)

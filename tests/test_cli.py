@@ -56,6 +56,13 @@ def test_non_positive_worker_env_exits_2(capsys, monkeypatch):
     assert "error: STABLEHEAT_WORKERS must be a positive integer" in capsys.readouterr().err
 
 
+def test_non_integer_worker_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("STABLEHEAT_WORKERS", "abc")
+    assert cli.main(_survival("--n", "64")) == 2
+    err = capsys.readouterr().err
+    assert "error: STABLEHEAT_WORKERS must be a positive integer, got 'abc'" in err
+
+
 def test_run_batches_rejects_empty_runs():
     with pytest.raises(ValueError, match="path count must be positive"):
         mc._run_batches(0, lambda i, m: m)
@@ -144,6 +151,39 @@ def test_exact_samplers_reject_a_dimension_mismatch():
 def test_bhp_config_without_cells_or_keys_exits_2(tmp_path, capsys, doc, message):
     config = tmp_path / "bhp.json"
     config.write_text(json.dumps(doc))
+    argv = ["verify", "bhp", "--d", "2", "--alpha", "1.5", "--config", str(config),
+            "--n", "64", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
+BHP_CELL = {
+    "domain": {"type": "halfspace", "axis": [0, 1]}, "x0": [0, 0], "r": 1, "p": 0.5,
+    "x1": [0, 0.1], "x2": [0.2, 0.3],
+    "target1": {"type": "ball", "center": [-2, 2], "radius": 1},
+    "target2": {"type": "box", "lo": [0, 1.2], "hi": [4, 4]},
+}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "error: cannot read bhp config"),
+        ("[]", 'error: verify bhp needs a non-empty "configs" list'),
+        (json.dumps({"configs": [{**BHP_CELL, "r": None}]}), "error: malformed bhp config"),
+        (json.dumps({"configs": [{**BHP_CELL, "target1": {**BHP_CELL["target1"],
+                                                          "radius": None}}]}),
+         "error: malformed bhp config"),
+        ('{"configs": [5]}', "error: malformed bhp config"),
+    ],
+    ids=["missing_file", "top_level_list", "null_r", "null_region_radius", "number_cell"],
+)
+def test_malformed_bhp_config_exits_2(tmp_path, capsys, text, message):
+    config = tmp_path / "bhp.json"
+    if text is not None:
+        config.write_text(text)
     argv = ["verify", "bhp", "--d", "2", "--alpha", "1.5", "--config", str(config),
             "--n", "64", "--out", str(tmp_path)]
     assert cli.main(argv) == 2

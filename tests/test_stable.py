@@ -154,6 +154,15 @@ class TestFreeDensity:
             ref = free_density(p15, 2.0, 0.0, r).value
             assert v == pytest.approx(ref, rel=1e-6)
 
+    def test_fast_path_pairs_times_with_radii(self, p15):
+        times = np.geomspace(0.05, 20.0, 40)
+        radii = np.geomspace(0.01, 50.0, 40)
+        fast = free_density_radial(p15, times, radii)
+        for t, r, v in zip(times, radii, fast):
+            assert v == pytest.approx(free_density(p15, t, 0.0, r).value, rel=1e-6)
+        with pytest.raises(ValueError, match="time must be positive"):
+            free_density_radial(p15, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+
 
 class TestFreeDensityBound:
     def test_origin_uses_uniform_branch(self, p11):
