@@ -37,8 +37,8 @@ from .stable import StableParams, free_density, free_density_radial
 
 BATCH = 8192
 
-#: walk-on-spheres iterations after which a configuration is declared
-#: degenerate (the step count of a regular domain is geometric)
+#: walk-on-spheres iterations after which the walk stops with an error
+#: (a degenerate domain/point configuration)
 WOS_MAX_STEPS = 1_000_000
 
 #: half-width of the slab used to stand in for a measure-zero boundary
