@@ -32,6 +32,17 @@ def _pts(x, d: int) -> np.ndarray:
     return a
 
 
+def _normalized(v, what: str) -> tuple:
+    """``v`` scaled to unit length.  A vector already unit to within a few
+    ulp is kept as given, so that a domain rebuilt from its own document
+    equals the original."""
+    u = np.atleast_1d(np.asarray(v, dtype=float))
+    ln = float(np.linalg.norm(u))
+    if ln == 0:
+        raise ValueError(f"{what} must be nonzero")
+    return tuple(u if abs(ln - 1.0) <= 4 * np.finfo(float).eps else u / ln)
+
+
 # ---------------------------------------------------------------------------
 # variants
 
@@ -60,11 +71,7 @@ class HalfSpace:
     offset: float = 0.0
 
     def __post_init__(self):
-        n = np.atleast_1d(np.asarray(self.normal, dtype=float))
-        ln = float(np.linalg.norm(n))
-        if ln == 0:
-            raise ValueError("normal must be nonzero")
-        object.__setattr__(self, "normal", tuple(n / ln))
+        object.__setattr__(self, "normal", _normalized(self.normal, "normal"))
         object.__setattr__(self, "offset", float(self.offset))
 
     def height(self, x) -> float:
@@ -100,11 +107,7 @@ class CircularCone:
         object.__setattr__(self, "angle", float(self.angle))
         if not (0.0 < self.angle < math.pi):
             raise ValueError("half-aperture must lie in (0, pi)")
-        u = np.atleast_1d(np.asarray(self.axis, dtype=float))
-        ln = float(np.linalg.norm(u))
-        if ln == 0:
-            raise ValueError("axis must be nonzero")
-        object.__setattr__(self, "axis", tuple(u / ln))
+        object.__setattr__(self, "axis", _normalized(self.axis, "axis"))
 
 
 @dataclass(frozen=True)

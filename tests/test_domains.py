@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -203,6 +204,15 @@ class TestSerialization:
         doc = dom.domain_to_dict(domain)
         back = dom.domain_from_dict(doc)
         assert back == domain
+
+    @pytest.mark.parametrize(
+        "v", [(1.0, 2.0), (1.0, 1.0, 0.0), (1.0, -2.0, 2.0), (0.3, 0.1, 0.7)], ids=str
+    )
+    def test_round_trip_with_a_non_axis_direction(self, v):
+        for domain in (dom.HalfSpace(v, 0.5), dom.CircularCone(1.0, v)):
+            doc = json.loads(json.dumps(dom.domain_to_dict(domain)))
+            back = dom.domain_from_dict(doc)
+            assert back == domain
 
     def test_dimension_validation(self):
         doc = {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}

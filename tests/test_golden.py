@@ -298,9 +298,9 @@ EXPECTED = {
     'document/ball': "{'type': 'ball', 'center': [0.5, -0.25], 'radius': 1.5} -> Ball(center=(0.5, -0.25), radius=1.5)",
     'document/ball_union_exterior_ball': "{'type': 'ball_union_exterior_ball', 'center': [0.0, 0.0], 'inner_radius': 1.0, 'outer_radius': 2.5} -> BallUnionExteriorBall(center=(0.0, 0.0), inner_radius=1.0, outer_radius=2.5)",
     'document/cone': "{'type': 'cone', 'angle': 1.0, 'axis': [np.float64(0.0), np.float64(0.0), np.float64(1.0)]} -> CircularCone(angle=1.0, axis=(np.float64(0.0), np.float64(0.0), np.float64(1.0)), beta=None)",
-    'document/cone_obtuse': "{'type': 'cone', 'angle': 2.0, 'axis': [np.float64(0.7071067811865475), np.float64(0.7071067811865475), np.float64(0.0)], 'beta': 0.4} -> CircularCone(angle=2.0, axis=(np.float64(0.7071067811865476), np.float64(0.7071067811865476), np.float64(0.0)), beta=0.4)",
+    'document/cone_obtuse': "{'type': 'cone', 'angle': 2.0, 'axis': [np.float64(0.7071067811865475), np.float64(0.7071067811865475), np.float64(0.0)], 'beta': 0.4} -> CircularCone(angle=2.0, axis=(np.float64(0.7071067811865475), np.float64(0.7071067811865475), np.float64(0.0)), beta=0.4)",
     'document/exterior_ball': "{'type': 'exterior_ball', 'center': [0.0, 0.0, 0.5], 'radius': 1.0} -> ExteriorBall(center=(0.0, 0.0, 0.5), radius=1.0)",
-    'document/halfspace': "{'type': 'halfspace', 'axis': [np.float64(0.4472135954999579), np.float64(0.8944271909999159)], 'offset': 0.5} -> HalfSpace(normal=(np.float64(0.447213595499958), np.float64(0.894427190999916)), offset=0.5)",
+    'document/halfspace': "{'type': 'halfspace', 'axis': [np.float64(0.4472135954999579), np.float64(0.8944271909999159)], 'offset': 0.5} -> HalfSpace(normal=(np.float64(0.4472135954999579), np.float64(0.8944271909999159)), offset=0.5)",
     'document/hyperplane_complement': "{'type': 'hyperplane_complement', 'dim': 2} -> HyperplaneComplement(dim=2)",
     'document/intersection': 'TypeError: cannot serialize Intersection',
     'document/interval_complement': "{'type': 'interval_complement', 'intervals': [[-1.0, 0.0], [1.0, 2.5]]} -> IntervalComplement(intervals=((-1.0, 0.0), (1.0, 2.5)))",
