@@ -173,14 +173,39 @@ SURVIVAL_CASES = {
 }
 
 
+#: name -> (domain, params, start, step, horizon, paths, thin, every walker killed)
+WALK_CASES = {
+    "ball_d1_all_killed": (dom.Ball((0.0,), 1.0), StableParams(1, 1.0), (0.2,), 1.0 / 16, 32.0,
+                           1500, None, True),
+    "halfspace_d2": (dom.HalfSpace((0.0, 1.0)), StableParams(2, 1.5), (0.1, 0.3), 1.0 / 16, 1.0,
+                     1500, None, False),
+    "hyperplane_complement_d2_thin": (dom.HyperplaneComplement(2), StableParams(2, 1.5),
+                                      (0.0, 0.5), 1.0 / 16, 1.0, 1500, 0.05, False),
+    "intersection_d3": (
+        dom.Intersection((dom.HalfSpace((0.0, 0.0, 1.0)), dom.Ball((0.0, 0.0, 0.0), 1.0))),
+        StableParams(3, 0.7), (0.1, 0.0, 0.3), 1.0 / 32, 0.5, 1500, None, False),
+}
+
+
+def _walk(name):
+    domain, params, x, h, horizon, m, thin, all_killed = WALK_CASES[name]
+    rng = _rng(79, list(WALK_CASES).index(name))
+    tau, pos, survived = mc._walk_batch(domain, params, np.array(x), h, horizon, rng, m, thin=thin)
+    if all_killed:  # the step loop must leave by its early exit
+        assert tau.max() < horizon
+    else:
+        assert survived.any()
+    return _digest(tau, pos, survived, rng.random(1))
+
+
 def _estimates(*ests):
     return _digest(np.array([(e.mean, e.stderr, e.n, e.seed, e.step) for e in ests]))
 
 
-def _survival(name):
+def _survival(name, workers=1):
     domain, params, x, thin = SURVIVAL_CASES[name]
     curve = mc.survival_curve(
-        domain, params, x, (0.25, 0.5, 1.0), 10_000, 1.0 / 16, 5, thin=thin
+        domain, params, x, (0.25, 0.5, 1.0), 10_000, 1.0 / 16, 5, workers, thin=thin
     )
     return _estimates(*curve)
 
@@ -252,9 +277,9 @@ BHP_CONFIGS = [
 ]
 
 
-def _bhp():
+def _bhp(workers=1):
     configs = [cli._parse_bhp_config(c) for c in BHP_CONFIGS]
-    return _report(harness.bhp_sweep(configs, StableParams(2, 1.5), 16384, 9))
+    return _report(harness.bhp_sweep(configs, StableParams(2, 1.5), 16384, 9, workers))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +296,8 @@ for _i in range(len(SAMPLER_PARAMS)):
         CASES[f"ball_exit/{_i}/{_rho}"] = (_ball_exit, _i, _rho)
 for _name in WOS_CASES:
     CASES[f"wos/{_name}"] = (_wos, _name)
+for _name in WALK_CASES:
+    CASES[f"walk/{_name}"] = (_walk, _name)
 for _name in SURVIVAL_CASES:
     CASES[f"survival/{_name}"] = (_survival, _name)
 CASES["bhp_sweep"] = (_bhp,)
@@ -278,9 +305,13 @@ CASES["estimate/lambda1"] = (_lambda1,)
 CASES["estimate/beta_hyperplane_complement_thin"] = (_beta,)
 CASES["estimate/heat_kernel"] = (_heat_kernel,)
 CASES["free_density_radial"] = (_radial,)
-# bit-identical for any worker count: the two cases share one expected value
+# bit-identical for any worker count: each workers=2 case shares one expected
+# value with its workers=1 case; listed after the first of them, they run
+# on the worker pool that it started
 CASES["factorization/ball_d1/workers1"] = (_factorization, "mc", 1)
 CASES["factorization/ball_d1/workers2"] = (_factorization, "mc", 2)
+CASES["survival/halfspace_d2/workers2"] = (_survival, "halfspace_d2", 2)
+CASES["bhp_sweep/workers2"] = (_bhp, 2)
 CASES["factorization/ball_d1/profile"] = (_factorization, "profile", 1)
 CASES["profile_sweep/halfspace_d2"] = (_profile_sweep,)
 
@@ -295,6 +326,7 @@ EXPECTED = {
     'ball_exit/2/0.3': '8aec36961e3487acaabf',
     'ball_exit/2/0.99': '63704ee85bc11ad32a8d',
     'bhp_sweep': '9695d59fead4201f31ec',
+    'bhp_sweep/workers2': '9695d59fead4201f31ec',
     'document/ball': "{'type': 'ball', 'center': [0.5, -0.25], 'radius': 1.5} -> Ball(center=(0.5, -0.25), radius=1.5)",
     'document/ball_union_exterior_ball': "{'type': 'ball_union_exterior_ball', 'center': [0.0, 0.0], 'inner_radius': 1.0, 'outer_radius': 2.5} -> BallUnionExteriorBall(center=(0.0, 0.0), inner_radius=1.0, outer_radius=2.5)",
     'document/cone': "{'type': 'cone', 'angle': 1.0, 'axis': [np.float64(0.0), np.float64(0.0), np.float64(1.0)]} -> CircularCone(angle=1.0, axis=(np.float64(0.0), np.float64(0.0), np.float64(1.0)), beta=None)",
@@ -336,7 +368,12 @@ EXPECTED = {
     'profile_sweep/halfspace_d2': 'f7da9df2f94916589ab1',
     'survival/ball_d1': '6342a3c0fda1e0eed8d2',
     'survival/halfspace_d2': 'dd6713501ad222dd7a2f',
+    'survival/halfspace_d2/workers2': 'dd6713501ad222dd7a2f',
     'survival/hyperplane_complement_d2': 'c80a734c0bd4d87234c3',
+    'walk/ball_d1_all_killed': '492b4b22ecf4a673b494',
+    'walk/halfspace_d2': 'f7fad2f7de1204ff80b5',
+    'walk/hyperplane_complement_d2_thin': '10afc8c9a914a5fb5ba4',
+    'walk/intersection_d3': '659f657d785322fcb3f9',
     'witness/ball': '32eff36babc23e6bd219',
     'witness/ball_union_exterior_ball': 'c093ed67cce76df80846',
     'witness/cone': 'e0aee77c4555a33e0be5',
@@ -357,7 +394,7 @@ def test_every_case_has_an_expected_value():
     assert set(CASES) == set(EXPECTED)
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", list(CASES))
 def test_golden(case):
     fn, *args = CASES[case]
     assert fn(*args) == EXPECTED[case]
