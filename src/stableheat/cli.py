@@ -448,6 +448,8 @@ def main(argv=None) -> int:
     except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
+    finally:
+        mc.shutdown_pool()
 
 
 if __name__ == "__main__":

@@ -15,7 +15,9 @@ the order h^{1/alpha}.
 Reproducibility: paths are organized in fixed-size batches; batch i uses
 a counter-based Philox stream keyed by (seed, i), and partial results are
 merged in batch order.  Results are therefore bit-identical for any
-worker count.
+worker count.  Pooled runs share one process pool, kept from the first
+pooled call until ``shutdown_pool``, so repeated calls do not pay for
+worker start-up and table building again; reuse does not change a result.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from math import pi
@@ -261,19 +264,24 @@ def _walk_batch(
         thin = THIN_BOUNDARY_HALF_WIDTH
     pos = np.tile(x0, (m, 1))
     tau = np.full(m, np.inf)
-    alive = np.ones(m, dtype=bool)
+    # the live walkers, contiguous and in ascending path order, and their paths
+    idx = np.arange(m)
+    live = pos.copy()
     for k in range(1, nsteps + 1):
-        idx = np.nonzero(alive)[0]
         if idx.size == 0:
             break
-        pos[idx] += sample_stable_increments(params, h, rng, idx.size)
+        live += sample_stable_increments(params, h, rng, idx.size)
         if isinstance(domain, dom.HyperplaneComplement):
-            out = np.abs(pos[idx][:, -1]) <= thin
+            out = np.abs(live[:, -1]) <= thin
         else:
-            out = ~dom.contains_many(domain, pos[idx])
-        newly = idx[out]
-        tau[newly] = k * h
-        alive[newly] = False
+            out = ~dom.contains_many(domain, live)
+        if out.any():
+            newly = idx[out]
+            tau[newly] = k * h
+            pos[newly] = live[out]
+            keep = ~out
+            idx, live = idx[keep], live[keep]
+    pos[idx] = live
     return tau, pos, ~np.isfinite(tau)
 
 
@@ -281,9 +289,40 @@ def _walk_batch(
 # batch scheduling
 
 
+#: the worker pool kept between pooled calls, as (worker count, executor)
+_pool: Optional[tuple] = None
+
+
+def shutdown_pool() -> None:
+    """Stop the worker pool that ``_run_batches`` keeps, if there is one,
+    and wait for its workers to exit.  Safe to call at any time."""
+    global _pool
+    if _pool is not None:
+        _, ex = _pool
+        _pool = None
+        ex.shutdown()
+
+
+def _executor(workers: int) -> ProcessPoolExecutor:
+    """The kept pool if it has ``workers`` processes, else a new one in its place."""
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        shutdown_pool()
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _pool[1]
+
+
 def _run_batches(n: int, worker, workers: int = 1):
     """Split n paths into fixed batches, run ``worker(batch_index, m)`` and
-    return partial results merged in batch order."""
+    return partial results merged in batch order.
+
+    With more than one worker the batches run on a process pool that is
+    started on first use and kept for later calls with the same worker
+    count, until ``shutdown_pool``; a worker's tables and caches therefore
+    outlive one call.  If a batch raises, the batches not yet started are
+    cancelled and the error propagates; a broken pool is dropped, so the
+    next call starts a fresh one.
+    """
     if n < 1:
         raise ValueError(f"path count must be positive, got {n}")
     sizes = [BATCH] * (n // BATCH)
@@ -291,9 +330,19 @@ def _run_batches(n: int, worker, workers: int = 1):
         sizes.append(n % BATCH)
     if workers <= 1:
         return [worker(i, m) for i, m in enumerate(sizes)]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        futs = [ex.submit(worker, i, m) for i, m in enumerate(sizes)]
+    ex = _executor(workers)
+    futs = []
+    try:
+        for i, m in enumerate(sizes):
+            futs.append(ex.submit(worker, i, m))
         return [f.result() for f in futs]
+    except BrokenProcessPool:
+        shutdown_pool()
+        raise
+    except BaseException:
+        for f in futs:
+            f.cancel()
+        raise
 
 
 # Batch jobs: module-level functions bound with functools.partial, so that

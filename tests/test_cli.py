@@ -3,6 +3,9 @@ settings: 2 with an ``error:`` line for configuration errors, 3 for an
 inconclusive sweep."""
 
 import json
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -66,6 +69,86 @@ def test_non_integer_worker_env_exits_2(capsys, monkeypatch):
 def test_run_batches_rejects_empty_runs():
     with pytest.raises(ValueError, match="path count must be positive"):
         mc._run_batches(0, lambda i, m: m)
+
+
+# batch workers for the pool tests; module-level so that they pickle
+
+def _size(i, m):
+    return m
+
+
+def _pid(i, m):
+    return os.getpid()
+
+
+def _fail_on_batch_1(i, m):
+    if i == 1:
+        raise ArithmeticError("batch 1 failed")
+    return m
+
+
+def _exit_worker(i, m):
+    os._exit(3)
+
+
+#: four batches: three full ones and a short last one
+N_POOLED = 3 * mc.BATCH + 5
+SIZES = [mc.BATCH] * 3 + [5]
+
+
+@pytest.fixture
+def no_pool():
+    mc.shutdown_pool()
+    yield
+    mc.shutdown_pool()
+
+
+def test_pooled_calls_reuse_one_executor(no_pool):
+    first = set(mc._run_batches(N_POOLED, _pid, 2))
+    pool = mc._pool
+    second = set(mc._run_batches(N_POOLED, _pid, 2))
+    assert mc._pool is pool
+    assert len(first | second) <= 2
+    assert os.getpid() not in first | second
+
+
+def test_another_worker_count_replaces_the_executor(no_pool):
+    before = set(mc._run_batches(N_POOLED, _pid, 2))
+    pool = mc._pool
+    after = set(mc._run_batches(N_POOLED, _pid, 3))
+    assert mc._pool is not pool and mc._pool[0] == 3
+    assert not before & after
+    assert not any(p.pid in before for p in multiprocessing.active_children())
+
+
+def test_a_failing_batch_propagates_and_the_pool_still_works(no_pool):
+    with pytest.raises(ArithmeticError, match="batch 1 failed"):
+        mc._run_batches(N_POOLED, _fail_on_batch_1, 2)
+    pool = mc._pool
+    assert mc._run_batches(N_POOLED, _size, 2) == SIZES
+    assert mc._pool is pool
+
+
+def test_a_dead_worker_breaks_the_pool_and_the_next_call_starts_afresh(no_pool):
+    with pytest.raises(BrokenProcessPool):
+        mc._run_batches(N_POOLED, _exit_worker, 2)
+    assert mc._pool is None
+    assert mc._run_batches(N_POOLED, _size, 2) == SIZES
+
+
+def test_shutdown_pool_twice_is_safe(no_pool):
+    mc._run_batches(N_POOLED, _size, 2)
+    mc.shutdown_pool()
+    mc.shutdown_pool()
+    assert mc._pool is None
+    assert multiprocessing.active_children() == []
+
+
+def test_cli_leaves_no_pool_behind(no_pool, capsys):
+    assert cli.main(_survival("--n", "20000", "--h", "0.25", "--workers", "2")) == 0
+    assert capsys.readouterr().out.startswith("mean ")
+    assert mc._pool is None
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
