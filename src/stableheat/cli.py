@@ -30,11 +30,15 @@ def _fmt(v: float) -> str:
 
 
 def _parse_vec(s: str) -> tuple:
-    """Numbers separated by commas or blanks (a point or a list of horizons)."""
+    """Numbers separated by commas or blanks (a point or a list of horizons);
+    at least one is required."""
     try:
-        return tuple(float(p) for p in s.replace(",", " ").split())
+        vals = tuple(float(p) for p in s.replace(",", " ").split())
     except ValueError as exc:
         raise ValueError(f"cannot parse numbers from {s!r}") from exc
+    if not vals:
+        raise ValueError(f"cannot parse numbers from {s!r}")
+    return vals
 
 
 def _read_json(path, what: str):

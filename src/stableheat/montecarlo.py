@@ -417,6 +417,8 @@ def heat_kernel_grid(
     returns a dict {(t, y-index): MCEstimate}.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
+    if not dom.contains(domain, xa):
+        raise ValueError("start point must lie in the domain")
     y_list = tuple(tuple(np.atleast_1d(np.asarray(y, dtype=float))) for y in y_list)
     t_grid = tuple(float(t) for t in t_grid)
     t0 = time.perf_counter()

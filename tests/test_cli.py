@@ -66,6 +66,31 @@ def test_non_integer_worker_env_exits_2(capsys, monkeypatch):
     assert "error: STABLEHEAT_WORKERS must be a positive integer, got 'abc'" in err
 
 
+def test_heat_kernel_start_point_outside_the_domain_exits_2(capsys):
+    argv = ["heatkernel", "--mc", "--domain-json", BALL_1D, "--x", "5", "--y", "0.3",
+            "--t", "0.25", "--n", "4096"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: start point must lie in the domain\n"
+
+
+PROFILES = ["verify", "profiles", "--domain-json", BALL_1D, "--n", "64", "--h", "0.25"]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        ([*PROFILES, "--t", ","], ","),
+        ([*PROFILES, "--t", " "], " "),
+        ([*PROFILES, "--points", "0.5;,"], ","),
+        (["survival", "--mc", "--t", "1", "--x", ",", "--domain-json", BALL_1D], ","),
+    ],
+    ids=["t_comma", "t_blank", "points_entry", "x"],
+)
+def test_option_without_numbers_exits_2(capsys, argv, text):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot parse numbers from {text!r}\n"
+
+
 def test_run_batches_rejects_empty_runs():
     with pytest.raises(ValueError, match="path count must be positive"):
         mc._run_batches(0, lambda i, m: m)
