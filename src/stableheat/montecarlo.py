@@ -303,15 +303,6 @@ def shutdown_pool() -> None:
         ex.shutdown()
 
 
-def _executor(workers: int) -> ProcessPoolExecutor:
-    """The kept pool if it has ``workers`` processes, else a new one in its place."""
-    global _pool
-    if _pool is None or _pool[0] != workers:
-        shutdown_pool()
-        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
-    return _pool[1]
-
-
 def _run_batches(n: int, worker, workers: int = 1):
     """Split n paths into fixed batches, run ``worker(batch_index, m)`` and
     return partial results merged in batch order.
@@ -319,10 +310,12 @@ def _run_batches(n: int, worker, workers: int = 1):
     With more than one worker the batches run on a process pool that is
     started on first use and kept for later calls with the same worker
     count, until ``shutdown_pool``; a worker's tables and caches therefore
-    outlive one call.  If a batch raises, the batches not yet started are
+    outlive one call, and the merged results stay bit-identical for any
+    worker count.  If a batch raises, the batches not yet started are
     cancelled and the error propagates; a broken pool is dropped, so the
     next call starts a fresh one.
     """
+    global _pool
     if n < 1:
         raise ValueError(f"path count must be positive, got {n}")
     sizes = [BATCH] * (n // BATCH)
@@ -330,7 +323,10 @@ def _run_batches(n: int, worker, workers: int = 1):
         sizes.append(n % BATCH)
     if workers <= 1:
         return [worker(i, m) for i, m in enumerate(sizes)]
-    ex = _executor(workers)
+    if _pool is None or _pool[0] != workers:
+        shutdown_pool()
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    ex = _pool[1]
     futs = []
     try:
         for i, m in enumerate(sizes):
