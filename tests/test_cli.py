@@ -1,6 +1,7 @@
 """Exit codes of the command-line driver on bad input and on default
 settings: 2 with an ``error:`` line for configuration errors, 3 for an
-inconclusive sweep."""
+inconclusive sweep; and the lifetime of the worker pool that
+``montecarlo._run_batches`` keeps between calls."""
 
 import json
 import multiprocessing
