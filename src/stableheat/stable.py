@@ -378,8 +378,8 @@ class _P1Fast:
 
     ``zstar`` is calibrated at construction as the smallest radius where
     the tail expansion and the rigorous point evaluator agree to 1e-9.
-    Interpolation error is measured at off-node radii and stored in
-    ``max_rel_err``.
+    The error against the point evaluator is measured at off-node radii of
+    the spline and at tail radii up to 400, and stored in ``max_rel_err``.
     """
 
     def __init__(self, d: int, alpha: float, nodes: int = 900):
@@ -390,7 +390,9 @@ class _P1Fast:
         self._spline = interpolate.CubicSpline(grid, np.log(vals))
         self._tail_k, self._tail_sign, self._tail_lnc = self._tail_coeffs()
         probe = grid[:-1] + 0.5 * (grid[1] - grid[0])
-        probe = probe[:: max(1, len(probe) // 40)]
+        probe = np.concatenate(
+            [probe[:: max(1, len(probe) // 40)], np.geomspace(self.zstar, 400.0, 13)[1:]]
+        )
         ref = np.array([_p1_point(d, alpha, float(r))[0] for r in probe])
         got = self(probe)
         self.max_rel_err = float(np.max(np.abs(got - ref) / ref))
@@ -414,16 +416,20 @@ class _P1Fast:
         )
 
     def _tail_coeffs(self):
-        # Truncate at the smallest-magnitude term measured at zstar: past it
-        # an asymptotic expansion diverges, and for every r > zstar the same
-        # truncation is at least as accurate.
+        # Truncate at the smallest-magnitude term measured at zstar once the
+        # terms have started to fall, as _series_sum does: past that point an
+        # asymptotic expansion diverges, and for every r > zstar the same
+        # truncation is at least as accurate.  The terms of a convergent
+        # series (alpha < 1) may grow before they fall, and such a series
+        # gets the larger term budget of _p1_tail.  Stop 20 decades below
+        # the largest term.
         d, a = self.d, self.alpha
         lead = -(0.5 * d + 1) * _LNPI
         lnz = log(self.zstar)
         ks, signs, lncs = [], [], []
-        ln_first = None
-        prev = math.inf
-        for k in range(1, 80):
+        peak = prev = -math.inf
+        falling = False
+        for k in range(1, 250 if a < 1.0 else 80):
             sg = sin(k * pi * a / 2) * (1 if k % 2 == 1 else -1)
             lnc = (
                 k * a * _LN2
@@ -433,10 +439,10 @@ class _P1Fast:
                 + lead
             )
             ln_at_z = lnc - (d + k * a) * lnz
-            if ln_first is None:
-                ln_first = ln_at_z
-            if ln_at_z > prev or ln_at_z < ln_first - 46.0:
+            if (falling and ln_at_z > prev) or ln_at_z < peak - 46.0:
                 break
+            falling = falling or ln_at_z < prev
+            peak = max(peak, ln_at_z)
             prev = ln_at_z
             ks.append(k)
             signs.append(sg)

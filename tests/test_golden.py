@@ -343,7 +343,7 @@ EXPECTED = {
     'factorization/ball_d1/profile': 'a53f4c76f4832f5687eb',
     'factorization/ball_d1/workers1': '296c40b002088dd295bc',
     'factorization/ball_d1/workers2': '296c40b002088dd295bc',
-    'free_density_radial': '4c8e6944f0e073fe2d52',
+    'free_density_radial': '275623fbdfcb665d0a6a',
     'geometry/ball': '600ce111d72673668fc2',
     'geometry/ball_union_exterior_ball': 'ec077829e1c83a1ff1cf',
     'geometry/cone': 'f248b4e9392508f3d722',

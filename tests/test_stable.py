@@ -163,6 +163,18 @@ class TestFreeDensity:
         with pytest.raises(ValueError, match="time must be positive"):
             free_density_radial(p15, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
+    # alpha < 1, and alpha = 1 in d >= 2: the tail terms at the table's
+    # switch radius grow before they fall, which once cut the table's tail
+    # to its leading term nu(r).  At alpha = 1 the 80-term tail budget leaves
+    # about 1e-6 just past the switch radius.
+    @pytest.mark.parametrize("d,alpha,tol", [(1, 0.7, 1e-8), (2, 0.7, 1e-8), (3, 0.7, 1e-8),
+                                             (1, 0.9, 1e-8), (2, 1.0, 2e-6), (3, 1.0, 2e-6)])
+    def test_fast_table_matches_scalar_head_and_tail(self, d, alpha, tol):
+        radii = np.concatenate([np.linspace(0.0, 5.0, 41), np.geomspace(5.0, 200.0, 30)])
+        fast = free_density_radial(StableParams(d, alpha), 1.0, radii)
+        ref = np.array([_p1_point(d, alpha, float(r))[0] for r in radii])
+        assert np.max(np.abs(fast / ref - 1.0)) <= tol
+
 
 class TestFreeDensityBound:
     def test_origin_uses_uniform_branch(self, p11):
