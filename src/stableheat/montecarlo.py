@@ -6,11 +6,13 @@ law has characteristic function exp(-dt |xi|^alpha) by construction.
 Ball exit positions are exact: the radial law from the center reduces to
 a Beta variable, and general starting points use rejection against the
 center law (falling back to an exact composition of center draws when the
-acceptance bound degrades).  Exit *times* have no exact sampler; they are
-simulated on a time grid with a one-sided bias, so callers compare runs
-at h and h/2.  The bias is not O(h): for E^0 tau on the unit ball (d = 1,
-alpha = 1.5) it fell by a factor 0.63-0.69 per halving of h, which is
-the order h^{1/alpha}.
+acceptance bound degrades).  Exit times from a half-space are exact too:
+they depend only on the supremum of a 1-D stable process, which
+stick-breaking samples without a time grid.  Exit times from every other
+domain are simulated on a time grid with a one-sided bias, so callers
+compare runs at h and h/2.  The bias is not O(h): for E^0 tau on the unit
+ball (d = 1, alpha = 1.5) it fell by a factor 0.63-0.69 per halving of h,
+which is the order h^{1/alpha}.
 
 Reproducibility: paths are organized in fixed-size batches; batch i uses
 a counter-based Philox stream keyed by (seed, i), and partial results are
@@ -39,6 +41,10 @@ from .errors import EstimateDiagnostic, FitError, UnsupportedRegimeError
 from .stable import StableParams, free_density, free_density_radial
 
 BATCH = 8192
+
+#: sticks in the stick-breaking supremum; the time they leave uncovered
+#: has mean 2^-64
+STICKS = 64
 
 #: walk-on-spheres iterations after which the walk stops with an error
 #: (a degenerate domain/point configuration)
@@ -353,6 +359,38 @@ def _survival_counts(domain, params, x, t_grid, h, thin, seed, index, m):
     return np.array([(tau > t).sum() for t in t_grid], dtype=np.int64)
 
 
+def _sample_supremum(alpha: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n exact draws of S_1, the supremum over [0, 1] of a 1-D stable
+    process with characteristic function exp(-t |xi|^alpha).
+
+    S_1 = sum_k l_k^{1/alpha} max(Z_k, 0) over a uniform stick-breaking l
+    of [0, 1] with independent unit stable Z_k (Pitman & Uribe Bravo, Ann.
+    Probab. 40 (2012); Gonzalez Cazares, Mijatovic & Uribe Bravo, Adv.
+    Appl. Probab. 51 (2019)).  Each stick draws the sign of Z_k first and
+    a magnitude only for a positive face, which is exact by symmetry.
+    """
+    line = StableParams(1, alpha)
+    sup = np.zeros(n)
+    rest = np.ones(n)
+    for _ in range(STICKS):
+        stick = rest * rng.random(n)
+        rest -= stick
+        up = np.flatnonzero(rng.random(n) < 0.5)
+        z = sample_stable_increments(line, 1.0, rng, up.size)[:, 0]
+        sup[up] += stick[up] ** (1.0 / alpha) * np.abs(z)
+    return sup
+
+
+def _supremum_counts(alpha, delta, t_grid, seed, index, m):
+    """Half-space survivors at each horizon of t_grid, for batch ``index``.
+
+    A walker at height delta survives to t iff <X, n> stays above the
+    boundary, that is iff S_1 < delta t^{-1/alpha} by self-similarity.
+    """
+    sup = _sample_supremum(alpha, _stream(seed, index), m)
+    return np.array([(sup < delta * t ** (-1.0 / alpha)).sum() for t in t_grid], dtype=np.int64)
+
+
 def survival_curve(
     domain: dom.Domain,
     params: StableParams,
@@ -364,7 +402,14 @@ def survival_curve(
     workers: int = 1,
     thin: Optional[float] = None,
 ) -> list:
-    """Survival estimates at several horizons from one set of paths."""
+    """Survival estimates at several horizons from one set of paths.
+
+    On a half-space (``HalfSpace``, or ``CircularCone`` with angle pi/2)
+    the estimates are exact in law: they come from stick-broken suprema,
+    use no time grid and carry step 0.  On every other domain they come
+    from grid walks with step h.  Horizons must be whole multiples of h
+    either way.
+    """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if not dom.contains(domain, xa):
         raise ValueError("start point must lie in the domain")
@@ -375,7 +420,14 @@ def survival_curve(
         if abs(round(t / h) * h - t) > 1e-9 * max(t, 1.0):
             raise ValueError("each horizon must be an integer multiple of the step")
     t0 = time.perf_counter()
-    job = partial(_survival_counts, domain, params, xa, t_grid, h, thin, rng_seed)
+    # only a half-space has tangent balls of every size at its boundary
+    if dom.c11_scale(domain) == math.inf:
+        delta = dom.dist_to_complement(domain, xa)
+        job = partial(_supremum_counts, params.alpha, delta, t_grid, rng_seed)
+        step = 0.0
+    else:
+        job = partial(_survival_counts, domain, params, xa, t_grid, h, thin, rng_seed)
+        step = h
     parts = _run_batches(n, job, workers)
     counts = np.sum(parts, axis=0)
     wall = time.perf_counter() - t0
@@ -383,7 +435,7 @@ def survival_curve(
     for t, c in zip(t_grid, counts):
         p = c / n
         se = math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
-        out.append(MCEstimate(p, se, n, rng_seed, h, wall))
+        out.append(MCEstimate(p, se, n, rng_seed, step, wall))
     return out
 
 
@@ -552,8 +604,10 @@ def estimate_beta(
     Works for any dilation-invariant catalog domain (circular cones and
     the hyperplane complement; for the latter pick the slab half-width
     ``thin`` a few times larger than the step scale h^{1/alpha}, or the
-    walk never registers the kill).  The report is clamped with a
-    diagnostic when the fit leaves [0, alpha).
+    walk never registers the kill).  The cone of angle pi/2 is a
+    half-space, whose survival curve is exact (see ``survival_curve``);
+    every other domain is walked on the grid.  The report is clamped with
+    a diagnostic when the fit leaves [0, alpha).
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if not dom.contains(cone, xa) or dom.dist_to_complement(cone, xa) <= 0:

@@ -365,10 +365,10 @@ EXPECTED = {
     'parsed/special_lipschitz': "{'type': 'special_lipschitz', 'breakpoints': [[0.0, 0.0], [1.0, 1.0]], 'lipschitz_constant': 1.0}",
     'parsed/unknown_type': "ValueError: unknown domain type 'torus'",
     'parsed/wrong_dim': 'ValueError: domain has dimension 2, expected 3',
-    'profile_sweep/halfspace_d2': 'f7da9df2f94916589ab1',
+    'profile_sweep/halfspace_d2': 'e0a2842e70d8e5aa6229',
     'survival/ball_d1': '6342a3c0fda1e0eed8d2',
-    'survival/halfspace_d2': 'dd6713501ad222dd7a2f',
-    'survival/halfspace_d2/workers2': 'dd6713501ad222dd7a2f',
+    'survival/halfspace_d2': '4d1d7e3f9d881f052dbc',
+    'survival/halfspace_d2/workers2': '4d1d7e3f9d881f052dbc',
     'survival/hyperplane_complement_d2': 'c80a734c0bd4d87234c3',
     'walk/ball_d1_all_killed': '492b4b22ecf4a673b494',
     'walk/halfspace_d2': 'f7fad2f7de1204ff80b5',
