@@ -12,8 +12,9 @@ import pytest
 from scipy import integrate
 
 from stableheat import domains as dom
+from stableheat import kernels
 from stableheat import montecarlo as mc
-from stableheat.stable import StableParams
+from stableheat.stable import StableParams, _p1_point
 
 Z_GATE = 4.0
 
@@ -25,6 +26,61 @@ def _rng(*key):
 def _z_mean(values, exact):
     values = np.asarray(values, dtype=float)
     return (values.mean() - exact) / (values.std(ddof=1) / math.sqrt(values.size))
+
+
+def _z_prob(hits, exact):
+    hits = np.asarray(hits, dtype=bool)
+    return (hits.mean() - exact) / math.sqrt(exact * (1.0 - exact) / hits.size)
+
+
+# ---------------------------------------------------------------------------
+# exact ball exits and walk-on-spheres against the exit tail P(|Y| > 2)
+
+GATE_PARAMS = ((1, 1.0), (2, 1.5), (3, 0.7))
+GATE_N = 32768
+
+
+@pytest.mark.parametrize("d,alpha", GATE_PARAMS)
+@pytest.mark.parametrize("sampler,rho", [("ball_exit", 0.0), ("ball_exit", 0.3),
+                                         ("ball_exit", 0.99), ("wos", 0.5)])
+def test_exit_positions_match_the_exact_exit_tail(d, alpha, sampler, rho):
+    # rho = 0, 0.3 and 0.99 take the centre, rejection and composition
+    # paths of sample_ball_exit_positions for every (d, alpha) here
+    params = StableParams(d, alpha)
+    x = np.zeros(d)
+    x[0] = rho
+    rng = _rng(41, 1000 * d + int(100 * rho))
+    if sampler == "wos":
+        pos, _ = mc.sample_exit_positions_wos(dom.Ball((0.0,) * d, 1.0), params, x, rng, GATE_N)
+    else:
+        pos = mc.sample_ball_exit_positions(params, np.zeros(d), 1.0, x, rng, GATE_N)
+    exact = kernels.ball_exit_tail_exact(params, x, 2.0)
+    assert abs(_z_prob(np.linalg.norm(pos, axis=1) > 2.0, exact)) <= Z_GATE
+
+
+# ---------------------------------------------------------------------------
+# stable increments against P(X_1 > q)
+
+
+def _upper_tail(alpha, q):
+    """P(X_1 > q) for the unit 1-D stable law, q >= 0."""
+    if alpha == 1.0:
+        return 0.5 - math.atan(q) / math.pi
+    mass, _ = integrate.quad(lambda r: _p1_point(1, alpha, r)[0], 0.0, q,
+                             epsabs=1e-12, epsrel=1e-10)
+    return 0.5 - mass
+
+
+# d = 2 checks that one coordinate of an isotropic increment is the 1-D
+# law, which the half-space supremum relies on; dt = 0.5 checks scaling
+@pytest.mark.parametrize("d,alpha", [(1, 1.0), (1, 0.7), (2, 1.5)])
+def test_stable_increments_match_the_exact_upper_tail(d, alpha):
+    dt = 0.5
+    rng = _rng(42, 100 * d + int(10 * alpha))
+    x = mc.sample_stable_increments(StableParams(d, alpha), dt, rng, 4 * GATE_N)[:, 0]
+    for q in (0.25, 1.0, 4.0):
+        exact = _upper_tail(alpha, q * dt ** (-1.0 / alpha))
+        assert abs(_z_prob(x > q, exact)) <= Z_GATE, q
 
 
 # ---------------------------------------------------------------------------
