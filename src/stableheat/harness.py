@@ -106,18 +106,37 @@ class RatioReport:
                 )
 
 
-def _assemble_report(domain, params, t_values, cells) -> RatioReport:
+def _required_n(cells, n: int) -> Optional[int]:
+    """Path count that would bring every noisy cell to the noise threshold:
+    n (rel / threshold)^2 for a noisy cell with a relative stderr, and 10 n
+    when a cell is diagnostic or has no usable estimate.  None when no
+    cell is noisy or diagnostic."""
+    need = []
+    for c in cells:
+        if c.flag == "noisy" and c.rel_stderr is not None:
+            need.append(math.ceil(n * (c.rel_stderr / NOISE_FLAG_THRESHOLD) ** 2))
+        elif c.flag in ("noisy", "diagnostic"):
+            need.append(10 * n)
+    return max(need, default=None)
+
+
+def _assemble_report(domain, params, t_values, cells, n: int) -> RatioReport:
     """Aggregate the usable cells; ``domain`` is a catalog domain or its
-    document.  Noisy and diagnostic cells count against the majority rule."""
+    document and n the path count per estimate.  Noisy and diagnostic cells
+    count against the majority rule."""
     usable = [c.ratio for c in cells if c.flag == "ok" and c.ratio is not None and c.ratio > 0]
     noisy = sum(1 for c in cells if c.flag in ("noisy", "diagnostic"))
     if not usable:
-        raise InconclusiveError("all cells were flagged; nothing to report", required_n=None)
-    if noisy > 0.5 * len(cells):
         raise InconclusiveError(
-            f"{noisy}/{len(cells)} cells are noisy or diagnostic; increase n "
-            "(by at least 4x for noisy cells, 10x or larger targets for diagnostic ones)",
-            required_n=None,
+            "all cells were flagged; nothing to report", required_n=_required_n(cells, n)
+        )
+    if noisy > 0.5 * len(cells):
+        required = _required_n(cells, n)
+        raise InconclusiveError(
+            f"{noisy}/{len(cells)} cells are noisy or diagnostic; increase n to at least "
+            f"{required} (n (rel_stderr / {NOISE_FLAG_THRESHOLD})^2 for noisy cells, "
+            "10 n or larger targets for diagnostic ones)",
+            required_n=required,
         )
     arr = np.array(usable)
     q05, q50, q95 = np.quantile(arr, [0.05, 0.5, 0.95])
@@ -386,7 +405,7 @@ def factorization_sweep(
             if flag == "ok" and t <= guard_t:
                 flag = "outside_guarantee"
             cells.append(Cell(t, x, y, ratio, rel, flag))
-    return _assemble_report(domain, params, t_set, cells)
+    return _assemble_report(domain, params, t_set, cells, n)
 
 
 def _rel2(est: mc.MCEstimate) -> float:
@@ -434,7 +453,7 @@ def profile_sweep(
                 if rel > NOISE_FLAG_THRESHOLD:
                     flag = "noisy"
             cells.append(Cell(t, xa, None, ratio, rel, flag))
-    return _assemble_report(domain, params, t_set, cells)
+    return _assemble_report(domain, params, t_set, cells, n)
 
 
 @dataclass(frozen=True)
@@ -491,7 +510,7 @@ def bhp_sweep(
     domain_desc = dom.domain_to_dict(first.u_domain) if not isinstance(
         first.u_domain, dom.Intersection
     ) else {"type": "intersection"}
-    return _assemble_report(domain_desc, params, (0.0,), cells)
+    return _assemble_report(domain_desc, params, (0.0,), cells, n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from stableheat import cli
+from stableheat import cli, harness
 from stableheat import domains as dom
 from stableheat import montecarlo as mc
+from stableheat.errors import InconclusiveError
 from stableheat.stable import StableParams
 
 BALL_1D = '{"type": "ball", "center": [0], "radius": 1}'
@@ -219,7 +220,24 @@ def test_bhp_with_a_majority_of_diagnostic_cells_is_inconclusive(tmp_path, capsy
     argv = ["verify", "bhp", "--d", "2", "--alpha", "1.5", "--config", str(config),
             "--n", "16384", "--seed", "9", "--out", str(tmp_path)]
     assert cli.main(argv) == 3
-    assert "inconclusive: 2/3 cells are noisy or diagnostic" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "inconclusive: 2/3 cells are noisy or diagnostic" in err
+    # diagnostic cells ask for 10 n
+    assert "increase n to at least 163840 " in err
+
+
+def test_required_n_brings_the_noisiest_cell_to_the_threshold():
+    def cell(flag, rel):
+        return harness.Cell(1.0, (0.0,), None, 1.0 if rel else None, rel, flag)
+
+    noisy = [cell("ok", 0.1), cell("noisy", 0.3), cell("noisy", 0.5)]
+    with pytest.raises(InconclusiveError) as exc:
+        harness._assemble_report({"type": "ball"}, StableParams(1, 1.0), (1.0,), noisy, 1000)
+    assert exc.value.required_n == 4000  # 1000 (0.5 / 0.25)^2
+    with pytest.raises(InconclusiveError) as exc:
+        harness._assemble_report({"type": "ball"}, StableParams(1, 1.0), (1.0,),
+                                 noisy[:2] + [cell("noisy", None)], 1000)
+    assert exc.value.required_n == 10_000  # no estimate at all: 10 n
 
 
 @pytest.mark.parametrize("d", [1, 3])
