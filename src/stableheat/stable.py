@@ -419,10 +419,10 @@ class _P1Fast:
         # Truncate at the smallest-magnitude term measured at zstar once the
         # terms have started to fall, as _series_sum does: past that point an
         # asymptotic expansion diverges, and for every r > zstar the same
-        # truncation is at least as accurate.  The terms of a convergent
-        # series (alpha < 1) may grow before they fall, and such a series
-        # gets the larger term budget of _p1_tail.  Stop 20 decades below
-        # the largest term.
+        # truncation is at least as accurate.  The terms may grow before
+        # they fall (alpha < 1, where the series converges, and alpha = 1 in
+        # d >= 2); for alpha < 1 the table gets the larger term budget of
+        # _p1_tail.  Stop 20 decades below the largest term.
         d, a = self.d, self.alpha
         lead = -(0.5 * d + 1) * _LNPI
         lnz = log(self.zstar)
