@@ -623,7 +623,7 @@ def estimate_beta(
             RuntimeWarning,
         )
         beta = min(max(beta, 0.0), params.alpha * (1 - 1e-9))
-    return MCEstimate(beta, beta_se, n, rng_seed, h, curve[0].wall_time)
+    return MCEstimate(beta, beta_se, n, rng_seed, curve[0].step, curve[0].wall_time)
 
 
 # ---------------------------------------------------------------------------

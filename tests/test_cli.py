@@ -178,6 +178,13 @@ def test_cli_leaves_no_pool_behind(no_pool, capsys):
     assert multiprocessing.active_children() == []
 
 
+def test_survival_on_a_halfspace_reports_that_no_time_grid_was_used(capsys):
+    argv = ["survival", "--mc", "--t", "1", "--x", "0 0.3", "--d", "2", "--alpha", "1.5",
+            "--domain-json", '{"type": "halfspace", "axis": [0, 1]}', "--n", "4096"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" h 0")
+
+
 @pytest.mark.parametrize(
     "doc, d",
     [

@@ -100,6 +100,18 @@ def test_cauchy_supremum_matches_spitzer(theta, exact):
     assert abs(_z_mean(1.0 / (1.0 + theta * sup), exact)) <= Z_GATE
 
 
+def test_supremum_matches_spitzer_at_alpha_1_5():
+    # With E ~ Exp(1) independent, E^{1/alpha} S_1 is the supremum up to
+    # time E, and Spitzer's identity gives
+    # E exp(-E^{1/alpha} S_1) = exp(int_0^inf e^{-t} g(t^{1/alpha}) dt / t),
+    # g(s) = int_0^inf (e^{-s y} - 1) p_1(y) dy; nested quadrature of
+    # _p1_point gives 0.5641009688
+    rng = _rng(44, 15)
+    sup = mc._sample_supremum(1.5, rng, 32768)
+    e = rng.standard_exponential(sup.size)
+    assert abs(_z_mean(np.exp(-e ** (1.0 / 1.5) * sup), 0.5641009688)) <= Z_GATE
+
+
 def _fields(curve):
     return [(e.mean, e.stderr, e.n, e.seed, e.step) for e in curve]
 
@@ -126,6 +138,14 @@ def test_the_right_angle_cone_is_the_halfspace():
     cone = mc.survival_curve(dom.CircularCone(math.pi / 2, (0.0, 1.0)), params, *args)
     assert _fields(cone) == _fields(half)
     assert all(e.step == 0.0 for e in half)
+
+
+def test_the_right_angle_cone_exponent_is_half_alpha():
+    # P(tau > t) ~ c t^{-1/2} on a half-space, so beta = alpha / 2 exactly
+    est = mc.estimate_beta(StableParams(2, 1.5), dom.CircularCone(math.pi / 2, (0.0, 1.0)),
+                           (0.0, 1.0), n=20_000, rng_seed=3)
+    assert est.step == 0.0
+    assert abs(est.mean - 0.75) <= Z_GATE * est.stderr
 
 
 def test_halfspace_survival_is_identical_on_two_workers():
