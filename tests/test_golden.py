@@ -1,10 +1,11 @@
 """Fixed-seed golden values for the domain catalog, the exact samplers,
-the grid walk, the estimators, the ratio sweeps and the boundary-Harnack
-report.
+the grid walk, the estimators, the ratio sweeps, the boundary-Harnack
+report and the report files that ``verify`` writes.
 
 The expected values pin the package's outputs bit for bit: arrays by a
 sha256 prefix of their bytes, reports and witnesses by a sha256 prefix of
-their exact ``repr`` or JSON text, and documents by their exact ``repr``.
+their exact ``repr`` or JSON text, written files by a sha256 prefix of
+their bytes, and documents by their exact ``repr``.
 A refactor that changes a random stream, the number of draws taken from
 a generator, the order of a floating-point operation or the type of a
 document field fails here.  The values are not to be edited to follow a
@@ -13,6 +14,8 @@ change in the code: a change that moves them is a change in behaviour.
 
 import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -283,6 +286,37 @@ def _bhp(workers=1):
 
 
 # ---------------------------------------------------------------------------
+# report files as the CLI writes them
+
+#: suite -> verify arguments; bhp reads BHP_CONFIGS from a config file
+WRITTEN = {
+    "profiles": ["--d", "2", "--alpha", "1.5", "--domain-json",
+                 '{"type": "halfspace", "axis": [0, 1]}', "--h", "0.0625", "--n", "4096"],
+    "factorization": ["--d", "1", "--alpha", "1", "--domain-json",
+                      '{"type": "ball", "center": [0], "radius": 1}', "--h", "0.03125",
+                      "--n", "4096"],
+    "bhp": ["--d", "2", "--alpha", "1.5", "--n", "4096"],
+}
+
+
+def _written(suite):
+    """sha256 prefixes of the JSON and the CSV bytes that ``verify`` writes."""
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["verify", suite, *WRITTEN[suite], "--seed", "5", "--out", out]
+        if suite == "bhp":
+            config = os.path.join(out, "config.json")
+            with open(config, "w") as fh:
+                json.dump({"configs": BHP_CONFIGS}, fh)
+            argv += ["--config", config]
+        assert cli.main(argv) == 0
+        digests = []
+        for ext in ("json", "csv"):
+            with open(os.path.join(out, f"{suite}.{ext}"), "rb") as fh:
+                digests.append(hashlib.sha256(fh.read()).hexdigest()[:20])
+        return " ".join(digests)
+
+
+# ---------------------------------------------------------------------------
 
 CASES = {}
 for _name in DOMAINS:
@@ -314,6 +348,8 @@ CASES["survival/halfspace_d2/workers2"] = (_survival, "halfspace_d2", 2)
 CASES["bhp_sweep/workers2"] = (_bhp, 2)
 CASES["factorization/ball_d1/profile"] = (_factorization, "profile", 1)
 CASES["profile_sweep/halfspace_d2"] = (_profile_sweep,)
+for _suite in WRITTEN:
+    CASES[f"written/{_suite}"] = (_written, _suite)
 
 EXPECTED = {
     'ball_exit/0/0.0': '56c0121fc1dc32b3502e',
@@ -387,6 +423,9 @@ EXPECTED = {
     'wos/ball_d1': 'bb407d6ca1807c6424a6',
     'wos/halfspace_d2': 'c4e107577a7da3328179',
     'wos/intersection_d3': 'cc1ab5f0d7b742779dba',
+    'written/bhp': '7feb25be1ad5596c2140 435b91491280c6da018e',
+    'written/factorization': 'f8c1838364a87b06551f 65ea2b770e6967970ce6',
+    'written/profiles': '2ca225aa27a9fb069020 d4011cae503a0361b4fd',
 }
 
 
