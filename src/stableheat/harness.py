@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -54,25 +54,40 @@ class Cell:
 
 @dataclass(frozen=True)
 class RatioReport:
+    """Per-cell ratios; the statistics are derived from the ``ok`` cells
+    with a positive ratio."""
+
     domain: dict
     params: StableParams
     t_values: tuple
     cells: tuple
-    ratios: tuple
-    min_ratio: float
-    max_ratio: float
-    q05: float
-    q50: float
-    q95: float
-    empirical_C: float
-    stderr_flags: int
 
-    def __post_init__(self):
-        if self.ratios:
-            if not (self.min_ratio <= self.q05 <= self.q50 <= self.q95 <= self.max_ratio):
-                raise ValueError("report quantiles out of order")
-            if self.empirical_C < 1.0:
-                raise ValueError("empirical constant must be >= 1")
+    @property
+    def ratios(self) -> tuple:
+        return tuple(
+            c.ratio for c in self.cells if c.flag == "ok" and c.ratio is not None and c.ratio > 0
+        )
+
+    @property
+    def min_ratio(self) -> float:
+        return float(min(self.ratios))
+
+    @property
+    def max_ratio(self) -> float:
+        return float(max(self.ratios))
+
+    @property
+    def quantiles(self) -> dict:
+        q05, q50, q95 = np.quantile(np.array(self.ratios), [0.05, 0.5, 0.95])
+        return {"q05": float(q05), "q50": float(q50), "q95": float(q95)}
+
+    @property
+    def empirical_C(self) -> float:
+        return max(self.max_ratio, 1.0 / self.min_ratio)
+
+    @property
+    def stderr_flags(self) -> int:
+        return sum(1 for c in self.cells if c.flag in ("noisy", "diagnostic"))
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,7 +99,7 @@ class RatioReport:
             "n_used": len(self.ratios),
             "min_ratio": self.min_ratio,
             "max_ratio": self.max_ratio,
-            "quantiles": {"q05": self.q05, "q50": self.q50, "q95": self.q95},
+            "quantiles": self.quantiles,
             "empirical_C": self.empirical_C,
             "stderr_flags": self.stderr_flags,
         }
@@ -121,15 +136,20 @@ def _required_n(cells, n: int) -> Optional[int]:
 
 
 def _assemble_report(domain, params, t_values, cells, n: int) -> RatioReport:
-    """Aggregate the usable cells; ``domain`` is a catalog domain or its
+    """The report of the cells; ``domain`` is a catalog domain or its
     document and n the path count per estimate.  Noisy and diagnostic cells
     count against the majority rule."""
-    usable = [c.ratio for c in cells if c.flag == "ok" and c.ratio is not None and c.ratio > 0]
-    noisy = sum(1 for c in cells if c.flag in ("noisy", "diagnostic"))
-    if not usable:
+    report = RatioReport(
+        domain=dom.domain_to_dict(domain) if not isinstance(domain, dict) else domain,
+        params=params,
+        t_values=tuple(t_values),
+        cells=tuple(cells),
+    )
+    if not report.ratios:
         raise InconclusiveError(
             "all cells were flagged; nothing to report", required_n=_required_n(cells, n)
         )
+    noisy = report.stderr_flags
     if noisy > 0.5 * len(cells):
         required = _required_n(cells, n)
         raise InconclusiveError(
@@ -138,22 +158,23 @@ def _assemble_report(domain, params, t_values, cells, n: int) -> RatioReport:
             "10 n or larger targets for diagnostic ones)",
             required_n=required,
         )
-    arr = np.array(usable)
-    q05, q50, q95 = np.quantile(arr, [0.05, 0.5, 0.95])
-    return RatioReport(
-        domain=dom.domain_to_dict(domain) if not isinstance(domain, dict) else domain,
-        params=params,
-        t_values=tuple(t_values),
-        cells=tuple(cells),
-        ratios=tuple(arr.tolist()),
-        min_ratio=float(arr.min()),
-        max_ratio=float(arr.max()),
-        q05=float(q05),
-        q50=float(q50),
-        q95=float(q95),
-        empirical_C=float(max(arr.max(), 1.0 / arr.min())),
-        stderr_flags=noisy,
-    )
+    return report
+
+
+def _cell(t, x, y, est: mc.MCEstimate, ref: float, ref_rel2: float = 0.0) -> Cell:
+    """The cell of the ratio est / ref, where ref carries the squared
+    relative error ref_rel2; noisy when either side is not positive or the
+    combined relative stderr exceeds the threshold."""
+    if ref <= 0 or est.mean <= 0:
+        return Cell(t, x, y, None, None, "noisy")
+    rel = math.sqrt(_rel2(est) + ref_rel2)
+    return Cell(t, x, y, est.mean / ref, rel, "ok" if rel <= NOISE_FLAG_THRESHOLD else "noisy")
+
+
+def _rel2(est: mc.MCEstimate) -> float:
+    if est.mean == 0:
+        return math.inf
+    return (est.stderr / est.mean) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +227,7 @@ def verify_identities(params: StableParams, tol: float = 1e-6) -> IdentityReport
     res = []
 
     # exit-law normalization over the exterior of the ball
-    err = abs(_poisson_mass(params, x_frac=0.3) - 1.0)
+    err = abs(kernels.ball_exit_tail_exact(params, _axis_pt(0.3, d), 1.0) - 1.0)
     res.append(IdentityResult("exit-law normalization", err, tol))
 
     # Green mass = expected exit time, at the center
@@ -246,65 +267,6 @@ def verify_identities(params: StableParams, tol: float = 1e-6) -> IdentityReport
     res.append(IdentityResult("symbol normalization", err, 1e-4))
 
     return IdentityReport(tuple(res))
-
-
-def _poisson_mass(params: StableParams, x_frac: float) -> float:
-    """Total exit-law mass over the complement of the closed unit ball.
-
-    The (|y|^2 - 1)^{-alpha/2} endpoint singularity on [1, 2] is handled
-    with an algebraic-weight rule; the tail beyond 2 is regular.
-    """
-    d, a = params.d, params.alpha
-    nx = x_frac
-    qx = (1.0 - nx * nx) ** (a / 2)
-    C = kernels._poisson_constant(d, a)
-
-    if d == 1:
-        def smooth(y):
-            return (y + 1.0) ** (-a / 2) * (abs(y - nx) ** -1 + abs(y + nx) ** -1)
-
-        near, _ = integrate.quad(
-            smooth, 1.0, 2.0, weight="alg", wvar=(-a / 2, 0.0), epsabs=1e-12, epsrel=1e-10
-        )
-        far, _ = integrate.quad(
-            lambda y: (y * y - 1.0) ** (-a / 2) * (abs(y - nx) ** -1 + abs(y + nx) ** -1),
-            2.0,
-            np.inf,
-            epsabs=1e-12,
-            epsrel=1e-10,
-            limit=300,
-        )
-        return C * qx * (near + far)
-
-    if d in (2, 3):
-        ang_w = (lambda th: 1.0) if d == 2 else math.sin
-        ang_c = 2.0 if d == 2 else 2.0 * math.pi
-
-        def angular(rho):
-            g = lambda th: (rho ** 2 + nx ** 2 - 2 * rho * nx * math.cos(th)) ** (-d / 2) * ang_w(th)
-            val, _ = integrate.quad(g, 0.0, math.pi, epsabs=1e-12, epsrel=1e-10, limit=200)
-            return ang_c * val
-
-        near, _ = integrate.quad(
-            lambda rho: (rho + 1.0) ** (-a / 2) * rho ** (d - 1) * angular(rho),
-            1.0,
-            2.0,
-            weight="alg",
-            wvar=(-a / 2, 0.0),
-            epsabs=1e-11,
-            epsrel=1e-9,
-        )
-        far, _ = integrate.quad(
-            lambda rho: (rho * rho - 1.0) ** (-a / 2) * rho ** (d - 1) * angular(rho),
-            2.0,
-            np.inf,
-            epsabs=1e-11,
-            epsrel=1e-9,
-            limit=200,
-        )
-        return C * qx * (near + far)
-
-    raise ValueError("exit-law normalization implemented for d <= 3")
 
 
 def _green_mass_center(params: StableParams) -> float:
@@ -391,27 +353,11 @@ def factorization_sweep(
                 s_val = profile.evaluate(t, x) * profile.evaluate(t, y)
                 s_rel2 = 0.0
             p_free = free_density(params, t, np.asarray(x), np.asarray(y)).value
-            denom = s_val * p_free
-            flag = "ok"
-            ratio = None
-            rel = None
-            if denom <= 0 or est.mean <= 0:
-                flag = "noisy"
-            else:
-                ratio = est.mean / denom
-                rel = math.sqrt(_rel2(est) + s_rel2)
-                if rel > NOISE_FLAG_THRESHOLD:
-                    flag = "noisy"
-            if flag == "ok" and t <= guard_t:
-                flag = "outside_guarantee"
-            cells.append(Cell(t, x, y, ratio, rel, flag))
+            cell = _cell(t, x, y, est, s_val * p_free, s_rel2)
+            if cell.flag == "ok" and t <= guard_t:
+                cell = replace(cell, flag="outside_guarantee")
+            cells.append(cell)
     return _assemble_report(domain, params, t_set, cells, n)
-
-
-def _rel2(est: mc.MCEstimate) -> float:
-    if est.mean == 0:
-        return math.inf
-    return (est.stderr / est.mean) ** 2
 
 
 def profile_sweep(
@@ -439,20 +385,11 @@ def profile_sweep(
         curve = mc.survival_curve(domain, params, xa, t_set, n, h, seed + 31 * i, workers)
         for t, est in zip(t_set, curve):
             br = profile.evaluate_bracket(t, xa)
-            flag = "ok"
-            ratio = None
-            rel = None
-            if est.mean <= 0 or br.upper <= 0:
-                flag = "noisy"
-            else:
-                rel = math.sqrt(_rel2(est))
-                if br.lower == br.upper:
-                    ratio = est.mean / br.upper
-                else:
-                    ratio = max(1.0, br.lower / est.mean, est.mean / br.upper)
-                if rel > NOISE_FLAG_THRESHOLD:
-                    flag = "noisy"
-            cells.append(Cell(t, xa, None, ratio, rel, flag))
+            cell = _cell(t, xa, None, est, br.upper)
+            if cell.ratio is not None and br.lower != br.upper:
+                ratio = max(1.0, br.lower / est.mean, est.mean / br.upper)
+                cell = replace(cell, ratio=ratio)
+            cells.append(cell)
     return _assemble_report(domain, params, t_set, cells, n)
 
 
@@ -502,9 +439,7 @@ def bhp_sweep(
                 params, cfg.u_domain, cfg.x1, cfg.x2, cfg.target1, cfg.target2, n,
                 seed + 613 * i, workers,
             )
-            rel = est.stderr / est.mean if est.mean > 0 else math.inf
-            flag = "ok" if rel <= NOISE_FLAG_THRESHOLD else "noisy"
-            cells.append(Cell(0.0, tuple(cfg.x1), tuple(cfg.x2), est.mean, rel, flag))
+            cells.append(_cell(0.0, tuple(cfg.x1), tuple(cfg.x2), est, 1.0))
         except EstimateDiagnostic:
             cells.append(Cell(0.0, tuple(cfg.x1), tuple(cfg.x2), None, None, "diagnostic"))
     domain_desc = dom.domain_to_dict(first.u_domain) if not isinstance(

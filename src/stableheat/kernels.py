@@ -115,36 +115,54 @@ def expected_exit_time_ball(params: StableParams, center, radius: float, x) -> f
 
 
 def ball_exit_tail_exact(params: StableParams, x, R: float) -> float:
-    """P^x(|exit from B(0,1)| > R) by quadrature of the exit density (d <= 3)."""
+    """P^x(|exit from B(0,1)| > R) by quadrature of the exit density (d <= 3).
+
+    R = 1 gives the total exit-law mass: the (rho^2 - 1)^{-alpha/2}
+    endpoint singularity on [1, 2] is then handled with an algebraic-weight
+    rule, and the tail beyond 2 is regular.
+    """
     d, a = params.d, params.alpha
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     nx = float(np.linalg.norm(xa))
     if nx >= 1.0:
         raise ValueError("x must lie in the open unit ball")
-    if R <= 1.0:
-        raise ValueError("tail threshold must exceed the ball radius")
+    if R < 1.0:
+        raise ValueError("tail threshold must be at least the ball radius")
     C = _poisson_constant(d, a)
     qx = (1.0 - nx * nx) ** (a / 2)
+    # f(rho, w): the exit density at radius rho (summed over the sphere),
+    # with its radial weight (rho^2 - 1)^{-alpha/2} supplied as w(rho)
     if d == 1:
-        def f(y):
-            return C * qx * (y * y - 1.0) ** (-a / 2) * (abs(y - nx) ** -1 + abs(y + nx) ** -1)
+        def f(y, w):
+            return C * qx * w(y) * (abs(y - nx) ** -1 + abs(y + nx) ** -1)
 
-        v, _ = integrate.quad(f, R, np.inf, epsabs=1e-12, epsrel=1e-10, limit=300)
-        return v
-    if d in (2, 3):
+        tol = dict(epsabs=1e-12, epsrel=1e-10, limit=300)
+    elif d in (2, 3):
         ang_w = (lambda th: 1.0) if d == 2 else math.sin
         ang_c = 2.0 if d == 2 else 2.0 * pi
 
-        def inner(rho):
+        def f(rho, w):
             g = lambda th: (
                 rho ** 2 + nx ** 2 - 2 * rho * nx * math.cos(th)
             ) ** (-d / 2) * ang_w(th)
             val, _ = integrate.quad(g, 0.0, pi, epsabs=1e-12, epsrel=1e-10, limit=200)
-            return val * ang_c * rho ** (d - 1) * C * qx * (rho * rho - 1.0) ** (-a / 2)
+            return val * ang_c * rho ** (d - 1) * C * qx * w(rho)
 
-        v, _ = integrate.quad(inner, R, np.inf, epsabs=1e-11, epsrel=1e-9, limit=200)
-        return v
-    raise UnsupportedRegimeError("exact exit tails implemented for d <= 3")
+        tol = dict(epsabs=1e-11, epsrel=1e-9, limit=200)
+    else:
+        raise UnsupportedRegimeError("exact exit tails implemented for d <= 3")
+
+    def weight(rho):
+        return (rho * rho - 1.0) ** (-a / 2)
+
+    if R > 1.0:
+        return integrate.quad(f, R, np.inf, args=(weight,), **tol)[0]
+    near, _ = integrate.quad(
+        f, 1.0, 2.0, args=(lambda rho: (rho + 1.0) ** (-a / 2),), weight="alg",
+        wvar=(-a / 2, 0.0), **tol,
+    )
+    far, _ = integrate.quad(f, 2.0, np.inf, args=(weight,), **tol)
+    return near + far
 
 
 @lru_cache(maxsize=32)

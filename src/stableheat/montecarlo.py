@@ -149,9 +149,9 @@ def sample_ball_exit_positions(
     matches both singular features of the target (the (|y|^2 - r^2)^{-a/2}
     blow-up at the sphere and the |y|^{-d-a} tail); the acceptance
     probability [(r - |x-c|) |y-c| / (r |x-y|)]^d is exact.  When the
-    acceptance bound drops below 0.1 the draw is composed of center
-    draws from inscribed balls instead, which is exact by the strong
-    Markov property.
+    acceptance bound drops below 0.1 the draw is a walk-on-spheres in the
+    ball instead, composed of center draws from inscribed balls, which is
+    exact by the strong Markov property.
     """
     d = params.d
     c = np.atleast_1d(np.asarray(center, dtype=float))
@@ -167,7 +167,7 @@ def sample_ball_exit_positions(
         radius ** 2 / (radius ** 2 - rho ** 2)
     ) ** (params.alpha / 2)
     if accept_floor < 0.1:
-        return _exit_compose(params, c, radius, xa, rng, n)
+        return sample_exit_positions_wos(dom.Ball(tuple(c), radius), params, xa, rng, n)[0]
     out = np.empty((n, d))
     have = 0
     while have < n:
@@ -181,24 +181,6 @@ def sample_ball_exit_positions(
         out[have : have + k] = y[keep][:k]
         have += k
     return out
-
-
-def _exit_compose(params, c, radius, xa, rng, n) -> np.ndarray:
-    """Exit positions via nested center draws from inscribed balls."""
-    pos = np.tile(xa, (n, 1))
-    active = np.ones(n, dtype=bool)
-    guard = 0
-    while active.any():
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("inscribed-ball composition failed to exit")
-        idx = np.nonzero(active)[0]
-        p = pos[idx]
-        gap = radius - np.linalg.norm(p - c, axis=1)
-        newp = _jump(params, p, gap, rng, len(idx))
-        pos[idx] = newp
-        active[idx] = np.linalg.norm(newp - c, axis=1) < radius
-    return pos
 
 
 def sample_exit_positions_wos(

@@ -96,10 +96,9 @@ def _axis(r, d):
 class TestBallPoisson:
     @pytest.mark.parametrize("d,alpha", [(1, 1.0), (1, 0.5), (2, 1.0), (2, 1.5)])
     def test_normalization(self, d, alpha):
-        from stableheat.harness import _poisson_mass
-
-        params = StableParams(d, alpha)
-        assert _poisson_mass(params, 0.3) == pytest.approx(1.0, abs=1e-6)
+        x = np.zeros(d)
+        x[0] = 0.3
+        assert ball_exit_tail_exact(StableParams(d, alpha), x, 1.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_exit_by_jump_tail_third(self, p11):
         assert ball_exit_tail_exact(p11, 0.0, 2.0) == pytest.approx(1.0 / 3.0, abs=1e-9)
