@@ -436,17 +436,17 @@ def heat_kernel_profile(
     x,
     y,
     *,
-    profile: Optional[SurvivalProfile] = None,
-    **profile_kwargs,
+    beta: Optional[float] = None,
+    lambda1: Optional[float] = None,
 ) -> Bracket:
-    """Factorized comparator S(t,x) p(t,x,y) S(t,y) as a bracket.
+    """Factorized comparator S(t,x) p(t,x,y) S(t,y) as a bracket, with S
+    the ``survival_profile`` of the domain for the given beta and lambda1.
 
     Lower and upper coincide except for bracket-valued profiles.  The true
     killed kernel is comparable to this within constants that the sweep
     harness measures; nothing here asserts their value.
     """
-    if profile is None:
-        profile = survival_profile(domain, params, **profile_kwargs)
+    profile = survival_profile(domain, params, beta=beta, lambda1=lambda1)
     bx = profile.evaluate_bracket(t, x)
     by = profile.evaluate_bracket(t, y)
     p = free_density(params, t, x, y).value

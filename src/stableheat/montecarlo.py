@@ -46,6 +46,9 @@ BATCH = 8192
 #: has mean 2^-64
 STICKS = 64
 
+#: log-spaced horizons of an exponent fit window (before rounding to the step)
+FIT_POINTS = 9
+
 #: walk-on-spheres iterations after which the walk stops with an error
 #: (a degenerate domain/point configuration)
 WOS_MAX_STEPS = 1_000_000
@@ -521,9 +524,9 @@ def _fit_exponent(curve, tvals, transform):
     return _wls_line(np.array(ts), np.array(lp), np.array(vr))
 
 
-def _window_grid(fit_window, h: float, n_t: int) -> np.ndarray:
+def _window_grid(fit_window, h: float) -> np.ndarray:
     t1, t2 = fit_window
-    tvals = np.geomspace(t1, t2, n_t)
+    tvals = np.geomspace(t1, t2, FIT_POINTS)
     return np.unique(np.array([max(round(t / h), 1) * h for t in tvals]))
 
 
@@ -534,7 +537,6 @@ def estimate_lambda1(
     n: int = 100_000,
     h: float = 1.0 / 32,
     rng_seed: int = 1,
-    n_t: int = 9,
     workers: int = 1,
 ) -> MCEstimate:
     """Long-time decay rate of survival in a ball, scaled by r^alpha.
@@ -552,7 +554,7 @@ def estimate_lambda1(
     t1, t2 = fit_window
     if t1 < ra:
         raise ValueError("fit window must start at or after r^alpha")
-    tvals = _window_grid(fit_window, h, n_t)
+    tvals = _window_grid(fit_window, h)
     ball = dom.Ball((0.0,) * params.d, radius)
     curve = survival_curve(
         ball, params, (0.0,) * params.d, tuple(tvals), n, h, rng_seed, workers
@@ -577,7 +579,6 @@ def estimate_beta(
     n: int = 100_000,
     h: float = 1.0 / 16,
     rng_seed: int = 1,
-    n_t: int = 9,
     workers: int = 1,
     thin: Optional[float] = None,
 ) -> MCEstimate:
@@ -594,7 +595,7 @@ def estimate_beta(
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if not dom.contains(cone, xa) or dom.dist_to_complement(cone, xa) <= 0:
         raise ValueError("probe point must lie strictly inside the cone")
-    tvals = _window_grid(fit_window, h, n_t)
+    tvals = _window_grid(fit_window, h)
     curve = survival_curve(cone, params, xa, tuple(tvals), n, h, rng_seed, workers, thin=thin)
     slope, se = _fit_exponent(curve, tvals, math.log)
     beta = -params.alpha * slope

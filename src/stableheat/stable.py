@@ -373,6 +373,10 @@ def _p1_point(d: int, alpha: float, r: float, tol_rel: float = 1e-9):
 # fast vectorized evaluator (spline head + tail expansion)
 
 
+#: spline nodes of the fast table on [0, zstar]
+TABLE_NODES = 900
+
+
 class _P1Fast:
     """Vectorized unit-time profile: log-spline on [0, zstar], tail beyond.
 
@@ -382,10 +386,10 @@ class _P1Fast:
     the spline and at tail radii up to 400, and stored in ``max_rel_err``.
     """
 
-    def __init__(self, d: int, alpha: float, nodes: int = 900):
+    def __init__(self, d: int, alpha: float):
         self.d, self.alpha = d, alpha
         self.zstar = self._calibrate_zstar()
-        grid = np.linspace(0.0, self.zstar, nodes)
+        grid = np.linspace(0.0, self.zstar, TABLE_NODES)
         vals = np.array([_p1_point(d, alpha, float(r))[0] for r in grid])
         self._spline = interpolate.CubicSpline(grid, np.log(vals))
         self._tail_k, self._tail_sign, self._tail_lnc = self._tail_coeffs()
@@ -472,13 +476,13 @@ def _p1_fast(d: int, alpha: float) -> _P1Fast:
 # public density surface
 
 
-def free_density(params: StableParams, t: float, x, y, *, rel_tol: float = 1e-8) -> DensityEval:
+def free_density(params: StableParams, t: float, x, y) -> DensityEval:
     """Transition density p(t, x, y) = p_t(y - x).
 
     Symmetric in (x, y) by construction (only |y - x| enters), reduced to
     unit time by self-similarity, then evaluated by series or quadrature.
     The returned ``rel_err`` is the internal error estimate; the target
-    1e-8 is reliably met for d <= 3.
+    1e-9 is reliably met for d <= 3.
     """
     if t <= 0:
         raise ValueError("time must be positive")
@@ -489,7 +493,7 @@ def free_density(params: StableParams, t: float, x, y, *, rel_tol: float = 1e-8)
         raise ValueError(f"points must have {d} coordinates")
     z = float(np.sqrt(np.sum((ya - xa) ** 2)))
     scale = t ** (-1.0 / a)
-    v, rel = _p1_point(d, a, scale * z, min(rel_tol, 1e-9))
+    v, rel = _p1_point(d, a, scale * z, 1e-9)
     return DensityEval(value=t ** (-d / a) * v, rel_err=rel)
 
 
