@@ -611,7 +611,7 @@ def c11_scale(domain: Domain) -> Optional[float]:
     if isinstance(domain, HalfSpace):
         return math.inf
     if isinstance(domain, CircularCone):
-        return math.inf if abs(domain.angle - math.pi / 2) < 1e-15 else None
+        return math.inf if abs(domain.angle - math.pi / 2) < 1e-12 else None
     if isinstance(domain, (HyperplaneComplement, SpecialLipschitz)):
         return None
     if isinstance(domain, IntervalComplement):

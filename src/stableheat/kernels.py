@@ -407,7 +407,7 @@ def survival_profile(
         )
     if isinstance(domain, dom.CircularCone):
         b = beta if beta is not None else domain.beta
-        if b is None and abs(domain.angle - pi / 2) < 1e-12:
+        if b is None and dom.c11_scale(domain) == math.inf:  # a half-space
             b = a / 2
         if b is None:
             raise MissingParameterError(

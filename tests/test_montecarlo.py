@@ -140,6 +140,18 @@ def test_the_right_angle_cone_is_the_halfspace():
     assert all(e.step == 0.0 for e in half)
 
 
+def test_a_cone_within_1e_12_of_the_right_angle_is_the_halfspace():
+    # pi/2 to 13 decimals, 3.4e-15 off: the profile already took it for a
+    # half-space, and the survival curve must sample it as one too
+    params = StableParams(2, 1.5)
+    cone = dom.CircularCone(1.5707963267949, (0.0, 1.0))
+    args = ((0.0, 0.05), (1.0,), 8192, 1.0 / 16, 1)
+    curve = mc.survival_curve(cone, params, *args)
+    assert _fields(curve) == _fields(mc.survival_curve(dom.HalfSpace((0.0, 1.0)), params, *args))
+    assert curve[0].step == 0.0
+    assert kernels.survival_profile(cone, params).beta == 0.75
+
+
 def test_the_right_angle_cone_exponent_is_half_alpha():
     # P(tau > t) ~ c t^{-1/2} on a half-space, so beta = alpha / 2 exactly
     est = mc.estimate_beta(StableParams(2, 1.5), dom.CircularCone(math.pi / 2, (0.0, 1.0)),
