@@ -23,6 +23,10 @@ def append_entry(
     estimate: MCEstimate,
     fit_window,
 ) -> dict:
+    """Append one entry to ``path`` as one JSON line with sorted keys,
+    creating the parent directory, and return it.  The keys are kind, d,
+    alpha, domain, value, stderr, n, seed, h (the estimate's step),
+    fit_window, wall_time and recorded_at (UTC)."""
     entry = {
         "kind": kind,
         "d": d,
