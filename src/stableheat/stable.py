@@ -381,22 +381,24 @@ class _P1Fast:
     """Vectorized unit-time profile: log-spline on [0, zstar], tail beyond.
 
     ``zstar`` is calibrated at construction as the smallest radius where
-    the tail expansion and the rigorous point evaluator agree to 1e-9.
-    The error against the point evaluator is measured at off-node radii of
-    the spline and at tail radii up to 400, and stored in ``max_rel_err``.
+    the tail expansion, and the table's own truncation of it, agree with
+    the rigorous point evaluator to 5e-9.  The error against the point
+    evaluator is measured at off-node radii of the spline, just past zstar
+    and at tail radii up to 400, and stored in ``max_rel_err``.
     """
 
     def __init__(self, d: int, alpha: float):
         self.d, self.alpha = d, alpha
-        self.zstar = self._calibrate_zstar()
+        self._calibrate_zstar()
         grid = np.linspace(0.0, self.zstar, TABLE_NODES)
         vals = np.array([_p1_point(d, alpha, float(r))[0] for r in grid])
         self._spline = interpolate.CubicSpline(grid, np.log(vals))
-        self._tail_k, self._tail_sign, self._tail_lnc = self._tail_coeffs()
         probe = grid[:-1] + 0.5 * (grid[1] - grid[0])
-        probe = np.concatenate(
-            [probe[:: max(1, len(probe) // 40)], np.geomspace(self.zstar, 400.0, 13)[1:]]
-        )
+        probe = np.concatenate([
+            probe[:: max(1, len(probe) // 40)],
+            [1.0001 * self.zstar],
+            np.geomspace(self.zstar, 400.0, 13)[1:],
+        ])
         ref = np.array([_p1_point(d, alpha, float(r))[0] for r in probe])
         got = self(probe)
         self.max_rel_err = float(np.max(np.abs(got - ref) / ref))
@@ -407,14 +409,20 @@ class _P1Fast:
                 RuntimeWarning,
             )
 
-    def _calibrate_zstar(self) -> float:
+    def _calibrate_zstar(self) -> None:
+        """Set ``zstar`` and the tail coefficients truncated there."""
         for z in np.geomspace(0.5, 400.0, 80):
             res = _p1_tail(self.d, self.alpha, float(z), 1e-10)
             if res is None or res[1] > 1e-9:
                 continue
             ref, _ = _p1_point(self.d, self.alpha, float(z), 1e-10)
-            if abs(res[0] - ref) <= 5e-9 * ref:
-                return float(z)
+            if abs(res[0] - ref) > 5e-9 * ref:
+                continue
+            # the table keeps fewer terms than _p1_tail may sum
+            self.zstar = float(z)
+            self._tail_k, self._tail_sign, self._tail_lnc = self._tail_coeffs()
+            if abs(self._tail(np.array([self.zstar]))[0] - ref) <= 5e-9 * ref:
+                return
         raise UnsupportedRegimeError(
             f"no usable tail regime found for d={self.d}, alpha={self.alpha}"
         )
@@ -460,11 +468,13 @@ class _P1Fast:
         if head.any():
             out[head] = np.exp(self._spline(r[head]))
         if (~head).any():
-            rr = r[~head]
-            lnr = np.log(rr)
-            pw = self._tail_lnc[None, :] - (self.d + self._tail_k[None, :] * self.alpha) * lnr[:, None]
-            out[~head] = np.sum(self._tail_sign[None, :] * np.exp(pw), axis=1)
+            out[~head] = self._tail(r[~head])
         return out
+
+    def _tail(self, rr: np.ndarray) -> np.ndarray:
+        lnr = np.log(rr)
+        pw = self._tail_lnc[None, :] - (self.d + self._tail_k[None, :] * self.alpha) * lnr[:, None]
+        return np.sum(self._tail_sign[None, :] * np.exp(pw), axis=1)
 
 
 @lru_cache(maxsize=16)

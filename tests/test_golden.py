@@ -376,10 +376,10 @@ EXPECTED = {
     'estimate/beta_hyperplane_complement_thin': '39f8f6128b77c4ca66bd',
     'estimate/heat_kernel': 'ccdab380cc35c8879945',
     'estimate/lambda1': '6f339343c20bb50188e2',
-    'factorization/ball_d1/profile': 'a53f4c76f4832f5687eb',
-    'factorization/ball_d1/workers1': '296c40b002088dd295bc',
-    'factorization/ball_d1/workers2': '296c40b002088dd295bc',
-    'free_density_radial': '275623fbdfcb665d0a6a',
+    'factorization/ball_d1/profile': 'f2616b5b3dd1a30cdac1',
+    'factorization/ball_d1/workers1': '7e513a657d671229bc54',
+    'factorization/ball_d1/workers2': '7e513a657d671229bc54',
+    'free_density_radial': '2e49aeec5bf85a958cd8',
     'geometry/ball': '600ce111d72673668fc2',
     'geometry/ball_union_exterior_ball': 'ec077829e1c83a1ff1cf',
     'geometry/cone': 'f248b4e9392508f3d722',
@@ -424,7 +424,7 @@ EXPECTED = {
     'wos/halfspace_d2': 'c4e107577a7da3328179',
     'wos/intersection_d3': 'cc1ab5f0d7b742779dba',
     'written/bhp': '7feb25be1ad5596c2140 435b91491280c6da018e',
-    'written/factorization': 'f8c1838364a87b06551f 65ea2b770e6967970ce6',
+    'written/factorization': '5d0bab5c6b89d167baf7 e75c5fa76afb7f60566d',
     'written/profiles': '2ca225aa27a9fb069020 d4011cae503a0361b4fd',
 }
 

@@ -165,8 +165,9 @@ class TestFreeDensity:
 
     # alpha < 1, and alpha = 1 in d >= 2: the tail terms at the table's
     # switch radius grow before they fall, which once cut the table's tail
-    # to its leading term nu(r).  At alpha = 1 the 80-term tail budget leaves
-    # about 1e-6 just past the switch radius.
+    # to its leading term nu(r).  The closed-form test below holds alpha = 1
+    # to 1e-8 since the switch radius is checked against the table's own
+    # 79-term tail.
     @pytest.mark.parametrize("d,alpha,tol", [(1, 0.7, 1e-8), (2, 0.7, 1e-8), (3, 0.7, 1e-8),
                                              (1, 0.9, 1e-8), (2, 1.0, 2e-6), (3, 1.0, 2e-6)])
     def test_fast_table_matches_scalar_head_and_tail(self, d, alpha, tol):
@@ -174,6 +175,17 @@ class TestFreeDensity:
         fast = free_density_radial(StableParams(d, alpha), 1.0, radii)
         ref = np.array([_p1_point(d, alpha, float(r))[0] for r in radii])
         assert np.max(np.abs(fast / ref - 1.0)) <= tol
+
+    # the Cauchy densities; just past the table's switch radius its
+    # truncated tail once read 4.8e-6 (d = 1) to 3.4e-4 (d = 3) off them
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fast_cauchy_table_matches_the_closed_forms(self, d):
+        radii = np.linspace(0.0, 5.0, 2001)
+        q = 1.0 + radii * radii
+        exact = {1: 1.0 / (math.pi * q), 2: 1.0 / (2.0 * math.pi * q ** 1.5),
+                 3: 1.0 / (math.pi ** 2 * q * q)}[d]
+        fast = free_density_radial(StableParams(d, 1.0), 1.0, radii)
+        assert np.max(np.abs(fast / exact - 1.0)) <= 1e-8
 
 
 class TestFreeDensityBound:
