@@ -69,37 +69,26 @@ class RatioReport:
         )
 
     @property
-    def min_ratio(self) -> float:
-        return float(min(self.ratios))
-
-    @property
-    def max_ratio(self) -> float:
-        return float(max(self.ratios))
-
-    @property
-    def quantiles(self) -> dict:
-        q05, q50, q95 = np.quantile(np.array(self.ratios), [0.05, 0.5, 0.95])
-        return {"q05": float(q05), "q50": float(q50), "q95": float(q95)}
-
-    @property
     def empirical_C(self) -> float:
-        return max(self.max_ratio, 1.0 / self.min_ratio)
+        return float(max(max(self.ratios), 1.0 / min(self.ratios)))
 
     @property
     def stderr_flags(self) -> int:
         return sum(1 for c in self.cells if c.flag in ("noisy", "diagnostic"))
 
     def to_json_dict(self) -> dict:
+        arr = np.array(self.ratios)
+        q05, q50, q95 = np.quantile(arr, [0.05, 0.5, 0.95])
         return {
             "domain": self.domain,
             "d": self.params.d,
             "alpha": self.params.alpha,
             "t_values": list(self.t_values),
             "n_cells": len(self.cells),
-            "n_used": len(self.ratios),
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-            "quantiles": self.quantiles,
+            "n_used": len(arr),
+            "min_ratio": float(arr.min()),
+            "max_ratio": float(arr.max()),
+            "quantiles": {"q05": float(q05), "q50": float(q50), "q95": float(q95)},
             "empirical_C": self.empirical_C,
             "stderr_flags": self.stderr_flags,
         }
@@ -429,11 +418,8 @@ def bhp_sweep(
 ) -> RatioReport:
     """Cross-ratio report over a family of boundary-Harnack configurations."""
     cells = []
-    first = None
     for i, cfg in enumerate(configs):
         cfg.validate()
-        if first is None:
-            first = cfg
         try:
             est = mc.bhp_cross_ratio(
                 params, cfg.u_domain, cfg.x1, cfg.x2, cfg.target1, cfg.target2, n,
@@ -442,9 +428,8 @@ def bhp_sweep(
             cells.append(_cell(0.0, tuple(cfg.x1), tuple(cfg.x2), est, 1.0))
         except EstimateDiagnostic:
             cells.append(Cell(0.0, tuple(cfg.x1), tuple(cfg.x2), None, None, "diagnostic"))
-    domain_desc = dom.domain_to_dict(first.u_domain) if not isinstance(
-        first.u_domain, dom.Intersection
-    ) else {"type": "intersection"}
+    u = configs[0].u_domain
+    domain_desc = {"type": "intersection"} if isinstance(u, dom.Intersection) else u
     return _assemble_report(domain_desc, params, (0.0,), cells, n)
 
 

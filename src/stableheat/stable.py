@@ -394,11 +394,10 @@ class _P1Fast:
         vals = np.array([_p1_point(d, alpha, float(r))[0] for r in grid])
         self._spline = interpolate.CubicSpline(grid, np.log(vals))
         probe = grid[:-1] + 0.5 * (grid[1] - grid[0])
-        probe = np.concatenate([
-            probe[:: max(1, len(probe) // 40)],
-            [1.0001 * self.zstar],
-            np.geomspace(self.zstar, 400.0, 13)[1:],
-        ])
+        probe = np.concatenate(
+            [probe[:: max(1, len(probe) // 40)], [1.0001 * self.zstar],
+             np.geomspace(self.zstar, 400.0, 13)[1:]]
+        )
         ref = np.array([_p1_point(d, alpha, float(r))[0] for r in probe])
         got = self(probe)
         self.max_rel_err = float(np.max(np.abs(got - ref) / ref))
@@ -416,12 +415,11 @@ class _P1Fast:
             if res is None or res[1] > 1e-9:
                 continue
             ref, _ = _p1_point(self.d, self.alpha, float(z), 1e-10)
-            if abs(res[0] - ref) > 5e-9 * ref:
-                continue
-            # the table keeps fewer terms than _p1_tail may sum
             self.zstar = float(z)
             self._tail_k, self._tail_sign, self._tail_lnc = self._tail_coeffs()
-            if abs(self._tail(np.array([self.zstar]))[0] - ref) <= 5e-9 * ref:
+            # the table keeps fewer terms than _p1_tail may sum: both must match
+            tail = self._tail(np.array([self.zstar]))[0]
+            if max(abs(res[0] - ref), abs(tail - ref)) <= 5e-9 * ref:
                 return
         raise UnsupportedRegimeError(
             f"no usable tail regime found for d={self.d}, alpha={self.alpha}"
