@@ -125,9 +125,9 @@ def _required_n(cells, n: int) -> Optional[int]:
 
 
 def _assemble_report(domain, params, t_values, cells, n: int) -> RatioReport:
-    """The report of the cells; ``domain`` is a catalog domain or its
-    document and n the path count per estimate.  Noisy and diagnostic cells
-    count against the majority rule."""
+    """Build the report of the cells and apply the two inconclusive rules;
+    ``domain`` is a catalog domain or its document and n the path count per
+    estimate.  Noisy and diagnostic cells count against the majority rule."""
     report = RatioReport(
         domain=dom.domain_to_dict(domain) if not isinstance(domain, dict) else domain,
         params=params,
