@@ -1,6 +1,7 @@
 """Fixed-seed golden values for the domain catalog, the exact samplers,
 the grid walk, the estimators, the ratio sweeps, the boundary-Harnack
-report and the report files that ``verify`` writes.
+report, the point evaluator of the free density and the report files
+that ``verify`` writes.
 
 The expected values pin the package's outputs bit for bit: arrays by a
 sha256 prefix of their bytes, reports and witnesses by a sha256 prefix of
@@ -23,7 +24,7 @@ import pytest
 from stableheat import cli, harness
 from stableheat import domains as dom
 from stableheat import montecarlo as mc
-from stableheat.stable import StableParams, free_density_radial
+from stableheat.stable import StableParams, _p1_point, free_density_radial
 
 
 def _rng(*key):
@@ -230,6 +231,15 @@ def _heat_kernel():
     return _estimates(est)
 
 
+#: radii on the ascending-series, tail-series and quadrature routes of the
+#: point evaluator
+POINT_RADII = (0.0, 0.01, 0.3, 0.9, 1.2, 2.0, 5.0, 20.0, 300.0)
+
+
+def _point(d, alpha):
+    return _sha(repr([_p1_point(d, alpha, r) for r in POINT_RADII]))
+
+
 def _radial():
     radii = np.linspace(0.0, 6.0, 241)
     return _digest(*(free_density_radial(StableParams(*p), t, radii)
@@ -296,11 +306,13 @@ WRITTEN = {
                       '{"type": "ball", "center": [0], "radius": 1}', "--h", "0.03125",
                       "--n", "4096"],
     "bhp": ["--d", "2", "--alpha", "1.5", "--n", "4096"],
+    "identities": ["--d", "1", "--alpha", "1"],
 }
 
 
 def _written(suite):
-    """sha256 prefixes of the JSON and the CSV bytes that ``verify`` writes."""
+    """sha256 prefixes of the JSON and the CSV bytes that ``verify`` writes
+    (the identity suite writes no CSV)."""
     with tempfile.TemporaryDirectory() as out:
         argv = ["verify", suite, *WRITTEN[suite], "--seed", "5", "--out", out]
         if suite == "bhp":
@@ -310,7 +322,7 @@ def _written(suite):
             argv += ["--config", config]
         assert cli.main(argv) == 0
         digests = []
-        for ext in ("json", "csv"):
+        for ext in ("json",) if suite == "identities" else ("json", "csv"):
             with open(os.path.join(out, f"{suite}.{ext}"), "rb") as fh:
                 digests.append(hashlib.sha256(fh.read()).hexdigest()[:20])
         return " ".join(digests)
@@ -339,6 +351,8 @@ CASES["estimate/lambda1"] = (_lambda1,)
 CASES["estimate/beta_hyperplane_complement_thin"] = (_beta,)
 CASES["estimate/heat_kernel"] = (_heat_kernel,)
 CASES["free_density_radial"] = (_radial,)
+for _d, _alpha in ((1, 1.0), (2, 1.5), (3, 0.7), (1, 0.5)):
+    CASES[f"point/{_d}_{_alpha}"] = (_point, _d, _alpha)
 # bit-identical for any worker count: each workers=2 case shares one expected
 # value with its workers=1 case; listed after the first of them, they run
 # on the worker pool that it started
@@ -401,6 +415,10 @@ EXPECTED = {
     'parsed/special_lipschitz': "{'type': 'special_lipschitz', 'breakpoints': [[0.0, 0.0], [1.0, 1.0]], 'lipschitz_constant': 1.0}",
     'parsed/unknown_type': "ValueError: unknown domain type 'torus'",
     'parsed/wrong_dim': 'ValueError: domain has dimension 2, expected 3',
+    'point/1_0.5': 'd000aeb272ed2984cae8',
+    'point/1_1.0': 'f500219a967a6621467c',
+    'point/2_1.5': 'c9554ddc4ade85446d31',
+    'point/3_0.7': '667bb66310689b485989',
     'profile_sweep/halfspace_d2': 'e0a2842e70d8e5aa6229',
     'survival/ball_d1': '6342a3c0fda1e0eed8d2',
     'survival/halfspace_d2': '4d1d7e3f9d881f052dbc',
@@ -425,6 +443,7 @@ EXPECTED = {
     'wos/intersection_d3': 'cc1ab5f0d7b742779dba',
     'written/bhp': '7feb25be1ad5596c2140 435b91491280c6da018e',
     'written/factorization': '5d0bab5c6b89d167baf7 e75c5fa76afb7f60566d',
+    'written/identities': '75f546991ba55b9bcdc1',
     'written/profiles': '2ca225aa27a9fb069020 d4011cae503a0361b4fd',
 }
 
