@@ -227,6 +227,35 @@ def _series_sum(term_iter, tol_rel):
     return s, rel
 
 
+# The series coefficients depend on (d, alpha) only.  Each cached prefix
+# is the leading part of its term's left-to-right sum, so a term built
+# from it is the same float as one written out in full.
+
+
+@lru_cache(maxsize=64)
+def _ascending_terms(d: int, alpha: float) -> tuple:
+    """Log-coefficients of the ascending series, k = 0..399."""
+    return tuple(
+        lgamma((2 * k + d) / alpha) - lgamma(k + 1) - lgamma(k + d / 2) for k in range(400)
+    )
+
+
+@lru_cache(maxsize=64)
+def _tail_terms(d: int, alpha: float) -> tuple:
+    """(log-coefficient without the pi power, sin(k pi alpha/2)) of the
+    heavy-tail series, k = 1..249."""
+    return tuple(
+        (
+            k * alpha * _LN2
+            + lgamma((k * alpha + d) / 2)
+            + lgamma(k * alpha / 2 + 1)
+            - lgamma(k + 1),
+            sin(k * pi * alpha / 2),
+        )
+        for k in range(1, 250)
+    )
+
+
 def _p1_ascending(d: int, alpha: float, r: float, tol_rel: float):
     """Power series in r^2 around the origin."""
     lead = (1 - d) * _LN2 - 0.5 * d * _LNPI - log(alpha)
@@ -236,14 +265,8 @@ def _p1_ascending(d: int, alpha: float, r: float, tol_rel: float):
     lnx = log(x)
 
     def terms():
-        for k in range(400):
-            lnt = (
-                lgamma((2 * k + d) / alpha)
-                - lgamma(k + 1)
-                - lgamma(k + d / 2)
-                + k * lnx
-                + lead
-            )
+        for k, c in enumerate(_ascending_terms(d, alpha)):
+            lnt = c + k * lnx + lead
             if lnt > 650.0:
                 return
             mag = exp(lnt)
@@ -260,16 +283,8 @@ def _p1_tail(d: int, alpha: float, r: float, tol_rel: float):
     lnr = log(r)
 
     def terms():
-        for k in range(1, 250):
-            sg = sin(k * pi * alpha / 2)
-            lnt = (
-                k * alpha * _LN2
-                + lgamma((k * alpha + d) / 2)
-                + lgamma(k * alpha / 2 + 1)
-                - lgamma(k + 1)
-                - (d + k * alpha) * lnr
-                + lead
-            )
+        for k, (c, sg) in enumerate(_tail_terms(d, alpha), 1):
+            lnt = c - (d + k * alpha) * lnr + lead
             if lnt > 650.0:
                 return
             # envelope excludes the sin factor: it modulates the sign
@@ -382,9 +397,16 @@ class _P1Fast:
 
     ``zstar`` is calibrated at construction as the smallest radius where
     the tail expansion, and the table's own truncation of it, agree with
-    the rigorous point evaluator to 5e-9.  The error against the point
-    evaluator is measured at off-node radii of the spline, just past zstar
-    and at tail radii up to 400, and stored in ``max_rel_err``.
+    the rigorous point evaluator to 5e-9.  The truncated tail terms are
+    stored as their values b_k at zstar, so that at r > zstar the tail is
+
+        (zstar/r)^d * sum_k b_k v^k,   v = (zstar/r)^alpha <= 1,
+
+    summed by Horner's rule in v: no partial sum exceeds the sum of the
+    |b_k|, whereas powers of r^{-alpha} itself overflow at large r.  The
+    error against the point evaluator is measured at off-node radii of the
+    spline, just past zstar and at tail radii up to 400, and stored in
+    ``max_rel_err``.
     """
 
     def __init__(self, d: int, alpha: float):
@@ -409,14 +431,14 @@ class _P1Fast:
             )
 
     def _calibrate_zstar(self) -> None:
-        """Set ``zstar`` and the tail coefficients truncated there."""
+        """Set ``zstar`` and the tail terms truncated there."""
         for z in np.geomspace(0.5, 400.0, 80):
             res = _p1_tail(self.d, self.alpha, float(z), 1e-10)
             if res is None or res[1] > 1e-9:
                 continue
             ref, _ = _p1_point(self.d, self.alpha, float(z), 1e-10)
             self.zstar = float(z)
-            self._tail_k, self._tail_sign, self._tail_lnc = self._tail_coeffs()
+            self._tail_b = self._tail_at_zstar()
             # the table keeps fewer terms than _p1_tail may sum: both must match
             tail = self._tail(np.array([self.zstar]))[0]
             if max(abs(res[0] - ref), abs(tail - ref)) <= 5e-9 * ref:
@@ -425,7 +447,7 @@ class _P1Fast:
             f"no usable tail regime found for d={self.d}, alpha={self.alpha}"
         )
 
-    def _tail_coeffs(self):
+    def _tail_at_zstar(self) -> np.ndarray:
         # Truncate at the smallest-magnitude term measured at zstar once the
         # terms have started to fall, as _series_sum does: past that point an
         # asymptotic expansion diverges, and for every r > zstar the same
@@ -436,28 +458,19 @@ class _P1Fast:
         d, a = self.d, self.alpha
         lead = -(0.5 * d + 1) * _LNPI
         lnz = log(self.zstar)
-        ks, signs, lncs = [], [], []
+        signs, lns = [], []
         peak = prev = -math.inf
         falling = False
-        for k in range(1, 250 if a < 1.0 else 80):
-            sg = sin(k * pi * a / 2) * (1 if k % 2 == 1 else -1)
-            lnc = (
-                k * a * _LN2
-                + lgamma((k * a + d) / 2)
-                + lgamma(k * a / 2 + 1)
-                - lgamma(k + 1)
-                + lead
-            )
-            ln_at_z = lnc - (d + k * a) * lnz
+        for k, (c, sg) in enumerate(_tail_terms(d, a)[: 249 if a < 1.0 else 79], 1):
+            ln_at_z = c + lead - (d + k * a) * lnz
             if (falling and ln_at_z > prev) or ln_at_z < peak - 46.0:
                 break
             falling = falling or ln_at_z < prev
             peak = max(peak, ln_at_z)
             prev = ln_at_z
-            ks.append(k)
-            signs.append(sg)
-            lncs.append(lnc)
-        return np.array(ks, float), np.array(signs), np.array(lncs)
+            signs.append(sg if k % 2 == 1 else -sg)
+            lns.append(ln_at_z)
+        return np.array(signs) * np.exp(lns)
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -470,9 +483,13 @@ class _P1Fast:
         return out
 
     def _tail(self, rr: np.ndarray) -> np.ndarray:
-        lnr = np.log(rr)
-        pw = self._tail_lnc[None, :] - (self.d + self._tail_k[None, :] * self.alpha) * lnr[:, None]
-        return np.sum(self._tail_sign[None, :] * np.exp(pw), axis=1)
+        q = self.zstar / rr
+        v = q ** self.alpha
+        acc = np.full_like(v, self._tail_b[-1])
+        for b in self._tail_b[-2::-1]:
+            acc *= v
+            acc += b
+        return q ** self.d * v * acc
 
 
 @lru_cache(maxsize=16)

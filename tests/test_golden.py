@@ -388,12 +388,12 @@ EXPECTED = {
     'document/interval_complement': "{'type': 'interval_complement', 'intervals': [[-1.0, 0.0], [1.0, 2.5]]} -> IntervalComplement(intervals=((-1.0, 0.0), (1.0, 2.5)))",
     'document/special_lipschitz': "{'type': 'special_lipschitz', 'breakpoints': [[-1.0, 0.0], [0.0, 0.5], [1.0, 0.0]], 'lipschitz_constant': 0.5} -> SpecialLipschitz(breakpoints=((-1.0, 0.0), (0.0, 0.5), (1.0, 0.0)), lipschitz_constant=0.5)",
     'estimate/beta_hyperplane_complement_thin': '39f8f6128b77c4ca66bd',
-    'estimate/heat_kernel': 'ccdab380cc35c8879945',
+    'estimate/heat_kernel': '376d4954e973f6f84bcb',
     'estimate/lambda1': '6f339343c20bb50188e2',
-    'factorization/ball_d1/profile': 'f2616b5b3dd1a30cdac1',
+    'factorization/ball_d1/profile': 'e7712fccd63dcc6dc362',
     'factorization/ball_d1/workers1': '7e513a657d671229bc54',
     'factorization/ball_d1/workers2': '7e513a657d671229bc54',
-    'free_density_radial': '2e49aeec5bf85a958cd8',
+    'free_density_radial': '05318c90ca38c320dd72',
     'geometry/ball': '600ce111d72673668fc2',
     'geometry/ball_union_exterior_ball': 'ec077829e1c83a1ff1cf',
     'geometry/cone': 'f248b4e9392508f3d722',
@@ -442,7 +442,7 @@ EXPECTED = {
     'wos/halfspace_d2': 'c4e107577a7da3328179',
     'wos/intersection_d3': 'cc1ab5f0d7b742779dba',
     'written/bhp': '7feb25be1ad5596c2140 435b91491280c6da018e',
-    'written/factorization': '5d0bab5c6b89d167baf7 e75c5fa76afb7f60566d',
+    'written/factorization': '51572059444af29b22b5 e75c5fa76afb7f60566d',
     'written/identities': '75f546991ba55b9bcdc1',
     'written/profiles': '2ca225aa27a9fb069020 d4011cae503a0361b4fd',
 }
