@@ -6,11 +6,14 @@ inconclusive sweep; and the lifetime of the worker pool that
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import stableheat
 from stableheat import cli, harness
 from stableheat import domains as dom
 from stableheat import montecarlo as mc
@@ -73,6 +76,31 @@ def test_heat_kernel_start_point_outside_the_domain_exits_2(capsys):
             "--t", "0.25", "--n", "4096"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: start point must lie in the domain\n"
+
+
+# in a fresh interpreter: a non-finite frequency once crashed QUADPACK with
+# a segmentation fault, which would take the test process down with it
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--t", "nan", "--x", "0", "--y", "1"],
+        ["--t", "inf", "--x", "0", "--y", "1"],
+        ["--t", "1", "--x", "nan", "--y", "0"],
+        ["--t", "1", "--x", "0", "--y", "nan"],
+        ["--t", "1", "--x", "0", "--y", "inf"],
+        ["--t", "1", "--x", "0", "--y", "1e200"],
+        ["--d", "3", "--alpha", "0.7", "--t", "1", "--x", "0,0,0", "--y", "inf,0,0"],
+        ["--d", "2", "--alpha", "1.5", "--t", "1", "--x", "0,0", "--y", "1e200,0"],
+    ],
+    ids=["t_nan", "t_inf", "x_nan", "y_nan", "y_inf", "y_1e200", "d3_y_inf", "d2_y_1e200"],
+)
+def test_density_with_non_finite_or_overflowing_input_exits_2(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stableheat.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "stableheat.cli", "density", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 PROFILES = ["verify", "profiles", "--domain-json", BALL_1D, "--n", "64", "--h", "0.25"]

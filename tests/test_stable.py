@@ -19,6 +19,7 @@ from stableheat import (
     levy_symbol_quadrature,
     peak_density,
 )
+from stableheat.errors import UnsupportedRegimeError
 from stableheat.stable import _p1_point
 
 
@@ -107,6 +108,28 @@ class TestFreeDensity:
         with pytest.raises(ValueError):
             free_density(p11, -1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("t,x,y", [(math.nan, 0.0, 1.0), (math.inf, 0.0, 1.0),
+                                       (1.0, math.nan, 1.0), (1.0, 0.0, -math.inf)])
+    def test_rejects_non_finite_input(self, p11, t, x, y):
+        with pytest.raises(ValueError):
+            free_density(p11, t, x, y)
+
+    def test_distance_does_not_overflow(self, p11):
+        # |y - x|^2 overflows here, the distance itself does not
+        t, z = 1e200, 3e200
+        ev = free_density(p11, t, 0.0, z)
+        assert ev.value == pytest.approx(1.0 / (10.0 * math.pi * t), rel=1e-10)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -1.0])
+    def test_point_evaluator_rejects_bad_radius(self, r):
+        with pytest.raises(ValueError):
+            _p1_point(1, 1.0, r)
+
+    def test_point_evaluator_raises_where_every_route_misses(self):
+        # the unit-time density underflows and the quadrature has no digit left
+        with pytest.raises(UnsupportedRegimeError):
+            _p1_point(1, 1.0, 1e200)
+
     def test_symmetry_exact(self, p15):
         a = free_density(p15, 0.7, 0.3, -0.8).value
         b = free_density(p15, 0.7, -0.8, 0.3).value
@@ -162,6 +185,8 @@ class TestFreeDensity:
             assert v == pytest.approx(free_density(p15, t, 0.0, r).value, rel=1e-6)
         with pytest.raises(ValueError, match="time must be positive"):
             free_density_radial(p15, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="time must be positive"):
+            free_density_radial(p15, np.array([1.0, math.nan]), np.array([1.0, 1.0]))
 
     # alpha < 1, and alpha = 1 in d >= 2: the tail terms at the table's
     # switch radius grow before they fall, which once cut the table's tail
@@ -180,7 +205,7 @@ class TestFreeDensity:
     # truncated tail once read 4.8e-6 (d = 1) to 3.4e-4 (d = 3) off them
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_fast_cauchy_table_matches_the_closed_forms(self, d):
-        radii = np.linspace(0.0, 5.0, 2001)
+        radii = np.concatenate([np.linspace(0.0, 5.0, 2001), np.geomspace(5.0, 1e6, 400)[1:]])
         q = 1.0 + radii * radii
         exact = {1: 1.0 / (math.pi * q), 2: 1.0 / (2.0 * math.pi * q ** 1.5),
                  3: 1.0 / (math.pi ** 2 * q * q)}[d]
