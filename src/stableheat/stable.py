@@ -376,7 +376,9 @@ def _p1_point(d: int, alpha: float, r: float, tol_rel: float = 1e-9):
             attempts.append(res)
     if d <= 3:
         q = _p1_quadrature(d, alpha, r)
-        if q is not None and q[0] > 0:
+        # the cosine-weighted rule can return DBL_MAX with a tiny error
+        # estimate (d=1, alpha=1.6, r=6.145707563061857); p_1 peaks at 0
+        if q is not None and 0 < q[0] <= _p1_ascending(d, alpha, 0.0, tol_rel)[0]:
             v, e = q
             res = (v, max(e / v, 5e-16))
             if _usable(res):

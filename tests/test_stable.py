@@ -201,6 +201,16 @@ class TestFreeDensity:
         ref = np.array([_p1_point(d, alpha, float(r))[0] for r in radii])
         assert np.max(np.abs(fast / ref - 1.0)) <= tol
 
+    # the quadrature once returned DBL_MAX at this radius, and the spline
+    # node built from it put the table off by a factor of 17 near r = 6.17
+    def test_quadrature_overflow_is_not_a_density_value(self):
+        r = 6.145707563061857
+        assert _p1_point(1, 1.6, r)[0] == pytest.approx(levy_stable.pdf(r, 1.6, 0), rel=5e-7)
+        radii = np.linspace(6.0, 6.3, 61)
+        fast = free_density_radial(StableParams(1, 1.6), 1.0, radii)
+        ref = np.array([_p1_point(1, 1.6, float(x))[0] for x in radii])
+        assert np.max(np.abs(fast / ref - 1.0)) <= 1e-7
+
     # the Cauchy densities; just past the table's switch radius its
     # truncated tail once read 4.8e-6 (d = 1) to 3.4e-4 (d = 3) off them
     @pytest.mark.parametrize("d", [1, 2, 3])
