@@ -20,7 +20,7 @@ from stableheat import (
     peak_density,
 )
 from stableheat.errors import UnsupportedRegimeError
-from stableheat.stable import _p1_point
+from stableheat.stable import _p1_fast, _p1_point, _tail_terms
 
 
 def cauchy_1d(t, z):
@@ -200,6 +200,19 @@ class TestFreeDensity:
         fast = free_density_radial(StableParams(d, alpha), 1.0, radii)
         ref = np.array([_p1_point(d, alpha, float(r))[0] for r in radii])
         assert np.max(np.abs(fast / ref - 1.0)) <= tol
+
+    # the table sums its tail by Horner's rule from the terms at its switch
+    # radius; summed one by one from the shared coefficients, out to
+    # 1e8 zstar, the two agree to 1e-10
+    @pytest.mark.parametrize("d,alpha", [(1, 1.0), (2, 1.5), (3, 0.7), (3, 0.85), (1, 0.5)])
+    def test_table_tail_matches_its_terms_summed_one_by_one(self, d, alpha):
+        fast = _p1_fast(d, alpha)
+        lead = -(0.5 * d + 1) * math.log(math.pi)
+        lnr = np.log(np.geomspace(fast.zstar, 1e8 * fast.zstar, 200)[1:])
+        ref = 0.0
+        for k, (c, sg) in enumerate(_tail_terms(d, alpha)[: len(fast._tail_b)], 1):
+            ref = ref + (sg if k % 2 == 1 else -sg) * np.exp(c + lead - (d + k * alpha) * lnr)
+        assert np.max(np.abs(fast(np.exp(lnr)) / ref - 1.0)) <= 1e-10
 
     # the quadrature once returned DBL_MAX at this radius, and the spline
     # node built from it put the table off by a factor of 17 near r = 6.17
