@@ -71,9 +71,9 @@ def _upper_tail(alpha, q):
     return 0.5 - mass
 
 
-# d = 2 checks that one coordinate of an isotropic increment is the 1-D
-# law, which the half-space supremum relies on; dt = 0.5 checks scaling
-@pytest.mark.parametrize("d,alpha", [(1, 1.0), (1, 0.7), (2, 1.5)])
+# d = 2 and 3 check that one coordinate of an isotropic increment is the
+# 1-D law, which the half-space supremum relies on; dt = 0.5 checks scaling
+@pytest.mark.parametrize("d,alpha", [(1, 1.0), (1, 0.7), (2, 1.5), (3, 1.0)])
 def test_stable_increments_match_the_exact_upper_tail(d, alpha):
     dt = 0.5
     rng = _rng(42, 100 * d + int(10 * alpha))
@@ -81,6 +81,31 @@ def test_stable_increments_match_the_exact_upper_tail(d, alpha):
     for q in (0.25, 1.0, 4.0):
         exact = _upper_tail(alpha, q * dt ** (-1.0 / alpha))
         assert abs(_z_prob(x > q, exact)) <= Z_GATE, q
+
+
+#: P(|X_1| > q) for the unit Cauchy law in d = 2 and d = 3
+CAUCHY_RADIAL_TAILS = {
+    2: lambda q: (1.0 + q * q) ** -0.5,
+    3: lambda q: 1.0 - 2.0 / math.pi * (math.atan(q) - q / (1.0 + q * q)),
+}
+
+
+@pytest.mark.parametrize("d", sorted(CAUCHY_RADIAL_TAILS))
+def test_cauchy_increments_match_the_exact_radial_tail(d):
+    dt = 0.5
+    rng = _rng(42, 1000 + d)
+    r = np.linalg.norm(mc.sample_stable_increments(StableParams(d, 1.0), dt, rng, 4 * GATE_N),
+                       axis=1)
+    for q in (0.25, 1.0, 4.0):
+        assert abs(_z_prob(r > q, CAUCHY_RADIAL_TAILS[d](q / dt))) <= Z_GATE, q
+
+
+def test_half_stable_time_matches_the_levy_cdf():
+    # exp(-lambda^{1/2}) is the Laplace transform of the Levy law with
+    # scale 1/2, whose distribution function is erfc(1 / (2 sqrt(s)))
+    s_draws = mc._one_sided_stable(0.5, _rng(45, 0), 4 * GATE_N)
+    for s in (0.1, 0.3, 1.0, 3.0, 100.0):
+        assert abs(_z_prob(s_draws <= s, math.erfc(0.5 / math.sqrt(s)))) <= Z_GATE, s
 
 
 # ---------------------------------------------------------------------------
