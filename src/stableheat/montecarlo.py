@@ -1,8 +1,11 @@
 """Samplers and estimators for the killed isotropic stable process.
 
 Increments are exact: a centered Gaussian evaluated at an independent
-one-sided stable time (Kanter's trigonometric method), so the increment
-law has characteristic function exp(-dt |xi|^alpha) by construction.
+one-sided stable time, so the increment law has characteristic function
+exp(-dt |xi|^alpha) by construction.  The time is drawn by Kanter's
+trigonometric method, except at alpha = 1, where it is the Levy law
+1/(2 Z^2) of one standard normal Z and the increment is the Cauchy law
+dt N/|Z|.
 Ball exit positions are exact: the radial law from the center reduces to
 a Beta variable, and general starting points use rejection against the
 center law (falling back to an exact composition of center draws when the
@@ -85,7 +88,15 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 
 def _one_sided_stable(rho: float, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Positive stable draws with Laplace transform exp(-lambda^rho), rho in (0,1)."""
+    """Positive stable draws with Laplace transform exp(-lambda^rho), rho in (0,1).
+
+    At rho = 1/2 this is the Levy law, drawn in closed form as 1/(2 Z^2)
+    from one standard normal Z; every other rho uses Kanter's
+    trigonometric method.  Both clamp their inputs so that a draw is
+    always a finite positive time.
+    """
+    if rho == 0.5:
+        return 0.5 / np.maximum(np.square(rng.standard_normal(n)), 1e-300)
     u = np.clip(rng.random(n), 1e-16, 1.0 - 1e-16)
     e = np.maximum(rng.standard_exponential(n), 1e-300)
     th = u * pi
