@@ -388,11 +388,11 @@ EXPECTED = {
     'document/interval_complement': "{'type': 'interval_complement', 'intervals': [[-1.0, 0.0], [1.0, 2.5]]} -> IntervalComplement(intervals=((-1.0, 0.0), (1.0, 2.5)))",
     'document/special_lipschitz': "{'type': 'special_lipschitz', 'breakpoints': [[-1.0, 0.0], [0.0, 0.5], [1.0, 0.0]], 'lipschitz_constant': 0.5} -> SpecialLipschitz(breakpoints=((-1.0, 0.0), (0.0, 0.5), (1.0, 0.0)), lipschitz_constant=0.5)",
     'estimate/beta_hyperplane_complement_thin': '39f8f6128b77c4ca66bd',
-    'estimate/heat_kernel': '376d4954e973f6f84bcb',
-    'estimate/lambda1': '6f339343c20bb50188e2',
-    'factorization/ball_d1/profile': 'e7712fccd63dcc6dc362',
-    'factorization/ball_d1/workers1': '7e513a657d671229bc54',
-    'factorization/ball_d1/workers2': '7e513a657d671229bc54',
+    'estimate/heat_kernel': '3bad11aa585e7624e6ea',
+    'estimate/lambda1': '8d0e7839015857827036',
+    'factorization/ball_d1/profile': '1c3f3fcbb9b39c463c3d',
+    'factorization/ball_d1/workers1': 'be86013a4b122ddcaa25',
+    'factorization/ball_d1/workers2': 'be86013a4b122ddcaa25',
     'free_density_radial': '05318c90ca38c320dd72',
     'geometry/ball': '600ce111d72673668fc2',
     'geometry/ball_union_exterior_ball': 'ec077829e1c83a1ff1cf',
@@ -420,11 +420,11 @@ EXPECTED = {
     'point/2_1.5': 'c9554ddc4ade85446d31',
     'point/3_0.7': '667bb66310689b485989',
     'profile_sweep/halfspace_d2': 'e0a2842e70d8e5aa6229',
-    'survival/ball_d1': '6342a3c0fda1e0eed8d2',
+    'survival/ball_d1': '6a4c79eb73768486a3e4',
     'survival/halfspace_d2': '4d1d7e3f9d881f052dbc',
     'survival/halfspace_d2/workers2': '4d1d7e3f9d881f052dbc',
     'survival/hyperplane_complement_d2': 'c80a734c0bd4d87234c3',
-    'walk/ball_d1_all_killed': '492b4b22ecf4a673b494',
+    'walk/ball_d1_all_killed': '2ac8e6d933020e39cfca',
     'walk/halfspace_d2': 'f7fad2f7de1204ff80b5',
     'walk/hyperplane_complement_d2_thin': '10afc8c9a914a5fb5ba4',
     'walk/intersection_d3': '659f657d785322fcb3f9',
@@ -442,7 +442,7 @@ EXPECTED = {
     'wos/halfspace_d2': 'c4e107577a7da3328179',
     'wos/intersection_d3': 'cc1ab5f0d7b742779dba',
     'written/bhp': '7feb25be1ad5596c2140 435b91491280c6da018e',
-    'written/factorization': '51572059444af29b22b5 e75c5fa76afb7f60566d',
+    'written/factorization': 'ab92bc8d4cb9123a2693 9a8a92fccd91909e8e32',
     'written/identities': '75f546991ba55b9bcdc1',
     'written/profiles': '2ca225aa27a9fb069020 d4011cae503a0361b4fd',
 }
