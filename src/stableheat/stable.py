@@ -417,7 +417,10 @@ class _P1Fast:
     |b_k|, whereas powers of r^{-alpha} itself overflow at large r.  The
     error against the point evaluator is measured at off-node radii of the
     spline, just past zstar and at tail radii up to 400, and stored in
-    ``max_rel_err``.
+    ``max_rel_err``.  p_1 decreases radially, so a pair of spline nodes
+    with v_{i+1} > v_i puts at least one of the two off by a factor of at
+    least sqrt(v_{i+1}/v_i); ``max_rel_err`` takes that factor less one
+    too, which flags a bad node that no probe radius reaches.
     """
 
     def __init__(self, d: int, alpha: float):
@@ -433,7 +436,8 @@ class _P1Fast:
         )
         ref = np.array([_p1_point(d, alpha, float(r))[0] for r in probe])
         got = self(probe)
-        self.max_rel_err = float(np.max(np.abs(got - ref) / ref))
+        rise = float(np.max(vals[1:] / vals[:-1]))
+        self.max_rel_err = max(float(np.max(np.abs(got - ref) / ref)), math.sqrt(rise) - 1.0)
         if self.max_rel_err > 1e-6:
             warnings.warn(
                 f"fast density table for d={d}, alpha={alpha} reaches only "

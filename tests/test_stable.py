@@ -19,6 +19,7 @@ from stableheat import (
     levy_symbol_quadrature,
     peak_density,
 )
+from stableheat import stable
 from stableheat.errors import UnsupportedRegimeError
 from stableheat.stable import _p1_fast, _p1_point, _tail_terms
 
@@ -223,6 +224,22 @@ class TestFreeDensity:
         fast = free_density_radial(StableParams(1, 1.6), 1.0, radii)
         ref = np.array([_p1_point(1, 1.6, float(x))[0] for x in radii])
         assert np.max(np.abs(fast / ref - 1.0)) <= 1e-7
+
+    # the probes sit at every 22nd spline interval, so they miss a bad node
+    # between them; the nodes must decrease, and a node 16x too large
+    # rises 16x over its neighbour, which puts max_rel_err at sqrt(16) - 1
+    def test_a_bad_node_between_the_probes_is_flagged(self, monkeypatch):
+        node = np.linspace(0.0, _p1_fast(1, 1.0).zstar, stable.TABLE_NODES)[11]
+        point = stable._p1_point
+
+        def bad_at_node(d, alpha, r, *args):
+            v, rel = point(d, alpha, r, *args)
+            return (16.0 * v if r == node else v), rel
+
+        monkeypatch.setattr(stable, "_p1_point", bad_at_node)
+        with pytest.warns(RuntimeWarning, match="relative accuracy"):
+            table = stable._P1Fast(1, 1.0)
+        assert table.max_rel_err >= 1.0
 
     # the Cauchy densities; just past the table's switch radius its
     # truncated tail once read 4.8e-6 (d = 1) to 3.4e-4 (d = 3) off them
