@@ -76,11 +76,11 @@ def _workers(args) -> int:
 
 
 def _positive(convert):
-    """argparse ``type=`` that accepts only values above zero."""
+    """argparse ``type=`` that accepts only finite values above zero."""
     def parse(s: str):
         v = convert(s)
-        if not v > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {s!r}")
+        if not 0 < v < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {s!r}")
         return v
 
     parse.__name__ = convert.__name__
@@ -232,6 +232,8 @@ def _cmd_verify(args) -> int:
     if args.suite in ("factorization", "profiles"):
         domain = _load_domain(args, expect_dim=params.d)
         t_set = _parse_vec(args.t) if args.t else _default_times(domain, params.alpha, args.h)
+        if not all(0 < t < math.inf for t in t_set):
+            raise ValueError(f"--t must list positive finite horizons, got {args.t!r}")
         if args.points:
             pts = [_parse_vec(p) for p in args.points.split(";")]
         else:
@@ -382,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survival", help="survival probability")
     _add_common(p)
     _add_domain_opts(p)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_positive(float), required=True)
     p.add_argument("--x", required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--mc", action="store_true")
@@ -394,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heatkernel", help="killed transition density")
     _add_common(p)
     _add_domain_opts(p)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_positive(float), required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     g = p.add_mutually_exclusive_group(required=True)
@@ -423,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("quantity", choices=["lambda1", "beta"])
     _add_common(p)
     _add_domain_opts(p)
-    p.add_argument("--r", type=float, default=1.0, help="ball radius (lambda1)")
+    p.add_argument("--r", type=_positive(float), default=1.0, help="ball radius (lambda1)")
     p.add_argument("--x", default="1", help="probe point (beta)")
     p.add_argument("--window", type=float, nargs=2, default=None)
     p.add_argument("--thin", type=float, default=None,

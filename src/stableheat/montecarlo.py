@@ -347,6 +347,14 @@ def _run_batches(n: int, worker, workers: int = 1):
 # they pickle for the worker pool; each builds the Philox stream of its batch.
 
 
+def _check_step_counts(t_grid, h: float) -> None:
+    """Reject a horizon that is not a finite number of steps h (an infinite
+    or NaN horizon, or one so many steps long that the count overflows)."""
+    for t in t_grid:
+        if not math.isfinite(t / h):
+            raise ValueError(f"horizon {t!r} is not a finite number of steps of {h!r}")
+
+
 def _survival_counts(domain, params, x, t_grid, h, thin, seed, index, m):
     """Walks still inside at each horizon of t_grid, for batch ``index``."""
     tau, _, _ = _walk_batch(
@@ -410,6 +418,7 @@ def survival_curve(
     if not dom.contains(domain, xa):
         raise ValueError("start point must lie in the domain")
     t_grid = tuple(float(t) for t in t_grid)
+    _check_step_counts(t_grid, h)
     for t in t_grid:
         if t <= 0 or h > t:
             raise ValueError("horizons must be positive and at least one step long")
@@ -465,6 +474,7 @@ def heat_kernel_grid(
         raise ValueError("start point must lie in the domain")
     y_list = tuple(tuple(np.atleast_1d(np.asarray(y, dtype=float))) for y in y_list)
     t_grid = tuple(float(t) for t in t_grid)
+    _check_step_counts(t_grid, h)
     t0 = time.perf_counter()
     job = partial(_kernel_sums, domain, params, xa, y_list, t_grid, h, rng_seed)
     parts = _run_batches(n, job, workers)

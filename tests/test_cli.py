@@ -50,12 +50,44 @@ def test_malformed_domain_document_exits_2(capsys, doc, d, x):
         (("--n", "0"), "--n"),
         (("--h", "0"), "--h"),
         (("--workers", "-3"), "--workers"),
+        (("--h", "inf"), "--h"),
+        (("--t", "inf"), "--t"),
+        (("--t", "nan"), "--t"),
     ],
 )
 def test_non_positive_option_exits_2(capsys, extra, option):
     assert cli.main(_survival(*extra)) == 2
     err = capsys.readouterr().err
     assert f"error: argument {option}: must be positive" in err
+
+
+BALL_ARGS = ["--d", "1", "--alpha", "1", "--domain-json", BALL_1D, "--n", "512"]
+
+
+# each of these once ended in an OverflowError traceback, or exited 2 with
+# a message that did not name the option
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["survival", "--mc", "--x", "0", "--t", "inf", *BALL_ARGS], "argument --t"),
+        (["heatkernel", "--mc", "--x", "0", "--y", "0.3", "--t", "inf", *BALL_ARGS],
+         "argument --t"),
+        (["verify", "factorization", "--t", "inf", "--h", "0.25", *BALL_ARGS], "--t"),
+        (["survival", "--mc", "--x", "0", "--t", "1e300", "--h", "1e-300", *BALL_ARGS],
+         "finite number of steps"),
+        (["verify", "profiles", "--t", "nan", *BALL_ARGS], "--t"),
+        (["calibrate", "lambda1", "--r", "0", "--n", "512"], "argument --r"),
+        (["calibrate", "lambda1", "--r", "nan", "--n", "512"], "argument --r"),
+    ],
+    ids=["survival_t_inf", "heatkernel_t_inf", "factorization_t_inf", "survival_t_over_h",
+         "profiles_t_nan", "lambda1_r_0", "lambda1_r_nan"],
+)
+def test_non_finite_or_overflowing_time_or_radius_exits_2(capsys, monkeypatch, tmp_path,
+                                                          argv, text):
+    monkeypatch.chdir(tmp_path)  # default report and calibration paths
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and text in err
 
 
 def test_non_positive_worker_env_exits_2(capsys, monkeypatch):

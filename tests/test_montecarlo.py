@@ -137,6 +137,15 @@ def test_supremum_matches_spitzer_at_alpha_1_5():
     assert abs(_z_mean(np.exp(-e ** (1.0 / 1.5) * sup), 0.5641009688)) <= Z_GATE
 
 
+@pytest.mark.parametrize("t,h", [(math.inf, 0.25), (math.nan, 0.25), (1e300, 1e-300)])
+def test_a_horizon_of_no_finite_step_count_is_rejected(t, h):
+    ball, params = dom.Ball((0.0,), 1.0), StableParams(1, 1.0)
+    with pytest.raises(ValueError, match="finite number of steps"):
+        mc.survival_curve(ball, params, (0.0,), (t,), 512, h, 1)
+    with pytest.raises(ValueError, match="finite number of steps"):
+        mc.heat_kernel_grid(ball, params, (0.0,), ((0.3,),), (t,), 512, h, 1)
+
+
 def _fields(curve):
     return [(e.mean, e.stderr, e.n, e.seed, e.step) for e in curve]
 
