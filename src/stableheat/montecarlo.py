@@ -92,8 +92,8 @@ def _one_sided_stable(rho: float, rng: np.random.Generator, n: int) -> np.ndarra
 
     At rho = 1/2 this is the Levy law, drawn in closed form as 1/(2 Z^2)
     from one standard normal Z; every other rho uses Kanter's
-    trigonometric method.  Both clamp their inputs so that a draw is
-    always a finite positive time.
+    trigonometric method.  Z^2 is clamped at 1e-300, as Kanter's u and e
+    are clamped, so that Z = 0 gives a large finite time.
     """
     if rho == 0.5:
         return 0.5 / np.maximum(np.square(rng.standard_normal(n)), 1e-300)

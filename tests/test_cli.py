@@ -51,8 +51,6 @@ def test_malformed_domain_document_exits_2(capsys, doc, d, x):
         (("--h", "0"), "--h"),
         (("--workers", "-3"), "--workers"),
         (("--h", "inf"), "--h"),
-        (("--t", "inf"), "--t"),
-        (("--t", "nan"), "--t"),
     ],
 )
 def test_non_positive_option_exits_2(capsys, extra, option):
