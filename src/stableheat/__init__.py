@@ -19,7 +19,6 @@ from .domains import (
     domain_from_dict,
     domain_to_dict,
     fat_witness,
-    scale_domain,
 )
 from .errors import (
     EstimateDiagnostic,
@@ -38,7 +37,6 @@ from .kernels import (
     expected_exit_time_ball,
     exterior_ball_martin,
     heat_kernel_profile,
-    punctured_line_green,
     survival_profile,
 )
 from .montecarlo import (
@@ -56,13 +54,10 @@ from .stable import (
     DensityEval,
     StableParams,
     free_density,
-    free_density_bound,
     free_density_radial,
     incomplete_kernel_integral,
     levy_constant,
-    levy_density,
     levy_symbol_quadrature,
-    peak_density,
 )
 
 __version__ = "0.1.0"

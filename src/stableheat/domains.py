@@ -1,5 +1,5 @@
 """Domain catalog: membership, distance to the complement, fat-ball
-witness points, scaling and tangent-ball scale.
+witness points and tangent-ball scale.
 
 Every variant is a frozen dataclass; all queries are pure.  Points are
 accepted as scalars (d = 1) or sequences and normalized internally.
@@ -571,34 +571,7 @@ def _annular_witness(domain, xa, r, dx) -> Optional[FatWitness]:
 
 
 # ---------------------------------------------------------------------------
-# scaling and tangent-ball scale
-
-
-def scale_domain(domain: Domain, r: float) -> Domain:
-    """The dilated domain rD.  Cones and the hyperplane complement are
-    fixed points of dilation."""
-    if r <= 0:
-        raise ValueError("scale factor must be positive")
-    if isinstance(domain, Ball):
-        return Ball(tuple(r * c for c in domain.center), r * domain.radius)
-    if isinstance(domain, HalfSpace):
-        return HalfSpace(domain.normal, r * domain.offset)
-    if isinstance(domain, ExteriorBall):
-        return ExteriorBall(tuple(r * c for c in domain.center), r * domain.radius)
-    if isinstance(domain, (CircularCone, HyperplaneComplement)):
-        return domain
-    if isinstance(domain, SpecialLipschitz):
-        bp = tuple((r * s, r * v) for s, v in domain.breakpoints)
-        return SpecialLipschitz(bp, domain.lipschitz_constant)
-    if isinstance(domain, IntervalComplement):
-        return IntervalComplement(tuple((r * a, r * b) for a, b in domain.intervals))
-    if isinstance(domain, BallUnionExteriorBall):
-        return BallUnionExteriorBall(
-            tuple(r * c for c in domain.center), r * domain.inner_radius, r * domain.outer_radius
-        )
-    if isinstance(domain, Intersection):
-        return Intersection(tuple(scale_domain(p, r) for p in domain.parts))
-    raise TypeError(f"not a domain: {domain!r}")
+# tangent-ball scale
 
 
 def c11_scale(domain: Domain) -> Optional[float]:

@@ -33,10 +33,6 @@ from .stable import (
 #: excluded from ratio statistics
 NOISE_FLAG_THRESHOLD = 0.25
 
-#: default near-boundary cap: grid points keep delta >= this fraction of
-#: the domain scale (closer cells need more than desk-scale n)
-BOUNDARY_CAP = 0.02
-
 
 # ---------------------------------------------------------------------------
 # reports

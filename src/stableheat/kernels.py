@@ -2,12 +2,11 @@
 survival comparability profiles.
 
 The unit ball's Green function, exit law and expected exit time are
-explicit; the exterior ball has an explicit Martin kernel via an
-incomplete Beta-type integral; the punctured line (d = 1 < alpha) has an
-explicit Green function.  Around these, ``survival_profile`` packages the
-comparability shape S(t, x) for P^x(tau_D > t) for every domain the
-catalog covers; the unknown two-sided constants are left to empirical
-measurement.
+explicit, and the exterior ball has an explicit Martin kernel via an
+incomplete Beta-type integral.  Around these, ``survival_profile``
+packages the comparability shape S(t, x) for P^x(tau_D > t) for every
+domain the catalog covers; the unknown two-sided constants are left to
+empirical measurement.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, lgamma, log, pi, sin
+from math import exp, lgamma, pi, sin
 from typing import Optional
 
 import numpy as np
@@ -24,20 +23,6 @@ from scipy import integrate
 from . import domains as dom
 from .errors import MissingParameterError, UnsupportedRegimeError
 from .stable import StableParams, free_density, incomplete_kernel_integral
-
-__all__ = [
-    "Bracket",
-    "SurvivalProfile",
-    "ball_green",
-    "ball_poisson",
-    "ball_exit_tail",
-    "ball_exit_tail_exact",
-    "expected_exit_time_ball",
-    "exterior_ball_martin",
-    "punctured_line_green",
-    "survival_profile",
-    "heat_kernel_profile",
-]
 
 
 @dataclass(frozen=True)
@@ -219,16 +204,6 @@ def exterior_ball_martin(params: StableParams, x, raw: bool = False) -> float:
     if raw:
         return val
     return val / incomplete_kernel_integral(a / 2, d / 2, 3.0)
-
-
-def punctured_line_green(alpha: float, x: float, y: float) -> float:
-    """Green function of R minus the origin, for 1 < alpha < 2:
-    c_a (|y|^{a-1} + |x|^{a-1} - |y-x|^{a-1})."""
-    if not (1.0 < alpha < 2.0):
-        raise UnsupportedRegimeError("the punctured line needs 1 < alpha < 2")
-    ca = 1.0 / (-2.0 * math.gamma(alpha) * math.cos(pi * alpha / 2))
-    g = ca * (abs(y) ** (alpha - 1) + abs(x) ** (alpha - 1) - abs(y - x) ** (alpha - 1))
-    return max(g, 0.0)
 
 
 # ---------------------------------------------------------------------------

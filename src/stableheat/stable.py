@@ -102,41 +102,6 @@ def levy_constant(params: StableParams) -> float:
     ) * sin(pi * a / 2)
 
 
-def peak_density(params: StableParams, t: float = 1.0) -> float:
-    """Maximum of p_t, attained at the origin."""
-    if t <= 0:
-        raise ValueError("time must be positive")
-    d, a = params.d, params.alpha
-    p0 = exp((1 - d) * _LN2 - 0.5 * d * _LNPI + lgamma(d / a) - lgamma(d / 2)) / a
-    return p0 * t ** (-d / a)
-
-
-def levy_density(params: StableParams, y) -> float:
-    """Jump intensity nu(y) = A_{d,alpha} |y|^{-d-alpha}, y != 0."""
-    r = _norm_of(y, params.d)
-    if r == 0.0:
-        raise ValueError("the jump intensity is singular at the origin")
-    return levy_constant(params) * r ** (-params.d - params.alpha)
-
-
-def free_density_bound(params: StableParams, t: float, z) -> float:
-    """Sharp-order comparator min(t |z|^{-d-alpha}, t^{-d/alpha})."""
-    if t <= 0:
-        raise ValueError("time must be positive")
-    r = _norm_of(z, params.d)
-    uniform = t ** (-params.d / params.alpha)
-    if r == 0.0:
-        return uniform
-    return min(t * r ** (-params.d - params.alpha), uniform)
-
-
-def _norm_of(x, d: int) -> float:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.size != d:
-        raise ValueError(f"point has {arr.size} coordinates, expected {d}")
-    return float(np.sqrt(np.sum(arr * arr)))
-
-
 # ---------------------------------------------------------------------------
 # the incomplete kernel integral
 

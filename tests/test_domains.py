@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stableheat import domains as dom
 
@@ -134,29 +132,6 @@ class TestFatWitness:
         da = dom.dist_to_complement(domain, w.center)
         dx = dom.dist_to_complement(domain, x)
         assert da >= c * max(r, dx) - 1e-12
-
-
-class TestScaling:
-    def test_ball(self):
-        s = dom.scale_domain(dom.Ball((0.0,), 1.0), 3.0)
-        assert s == dom.Ball((0.0,), 3.0)
-
-    def test_cone_fixed_point(self):
-        assert dom.scale_domain(CONE, 5.0) is CONE
-        assert dom.scale_domain(HYP, 0.5) is HYP
-
-    def test_interval_complement(self):
-        s = dom.scale_domain(dom.IntervalComplement(((-1.0, 1.0),)), 2.0)
-        assert s.intervals == ((-2.0, 2.0),)
-
-    @settings(max_examples=30, deadline=None)
-    @given(r=st.floats(0.1, 10.0), z=st.floats(-3.0, 3.0))
-    def test_scaling_respects_distance(self, r, z):
-        for domain in (BALL, EXT, dom.IntervalComplement(((-1.0, 1.0),))):
-            x = (z,)
-            lhs = dom.dist_to_complement(dom.scale_domain(domain, r), (r * z,))
-            rhs = r * dom.dist_to_complement(domain, x)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 class TestTangentScale:

@@ -26,8 +26,6 @@ from stableheat import (
     exterior_ball_martin,
     free_density,
     heat_kernel_profile,
-    peak_density,
-    punctured_line_green,
     survival_profile,
 )
 
@@ -177,30 +175,6 @@ class TestExteriorBallMartin:
             exterior_ball_martin(p11, 2.0)
 
 
-class TestPuncturedLineGreen:
-    def test_value(self):
-        c = 1.0 / (2.0 * math.gamma(1.5) * abs(math.cos(3 * math.pi / 4)))
-        ref = c * (2.0 - math.sqrt(2.0))
-        assert punctured_line_green(1.5, 1.0, -1.0) == pytest.approx(ref, rel=1e-12)
-        assert ref == pytest.approx(0.467, abs=5e-4)
-
-    def test_zero_at_pole(self):
-        assert punctured_line_green(1.5, 1.0, 0.0) == 0.0
-
-    def test_diagonal(self):
-        c = 1.0 / (2.0 * math.gamma(1.5) * abs(math.cos(3 * math.pi / 4)))
-        assert punctured_line_green(1.5, 0.7, 0.7) == pytest.approx(
-            2 * c * 0.7 ** 0.5, rel=1e-12
-        )
-
-    def test_symmetry(self):
-        assert punctured_line_green(1.2, 0.5, -2.0) == punctured_line_green(1.2, -2.0, 0.5)
-
-    def test_rejects_low_alpha(self):
-        with pytest.raises(UnsupportedRegimeError):
-            punctured_line_green(1.0, 1.0, 2.0)
-
-
 PROFILE_DOMAINS = [
     (Ball((0.0,), 1.0), StableParams(1, 1.0), {}),
     (Ball((0.0,), 2.0), StableParams(1, 1.5), {"lambda1": 1.1}),
@@ -279,19 +253,21 @@ class TestSurvivalProfile:
         assert prof.evaluate(ra, (0.0,)) == 1.0
 
     def test_scaling_consistency(self):
-        # profile(rD) at (r^alpha t, r x) matches profile(D) at (t, x)
-        cases = [
-            (Ball((0.0,), 1.0), StableParams(1, 1.5), (0.4,)),
-            (HalfSpace((1.0,)), StableParams(1, 1.0), (0.7,)),
-            (CircularCone(math.pi / 2, (0.0, 1.0)), StableParams(2, 1.0), (0.1, 0.4)),
-            (HyperplaneComplement(1), StableParams(1, 1.5), (0.6,)),
-        ]
-        from stableheat import scale_domain
-
+        # profile(rD) at (r^alpha t, r x) matches profile(D) at (t, x); the
+        # half-space, the cone and the hyperplane complement are their own
+        # dilations
         r = 3.0
-        for domain, params, x in cases:
+        half = HalfSpace((1.0,))
+        cone = CircularCone(math.pi / 2, (0.0, 1.0))
+        cases = [
+            (Ball((0.0,), 1.0), Ball((0.0,), r), StableParams(1, 1.5), (0.4,)),
+            (half, half, StableParams(1, 1.0), (0.7,)),
+            (cone, cone, StableParams(2, 1.0), (0.1, 0.4)),
+            (HyperplaneComplement(1), HyperplaneComplement(1), StableParams(1, 1.5), (0.6,)),
+        ]
+        for domain, scaled, params, x in cases:
             p0 = survival_profile(domain, params)
-            p1 = survival_profile(scale_domain(domain, r), params)
+            p1 = survival_profile(scaled, params)
             for t in (0.1, 1.0, 10.0):
                 rx = tuple(r * v for v in x)
                 assert p1.evaluate(r ** params.alpha * t, rx) == pytest.approx(
@@ -354,7 +330,7 @@ class TestTangentBallBracket:
 class TestHeatKernelProfile:
     def test_diagonal_dominated_by_peak(self, p11):
         br = heat_kernel_profile(Ball((0.0,), 1.0), p11, 0.3, 0.2, 0.2)
-        assert br.upper <= peak_density(p11, 0.3) * (1 + 1e-12)
+        assert br.upper <= free_density(p11, 0.3, 0.0, 0.0).value * (1 + 1e-12)
 
     def test_ball_composition_at_origin(self, p11):
         br = heat_kernel_profile(Ball((0.0,), 1.0), p11, 1.0, 0.0, 0.0)

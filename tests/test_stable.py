@@ -11,13 +11,10 @@ from stableheat import (
     DensityEval,
     StableParams,
     free_density,
-    free_density_bound,
     free_density_radial,
     incomplete_kernel_integral,
     levy_constant,
-    levy_density,
     levy_symbol_quadrature,
-    peak_density,
 )
 from stableheat import stable
 from stableheat.errors import UnsupportedRegimeError
@@ -56,14 +53,7 @@ class TestParams:
 class TestLevyDensity:
     def test_cauchy_coefficient(self, p11):
         # A_{1,1} = 1/pi, cross-checked against the Cauchy jump intensity
-        assert levy_density(p11, 2.0) == pytest.approx(1.0 / (4 * math.pi), rel=1e-14)
-
-    def test_isotropy(self, p11):
-        assert levy_density(p11, -2.0) == levy_density(p11, 2.0)
-
-    def test_singular_at_origin(self, p11):
-        with pytest.raises(ValueError):
-            levy_density(p11, 0.0)
+        assert levy_constant(p11) * 2.0 ** -2 == pytest.approx(1.0 / (4 * math.pi), rel=1e-14)
 
     @pytest.mark.parametrize("d,alpha", [(1, 0.5), (1, 1.0), (1, 1.5), (2, 0.5), (3, 1.5)])
     def test_symbol_normalization(self, d, alpha):
@@ -158,12 +148,11 @@ class TestFreeDensity:
     def test_peak_constant_matches_quadrature(self):
         # the 2^{1-d} prefactor, checked against direct Fourier inversion
         for d, alpha in ((1, 1.3), (2, 0.8), (3, 1.5)):
-            params = StableParams(d, alpha)
             sd = 2 * math.pi ** (d / 2) / math.gamma(d / 2)
             v, _ = integrate.quad(
                 lambda u: math.exp(-(u ** alpha)) * u ** (d - 1), 0, np.inf, limit=200
             )
-            assert peak_density(params) == pytest.approx(
+            assert _p1_point(d, alpha, 0.0)[0] == pytest.approx(
                 sd * v / (2 * math.pi) ** d, rel=1e-12
             )
 
@@ -254,19 +243,6 @@ class TestFreeDensity:
 
 
 class TestFreeDensityBound:
-    def test_origin_uses_uniform_branch(self, p11):
-        assert free_density_bound(p11, 1.0, 0.0) == 1.0
-
-    def test_tail_branch(self, p11):
-        assert free_density_bound(p11, 1.0, 2.0) == pytest.approx(0.25)
-
-    def test_direct_min(self, p11):
-        assert free_density_bound(p11, 2.0, 1.0) == pytest.approx(0.5)
-
-    def test_rejects_nonpositive_time(self, p11):
-        with pytest.raises(ValueError):
-            free_density_bound(p11, 0.0, 1.0)
-
     @pytest.mark.parametrize("d,alpha", [(1, 1.0), (2, 1.5), (1, 0.5)])
     def test_two_sided_comparison_stable_under_refinement(self, d, alpha):
         params = StableParams(d, alpha)
@@ -277,9 +253,9 @@ class TestFreeDensityBound:
                 for z in np.geomspace(0.05, 50, nz):
                     x = np.zeros(d)
                     x[0] = z
-                    ratio = free_density(params, t, np.zeros(d), x).value / free_density_bound(
-                        params, t, x
-                    )
+                    # the sharp-order comparator min(t |z|^(-d-alpha), t^(-d/alpha))
+                    bound = min(t * z ** (-d - alpha), t ** (-d / alpha))
+                    ratio = free_density(params, t, np.zeros(d), x).value / bound
                     c = max(c, ratio, 1.0 / ratio)
             return c
 
