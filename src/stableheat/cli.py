@@ -102,8 +102,15 @@ def _cmd_density(args) -> int:
     return 0
 
 
+#: the option each ball query needs besides --x
+_BALL_OPTION = {"green": "v", "poisson": "y", "tail": "R"}
+
+
 def _cmd_ball(args) -> int:
     params = _params(args)
+    need = _BALL_OPTION.get(args.query)
+    if need and getattr(args, need) is None:
+        raise ValueError(f"ball {args.query} needs --{need}")
     center = _parse_vec(args.center) if args.center else (0.0,) * params.d
     if args.query == "green":
         v = kernels.ball_green(params, center, args.r, _parse_vec(args.x), _parse_vec(args.v))
@@ -373,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ball", help="closed-form ball kernels")
     p.add_argument("query", choices=["green", "poisson", "exit-time", "tail"])
     _add_common(p, mc_opts=False)
-    p.add_argument("--r", type=float, default=1.0, help="ball radius")
+    p.add_argument("--r", type=_positive(float), default=1.0, help="ball radius")
     p.add_argument("--center", default=None)
     p.add_argument("--x", required=True)
     p.add_argument("--v", help="second interior point (green)")

@@ -43,12 +43,18 @@ def _poisson_constant(d: int, alpha: float) -> float:
     return exp(lgamma(d / 2) - (1 + d / 2) * math.log(pi)) * sin(pi * alpha / 2)
 
 
+def _check_radius(radius: float) -> None:
+    if not 0 < radius < math.inf:
+        raise ValueError(f"ball radius must be positive and finite, got {radius!r}")
+
+
 def ball_green(params: StableParams, center, radius: float, x, v) -> float:
     """Green function of an open ball; +inf on the diagonal when d >= alpha.
 
     G(x, v) = B |x-v|^{alpha-d} * int_0^w s^{alpha/2-1} (1+s)^{-d/2} ds with
     w = (r^2-|x-c|^2)(r^2-|v-c|^2)/|x-v|^2; symmetric in (x, v).
     """
+    _check_radius(radius)
     d, a = params.d, params.alpha
     c = np.atleast_1d(np.asarray(center, dtype=float))
     xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -70,6 +76,7 @@ def ball_green(params: StableParams, center, radius: float, x, v) -> float:
 
 def ball_poisson(params: StableParams, center, radius: float, x, y) -> float:
     """Exit-position density from an open ball (lives strictly outside it)."""
+    _check_radius(radius)
     d, a = params.d, params.alpha
     c = np.atleast_1d(np.asarray(center, dtype=float))
     xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -86,6 +93,7 @@ def ball_poisson(params: StableParams, center, radius: float, x, y) -> float:
 
 def expected_exit_time_ball(params: StableParams, center, radius: float, x) -> float:
     """E^x tau for the ball: c(d, alpha) (r^2 - |x-c|^2)^{alpha/2}."""
+    _check_radius(radius)
     d, a = params.d, params.alpha
     c = np.atleast_1d(np.asarray(center, dtype=float))
     xa = np.atleast_1d(np.asarray(x, dtype=float))
@@ -111,8 +119,8 @@ def ball_exit_tail_exact(params: StableParams, x, R: float) -> float:
     nx = float(np.linalg.norm(xa))
     if nx >= 1.0:
         raise ValueError("x must lie in the open unit ball")
-    if R < 1.0:
-        raise ValueError("tail threshold must be at least the ball radius")
+    if not R >= 1.0:
+        raise ValueError(f"tail threshold must be at least the ball radius, got {R!r}")
     C = _poisson_constant(d, a)
     qx = (1.0 - nx * nx) ** (a / 2)
     # f(rho, w): the exit density at radius rho (summed over the sphere),
@@ -173,8 +181,8 @@ def ball_exit_tail(params: StableParams, x, R: float) -> Bracket:
     by constants measured once per (d, alpha) by quadrature of the exit
     density over a reference grid.
     """
-    if R < 2.0:
-        raise ValueError("the comparator is stated for R >= 2")
+    if not R >= 2.0:
+        raise ValueError(f"the comparator is stated for R >= 2, got {R!r}")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     nx = float(np.linalg.norm(xa))
     if nx >= 1.0:
@@ -336,19 +344,22 @@ def survival_profile(
     """Build the comparability profile for a catalog domain.
 
     The exterior-ball regime (d > alpha, d = alpha = 1, d = 1 < alpha) is
-    selected from the parameters.  Cones need an exponent ``beta`` unless
-    the aperture is pi/2 (half-space, beta = alpha/2) or one is stored on
-    the domain.  ``c11=True`` requests the two-sided tangent-ball bracket
-    instead of the variant's native form; it needs ``lambda1``.
+    selected from the parameters.  Cones need an exponent ``beta`` in
+    [0, alpha) unless the aperture is pi/2 (half-space, beta = alpha/2) or
+    one is stored on the domain.  ``c11=True`` requests the two-sided
+    tangent-ball bracket instead of the variant's native form; it needs
+    ``lambda1``.
 
-    ``lambda1`` is the unit-ball value (the rate for radius r is
-    lambda1 / r^alpha, as ``estimate_lambda1`` reports it).  Its decay
-    starts at t = r^alpha in the ``ball`` form and at t = rho^alpha,
-    rho = max(r, delta(x)), in the ``c11`` lower envelope.
+    ``lambda1``, positive and finite, is the unit-ball value (the rate for
+    radius r is lambda1 / r^alpha, as ``estimate_lambda1`` reports it).
+    Its decay starts at t = r^alpha in the ``ball`` form and at
+    t = rho^alpha, rho = max(r, delta(x)), in the ``c11`` lower envelope.
     """
     d, a = params.d, params.alpha
     if dom.dim(domain) != d:
         raise ValueError("domain dimension does not match the parameters")
+    if lambda1 is not None and not 0 < lambda1 < math.inf:
+        raise ValueError(f"lambda1 must be positive and finite, got {lambda1!r}")
 
     if c11:
         r = dom.c11_scale(domain)
@@ -388,6 +399,8 @@ def survival_profile(
             raise MissingParameterError(
                 "cone profile needs an exponent beta (known or estimated)"
             )
+        if not 0 <= b < a:
+            raise ValueError(f"cone exponent beta must lie in [0, alpha), got {b!r}")
         return SurvivalProfile(domain, params, "cone", beta=float(b))
     if isinstance(domain, dom.HyperplaneComplement):
         if a <= 1.0:

@@ -257,11 +257,11 @@ def _walk_batch(
     tau is the first grid time at which the chain is found outside the
     domain (jump-and-return excursions inside one step are missed, so
     survival is biased upward, by the order h^{1/alpha} measured in the
-    module docstring); censored walks carry tau = inf.
+    module docstring); censored walks carry tau = inf.  The horizon must
+    be a whole number of steps, which the estimators check with
+    ``_check_horizons``.
     """
     nsteps = int(round(horizon / h))
-    if abs(nsteps * h - horizon) > 1e-9 * max(horizon, 1.0):
-        raise ValueError("horizon must be an integer multiple of the step")
     if thin is None:
         thin = THIN_BOUNDARY_HALF_WIDTH
     pos = np.tile(x0, (m, 1))
@@ -347,12 +347,17 @@ def _run_batches(n: int, worker, workers: int = 1):
 # they pickle for the worker pool; each builds the Philox stream of its batch.
 
 
-def _check_step_counts(t_grid, h: float) -> None:
-    """Reject a horizon that is not a finite number of steps h (an infinite
-    or NaN horizon, or one so many steps long that the count overflows)."""
+def _check_horizons(t_grid, h: float) -> None:
+    """Reject a horizon that is not a positive whole number of steps h: one
+    with no finite step count (infinite, NaN, or so many steps that the
+    count overflows), one shorter than a step, or one off the step grid."""
     for t in t_grid:
         if not math.isfinite(t / h):
             raise ValueError(f"horizon {t!r} is not a finite number of steps of {h!r}")
+        if t <= 0 or h > t:
+            raise ValueError("horizons must be positive and at least one step long")
+        if abs(round(t / h) * h - t) > 1e-9 * max(t, 1.0):
+            raise ValueError("each horizon must be an integer multiple of the step")
 
 
 def _survival_counts(domain, params, x, t_grid, h, thin, seed, index, m):
@@ -418,12 +423,7 @@ def survival_curve(
     if not dom.contains(domain, xa):
         raise ValueError("start point must lie in the domain")
     t_grid = tuple(float(t) for t in t_grid)
-    _check_step_counts(t_grid, h)
-    for t in t_grid:
-        if t <= 0 or h > t:
-            raise ValueError("horizons must be positive and at least one step long")
-        if abs(round(t / h) * h - t) > 1e-9 * max(t, 1.0):
-            raise ValueError("each horizon must be an integer multiple of the step")
+    _check_horizons(t_grid, h)
     t0 = time.perf_counter()
     # only a half-space has tangent balls of every size at its boundary
     if dom.c11_scale(domain) == math.inf:
@@ -474,7 +474,7 @@ def heat_kernel_grid(
         raise ValueError("start point must lie in the domain")
     y_list = tuple(tuple(np.atleast_1d(np.asarray(y, dtype=float))) for y in y_list)
     t_grid = tuple(float(t) for t in t_grid)
-    _check_step_counts(t_grid, h)
+    _check_horizons(t_grid, h)
     t0 = time.perf_counter()
     job = partial(_kernel_sums, domain, params, xa, y_list, t_grid, h, rng_seed)
     parts = _run_batches(n, job, workers)

@@ -151,6 +151,51 @@ def test_option_without_numbers_exits_2(capsys, argv, text):
     assert capsys.readouterr().err == f"error: cannot parse numbers from {text!r}\n"
 
 
+CONE_2D = '{"type": "cone", "angle": 1, "axis": [0, 1]}'
+BALL_PROFILE = ["survival", "--profile", "--t", "2", "--x", "0", "--domain-json", BALL_1D]
+CONE_PROFILE = ["survival", "--profile", "--t", "2", "--x", "0,1", "--d", "2",
+                "--domain-json", CONE_2D]
+
+
+# each of these once exited 0 with inf, nan or a clamped value, or ended in
+# a traceback where an option was missing
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["ball", "exit-time", "--x", "0", "--r", "inf"], "argument --r"),
+        (["ball", "exit-time", "--x", "0", "--r", "nan"], "argument --r"),
+        (["ball", "exit-time", "--x", "0", "--r", "-1"], "argument --r"),
+        (["ball", "exit-time", "--x", "0", "--r", "0"], "argument --r"),
+        (["ball", "green", "--x", "0", "--v", "0.5", "--r", "-1"], "argument --r"),
+        (["ball", "tail", "--x", "0", "--R", "nan"], "tail threshold"),
+        (["ball", "green", "--x", "0"], "ball green needs --v"),
+        (["ball", "poisson", "--x", "0"], "ball poisson needs --y"),
+        (["ball", "tail", "--x", "0"], "ball tail needs --R"),
+        ([*BALL_PROFILE, "--lambda1", "nan"], "lambda1 must be positive and finite"),
+        ([*BALL_PROFILE, "--lambda1", "-5"], "lambda1 must be positive and finite"),
+        ([*BALL_PROFILE, "--lambda1", "inf"], "lambda1 must be positive and finite"),
+        ([*CONE_PROFILE, "--beta", "nan"], "beta must lie in [0, alpha)"),
+        ([*CONE_PROFILE, "--beta", "-1"], "beta must lie in [0, alpha)"),
+        ([*CONE_PROFILE, "--beta", "5"], "beta must lie in [0, alpha)"),
+        (["heatkernel", "--profile-bracket", "--lambda1", "nan", "--t", "2", "--x", "0",
+          "--y", "0.3", "--domain-json", BALL_1D], "lambda1 must be positive and finite"),
+        (["verify", "factorization", "--profile-form", "--t", "0.1,0.25", "--h", "0.015625",
+          "--n", "64", "--domain-json", BALL_1D], "integer multiple of the step"),
+    ],
+    ids=["r_inf", "r_nan", "r_negative", "r_0", "green_r_negative", "tail_R_nan",
+         "green_without_v", "poisson_without_y", "tail_without_R", "lambda1_nan",
+         "lambda1_negative", "lambda1_inf", "beta_nan", "beta_negative", "beta_above_alpha",
+         "bracket_lambda1_nan", "profile_form_t_off_grid"],
+)
+def test_bad_radius_decay_rate_exponent_or_horizon_exits_2(capsys, monkeypatch, tmp_path,
+                                                           argv, text):
+    monkeypatch.chdir(tmp_path)  # default report path
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and text in err
+    assert "Traceback" not in err
+
+
 def test_run_batches_rejects_empty_runs():
     with pytest.raises(ValueError, match="path count must be positive"):
         mc._run_batches(0, lambda i, m: m)

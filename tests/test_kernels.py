@@ -175,6 +175,24 @@ class TestExteriorBallMartin:
             exterior_ball_martin(p11, 2.0)
 
 
+@pytest.mark.parametrize("radius", [math.inf, math.nan, -1.0, 0.0])
+def test_ball_closed_forms_reject_a_radius_that_is_not_positive_and_finite(p11, radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        ball_green(p11, 0.0, radius, 0.0, 0.5)
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        ball_poisson(p11, 0.0, radius, 0.0, 2.0)
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        expected_exit_time_ball(p11, 0.0, radius, 0.0)
+
+
+def test_exit_tails_reject_a_nan_threshold(p11):
+    # NaN once passed R < 1 and fell through to the total-mass branch
+    with pytest.raises(ValueError, match="tail threshold"):
+        ball_exit_tail_exact(p11, 0.0, math.nan)
+    with pytest.raises(ValueError, match="R >= 2"):
+        ball_exit_tail(p11, 0.0, math.nan)
+
+
 PROFILE_DOMAINS = [
     (Ball((0.0,), 1.0), StableParams(1, 1.0), {}),
     (Ball((0.0,), 2.0), StableParams(1, 1.5), {"lambda1": 1.1}),
@@ -273,6 +291,22 @@ class TestSurvivalProfile:
                 assert p1.evaluate(r ** params.alpha * t, rx) == pytest.approx(
                     p0.evaluate(t, x), rel=1e-12
                 )
+
+    @pytest.mark.parametrize("lambda1", [math.nan, -5.0, 0.0, math.inf])
+    def test_rejects_a_lambda1_that_is_not_positive_and_finite(self, p11, lambda1):
+        with pytest.raises(ValueError, match="lambda1 must be positive and finite"):
+            survival_profile(Ball((0.0,), 1.0), p11, lambda1=lambda1)
+        with pytest.raises(ValueError, match="lambda1 must be positive and finite"):
+            survival_profile(ExteriorBall((0.0, 0.0), 1.0), StableParams(2, 1.0),
+                             lambda1=lambda1, c11=True)
+
+    @pytest.mark.parametrize("beta", [math.nan, -1.0, 1.0, 5.0])
+    def test_rejects_a_cone_beta_outside_zero_to_alpha(self, p21, beta):
+        # given as the argument or stored on the cone; alpha = 1 here
+        with pytest.raises(ValueError, match=r"beta must lie in \[0, alpha\)"):
+            survival_profile(CircularCone(1.0, (0.0, 1.0)), p21, beta=beta)
+        with pytest.raises(ValueError, match=r"beta must lie in \[0, alpha\)"):
+            survival_profile(CircularCone(1.0, (0.0, 1.0), beta=beta), p21)
 
     def test_exterior_regime_selection(self):
         assert survival_profile(ExteriorBall((0.0, 0.0), 1.0), StableParams(2, 1.0)).form == "exterior_gt"

@@ -146,6 +146,22 @@ def test_a_horizon_of_no_finite_step_count_is_rejected(t, h):
         mc.heat_kernel_grid(ball, params, (0.0,), ((0.3,),), (t,), 512, h, 1)
 
 
+@pytest.mark.parametrize(
+    "t_grid, message",
+    [((0.1, 0.25), "integer multiple of the step"),
+     ((0.25, 0.01), "at least one step long"),
+     ((0.25, -0.25), "at least one step long")],
+)
+def test_both_grid_estimators_apply_one_horizon_rule(t_grid, message):
+    # heat_kernel_grid once checked only the step count, and the walk only
+    # the largest horizon, so a horizon off the grid passed silently
+    ball, params = dom.Ball((0.0,), 1.0), StableParams(1, 1.0)
+    with pytest.raises(ValueError, match=message):
+        mc.survival_curve(ball, params, (0.0,), t_grid, 512, 1.0 / 64, 1)
+    with pytest.raises(ValueError, match=message):
+        mc.heat_kernel_grid(ball, params, (0.0,), ((0.3,),), t_grid, 512, 1.0 / 64, 1)
+
+
 def _fields(curve):
     return [(e.mean, e.stderr, e.n, e.seed, e.step) for e in curve]
 
