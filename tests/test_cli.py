@@ -76,9 +76,16 @@ BALL_ARGS = ["--d", "1", "--alpha", "1", "--domain-json", BALL_1D, "--n", "512"]
         (["verify", "profiles", "--t", "nan", *BALL_ARGS], "--t"),
         (["calibrate", "lambda1", "--r", "0", "--n", "512"], "argument --r"),
         (["calibrate", "lambda1", "--r", "nan", "--n", "512"], "argument --r"),
+        (["ball", "exit-time", "--x", "0", "--r", "inf"], "argument --r"),
+        (["ball", "exit-time", "--x", "0", "--r", "nan"], "argument --r"),
+        (["ball", "exit-time", "--x", "0", "--r", "-1"], "argument --r"),
+        (["ball", "exit-time", "--x", "0", "--r", "0"], "argument --r"),
+        (["ball", "green", "--x", "0", "--v", "0.5", "--r", "-1"], "argument --r"),
+        (["ball", "tail", "--x", "0", "--R", "nan"], "tail threshold"),
     ],
     ids=["survival_t_inf", "heatkernel_t_inf", "factorization_t_inf", "survival_t_over_h",
-         "profiles_t_nan", "lambda1_r_0", "lambda1_r_nan"],
+         "profiles_t_nan", "lambda1_r_0", "lambda1_r_nan", "ball_r_inf", "ball_r_nan",
+         "ball_r_negative", "ball_r_0", "green_r_negative", "tail_R_nan"],
 )
 def test_non_finite_or_overflowing_time_or_radius_exits_2(capsys, monkeypatch, tmp_path,
                                                           argv, text):
@@ -157,17 +164,11 @@ CONE_PROFILE = ["survival", "--profile", "--t", "2", "--x", "0,1", "--d", "2",
                 "--domain-json", CONE_2D]
 
 
-# each of these once exited 0 with inf, nan or a clamped value, or ended in
-# a traceback where an option was missing
+# each of these once exited 0 with nan or a clamped value, or ended in a
+# traceback where an option was missing
 @pytest.mark.parametrize(
     "argv, text",
     [
-        (["ball", "exit-time", "--x", "0", "--r", "inf"], "argument --r"),
-        (["ball", "exit-time", "--x", "0", "--r", "nan"], "argument --r"),
-        (["ball", "exit-time", "--x", "0", "--r", "-1"], "argument --r"),
-        (["ball", "exit-time", "--x", "0", "--r", "0"], "argument --r"),
-        (["ball", "green", "--x", "0", "--v", "0.5", "--r", "-1"], "argument --r"),
-        (["ball", "tail", "--x", "0", "--R", "nan"], "tail threshold"),
         (["ball", "green", "--x", "0"], "ball green needs --v"),
         (["ball", "poisson", "--x", "0"], "ball poisson needs --y"),
         (["ball", "tail", "--x", "0"], "ball tail needs --R"),
@@ -182,18 +183,16 @@ CONE_PROFILE = ["survival", "--profile", "--t", "2", "--x", "0,1", "--d", "2",
         (["verify", "factorization", "--profile-form", "--t", "0.1,0.25", "--h", "0.015625",
           "--n", "64", "--domain-json", BALL_1D], "integer multiple of the step"),
     ],
-    ids=["r_inf", "r_nan", "r_negative", "r_0", "green_r_negative", "tail_R_nan",
-         "green_without_v", "poisson_without_y", "tail_without_R", "lambda1_nan",
+    ids=["green_without_v", "poisson_without_y", "tail_without_R", "lambda1_nan",
          "lambda1_negative", "lambda1_inf", "beta_nan", "beta_negative", "beta_above_alpha",
          "bracket_lambda1_nan", "profile_form_t_off_grid"],
 )
-def test_bad_radius_decay_rate_exponent_or_horizon_exits_2(capsys, monkeypatch, tmp_path,
-                                                           argv, text):
+def test_missing_option_bad_decay_rate_exponent_or_off_grid_horizon_exits_2(
+        capsys, monkeypatch, tmp_path, argv, text):
     monkeypatch.chdir(tmp_path)  # default report path
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "error: " in err and text in err
-    assert "Traceback" not in err
 
 
 def test_run_batches_rejects_empty_runs():
