@@ -257,21 +257,37 @@ def dim(domain: Domain) -> int:
     raise TypeError(f"not a domain: {domain!r}")
 
 
+def _sq_dist(P: np.ndarray, c) -> np.ndarray:
+    """Squared distances of the rows of P from the point c (or 0).
+
+    Summed column by column from the left, in place: the same floats as
+    ``np.sum((P - c) ** 2, axis=1)``, without its (m, d) temporaries.
+    """
+    if np.isscalar(c):
+        c = (c,) * P.shape[1]
+    q = np.zeros(P.shape[0])
+    for j in range(P.shape[1]):
+        t = P[:, j] - c[j]
+        t *= t
+        q += t
+    return q
+
+
 def contains_many(domain: Domain, pts) -> np.ndarray:
     """Vectorized open-set membership for an (m, d) batch."""
-    d = dim(domain)
-    P = _pts(pts, d)
+    return _contains(domain, _pts(pts, dim(domain)))
+
+
+def _contains(domain: Domain, P: np.ndarray) -> np.ndarray:
     if isinstance(domain, Ball):
-        c = np.asarray(domain.center)
-        return np.sum((P - c) ** 2, axis=1) < domain.radius ** 2
+        return _sq_dist(P, domain.center) < domain.radius ** 2
     if isinstance(domain, HalfSpace):
         return P @ np.asarray(domain.normal) - domain.offset > 0
     if isinstance(domain, ExteriorBall):
-        c = np.asarray(domain.center)
-        return np.sum((P - c) ** 2, axis=1) > domain.radius ** 2
+        return _sq_dist(P, domain.center) > domain.radius ** 2
     if isinstance(domain, CircularCone):
         u = np.asarray(domain.axis)
-        nrm = np.sqrt(np.sum(P * P, axis=1))
+        nrm = np.sqrt(_sq_dist(P, 0.0))
         with np.errstate(invalid="ignore", divide="ignore"):
             cosphi = (P @ u) / nrm
         ok = (nrm > 0) & (cosphi > math.cos(domain.angle))
@@ -287,13 +303,12 @@ def contains_many(domain: Domain, pts) -> np.ndarray:
             inside_some |= (x >= a) & (x <= b)
         return ~inside_some
     if isinstance(domain, BallUnionExteriorBall):
-        c = np.asarray(domain.center)
-        q = np.sum((P - c) ** 2, axis=1)
+        q = _sq_dist(P, domain.center)
         return (q < domain.inner_radius ** 2) | (q > domain.outer_radius ** 2)
     if isinstance(domain, Intersection):
         out = np.ones(P.shape[0], dtype=bool)
         for part in domain.parts:
-            out &= contains_many(part, P)
+            out &= _contains(part, P)
         return out
     raise TypeError(f"not a domain: {domain!r}")
 
@@ -304,19 +319,19 @@ def contains(domain: Domain, x) -> bool:
 
 def dist_many(domain: Domain, pts) -> np.ndarray:
     """Vectorized distance to the complement; 0 for points outside."""
-    d = dim(domain)
-    P = _pts(pts, d)
+    return _dist(domain, _pts(pts, dim(domain)))
+
+
+def _dist(domain: Domain, P: np.ndarray) -> np.ndarray:
     if isinstance(domain, Ball):
-        c = np.asarray(domain.center)
-        return np.maximum(domain.radius - np.sqrt(np.sum((P - c) ** 2, axis=1)), 0.0)
+        return np.maximum(domain.radius - np.sqrt(_sq_dist(P, domain.center)), 0.0)
     if isinstance(domain, HalfSpace):
         return np.maximum(P @ np.asarray(domain.normal) - domain.offset, 0.0)
     if isinstance(domain, ExteriorBall):
-        c = np.asarray(domain.center)
-        return np.maximum(np.sqrt(np.sum((P - c) ** 2, axis=1)) - domain.radius, 0.0)
+        return np.maximum(np.sqrt(_sq_dist(P, domain.center)) - domain.radius, 0.0)
     if isinstance(domain, CircularCone):
         u = np.asarray(domain.axis)
-        nrm = np.sqrt(np.sum(P * P, axis=1))
+        nrm = np.sqrt(_sq_dist(P, 0.0))
         with np.errstate(invalid="ignore", divide="ignore"):
             cosphi = np.clip((P @ u) / np.where(nrm > 0, nrm, 1.0), -1.0, 1.0)
         phi = np.arccos(cosphi)
@@ -332,19 +347,17 @@ def dist_many(domain: Domain, pts) -> np.ndarray:
         out = np.full(len(x), np.inf)
         for a, b in domain.intervals:
             out = np.minimum(out, np.maximum(np.maximum(a - x, x - b), 0.0))
-        inside_some = ~contains_many(domain, P)
-        out[inside_some] = 0.0
+        out[~_contains(domain, P)] = 0.0
         return out
     if isinstance(domain, BallUnionExteriorBall):
-        c = np.asarray(domain.center)
-        q = np.sqrt(np.sum((P - c) ** 2, axis=1))
+        q = np.sqrt(_sq_dist(P, domain.center))
         inner = np.maximum(domain.inner_radius - q, 0.0)
         outer = np.maximum(q - domain.outer_radius, 0.0)
         return np.maximum(inner, outer)
     if isinstance(domain, Intersection):
-        out = np.full(P.shape[0], np.inf)
-        for part in domain.parts:
-            out = np.minimum(out, dist_many(part, P))
+        out = _dist(domain.parts[0], P)
+        for part in domain.parts[1:]:
+            np.minimum(out, _dist(part, P), out=out)
         return out
     raise TypeError(f"not a domain: {domain!r}")
 
@@ -374,7 +387,7 @@ def _dist_above_polyline(domain: SpecialLipschitz, P: np.ndarray) -> np.ndarray:
         denom = float(ab @ ab)
         t = np.clip(((P - a) @ ab) / denom, 0.0, 1.0)
         proj = a + t[:, None] * ab
-        best = np.minimum(best, np.sqrt(np.sum((P - proj) ** 2, axis=1)))
+        best = np.minimum(best, np.sqrt(_sq_dist(P - proj, 0.0)))
     above = P[:, 1] > domain.graph(P[:, 0])
     return np.where(above, best, 0.0)
 

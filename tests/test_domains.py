@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -47,6 +48,22 @@ class TestDistance:
             assert dom.dist_to_complement(HALF_CONE, p) == pytest.approx(
                 max(p[1], 0.0), rel=1e-12
             )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sq_dist_repeats_the_row_sums_of_squares_bit_for_bit(d):
+    # walk-on-spheres outputs stay bit-identical only because these agree
+    rng = np.random.default_rng(d)
+    special = (1e200, -1e200, 1e-200, 5e-324, -2.5e-320, 0.0, -0.0, np.inf, -np.inf, np.nan)
+    grid = np.array(list(itertools.product(special, repeat=d)))
+    spread = rng.standard_normal((4096, d)) * 10.0 ** rng.integers(-150, 151, (4096, d))
+    P = np.vstack([grid, spread, rng.standard_normal((4096, d))])
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for c in (rng.standard_normal(d), np.zeros(d), np.full(d, 1e200)):
+            want = np.sum((P - c) ** 2, axis=1)
+            assert np.array_equal(dom._sq_dist(P, c), want, equal_nan=True)
+        norm = np.linalg.norm(P, axis=1)
+        assert np.array_equal(np.sqrt(dom._sq_dist(P, 0)), norm, equal_nan=True)
 
 
 class TestContains:

@@ -218,3 +218,21 @@ def test_halfspace_survival_is_identical_on_two_workers():
         assert _fields(mc.survival_curve(*args, workers=2)) == _fields(mc.survival_curve(*args))
     finally:
         mc.shutdown_pool()
+
+
+def test_wos_rejects_a_start_at_distance_zero_at_once():
+    # contains() accepts this point, but its inscribed ball has radius 0:
+    # the walk once stood still until WOS_MAX_STEPS iterations had passed
+    ball = dom.Ball((1.8461553344437616, 1.1510326627856502), 2.094419871578422)
+    x = (3.925409209388337, 0.8994418799844098)
+    assert dom.contains(ball, x) and dom.dist_to_complement(ball, x) == 0.0
+    with pytest.raises(ValueError, match="start point must lie in the domain"):
+        mc.sample_exit_positions_wos(ball, StableParams(2, 1.5), x, _rng(1, 0), 4)
+
+
+def test_wos_steps_count_the_jumps_of_each_walker():
+    # from the centre of a ball every walker leaves at its first jump
+    pos, steps = mc.sample_exit_positions_wos(
+        dom.Ball((0.0, 0.0), 1.0), StableParams(2, 1.5), (0.0, 0.0), _rng(2, 0), 64)
+    assert np.array_equal(steps, np.ones(64, dtype=np.int64))
+    assert np.all(np.hypot(pos[:, 0], pos[:, 1]) >= 1.0)
