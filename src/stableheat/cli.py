@@ -106,25 +106,34 @@ def _cmd_density(args) -> int:
 _BALL_OPTION = {"green": "v", "poisson": "y", "tail": "R"}
 
 
+def _finite_point(args, name: str) -> tuple:
+    """The point given as ``--name``; every coordinate must be finite."""
+    v = _parse_vec(getattr(args, name))
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"--{name} must have finite coordinates, got {getattr(args, name)!r}")
+    return v
+
+
 def _cmd_ball(args) -> int:
     params = _params(args)
     need = _BALL_OPTION.get(args.query)
     if need and getattr(args, need) is None:
         raise ValueError(f"ball {args.query} needs --{need}")
-    center = _parse_vec(args.center) if args.center else (0.0,) * params.d
-    if args.query == "green":
-        v = kernels.ball_green(params, center, args.r, _parse_vec(args.x), _parse_vec(args.v))
-        print(_fmt(v))
-    elif args.query == "poisson":
-        v = kernels.ball_poisson(params, center, args.r, _parse_vec(args.x), _parse_vec(args.y))
-        print(_fmt(v))
-    elif args.query == "exit-time":
-        v = kernels.expected_exit_time_ball(params, center, args.r, _parse_vec(args.x))
-        print(_fmt(v))
-    elif args.query == "tail":
-        exact = kernels.ball_exit_tail_exact(params, _parse_vec(args.x), args.R)
-        br = kernels.ball_exit_tail(params, _parse_vec(args.x), args.R)
-        print(f"{_fmt(exact)} bracket {_fmt(br.lower)} {_fmt(br.upper)}")
+    center = _finite_point(args, "center") if args.center else (0.0,) * params.d
+    x = _finite_point(args, "x")
+    try:
+        if args.query == "green":
+            print(_fmt(kernels.ball_green(params, center, args.r, x, _finite_point(args, "v"))))
+        elif args.query == "poisson":
+            print(_fmt(kernels.ball_poisson(params, center, args.r, x, _finite_point(args, "y"))))
+        elif args.query == "exit-time":
+            print(_fmt(kernels.expected_exit_time_ball(params, center, args.r, x)))
+        elif args.query == "tail":
+            exact = kernels.ball_exit_tail_exact(params, x, args.R)
+            br = kernels.ball_exit_tail(params, x, args.R)
+            print(f"{_fmt(exact)} bracket {_fmt(br.lower)} {_fmt(br.upper)}")
+    except OverflowError as exc:
+        raise ValueError(f"the value overflows a float at --r {args.r!r}") from exc
     return 0
 
 

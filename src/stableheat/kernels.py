@@ -43,68 +43,70 @@ def _poisson_constant(d: int, alpha: float) -> float:
     return exp(lgamma(d / 2) - (1 + d / 2) * math.log(pi)) * sin(pi * alpha / 2)
 
 
-def _check_radius(radius: float) -> None:
+def _unit_coords(center, radius: float, *points) -> list:
+    """The points in units of the ball B(center, radius): (p - c) / r.
+
+    The closed forms below are those of the unit ball, scaled back by a
+    power of r, so no square of r is ever formed.
+    """
     if not 0 < radius < math.inf:
         raise ValueError(f"ball radius must be positive and finite, got {radius!r}")
+    c = np.atleast_1d(np.asarray(center, dtype=float))
+    return [(np.atleast_1d(np.asarray(p, dtype=float)) - c) / radius for p in points]
 
 
 def ball_green(params: StableParams, center, radius: float, x, v) -> float:
     """Green function of an open ball; +inf on the diagonal when d >= alpha.
 
     G(x, v) = B |x-v|^{alpha-d} * int_0^w s^{alpha/2-1} (1+s)^{-d/2} ds with
-    w = (r^2-|x-c|^2)(r^2-|v-c|^2)/|x-v|^2; symmetric in (x, v).
+    w = (r^2-|x-c|^2)(r^2-|v-c|^2)/(r^2 |x-v|^2); symmetric in (x, v).
     """
-    _check_radius(radius)
     d, a = params.d, params.alpha
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    va = np.atleast_1d(np.asarray(v, dtype=float))
-    qx = radius ** 2 - float(np.sum((xa - c) ** 2))
-    qv = radius ** 2 - float(np.sum((va - c) ** 2))
-    if qx <= 0 or qv <= 0:
+    xs, vs = _unit_coords(center, radius, x, v)
+    qx = 1.0 - float(np.sum(xs ** 2))
+    qv = 1.0 - float(np.sum(vs ** 2))
+    if not (qx > 0 and qv > 0):
         raise ValueError("both arguments must lie in the open ball")
-    z = float(np.linalg.norm(xa - va))
-    B = _green_constant(d, a)
+    z = float(np.linalg.norm(xs - vs))
+    B = _green_constant(d, a) * radius ** (a - d)
     if z == 0.0:
         if d >= a:
             return math.inf
         # d = 1 < alpha: the diagonal limit is finite
-        return B * (2.0 / (a - 1.0)) * qx ** ((a - 1.0) / 2.0)
+        return B * (2.0 / (a - 1.0)) * qx ** (a - 1.0)
     w = qx * qv / (z * z)
     return B * z ** (a - d) * incomplete_kernel_integral(a / 2, d / 2, w)
 
 
 def ball_poisson(params: StableParams, center, radius: float, x, y) -> float:
     """Exit-position density from an open ball (lives strictly outside it)."""
-    _check_radius(radius)
     d, a = params.d, params.alpha
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
-    qx = radius ** 2 - float(np.sum((xa - c) ** 2))
-    qy = float(np.sum((ya - c) ** 2)) - radius ** 2
-    if qx <= 0:
+    xs, ys = _unit_coords(center, radius, x, y)
+    qx = 1.0 - float(np.sum(xs ** 2))
+    qy = float(np.sum(ys ** 2)) - 1.0
+    if not qx > 0:
         raise ValueError("source point must lie in the open ball")
-    if qy <= 0:
+    if not qy > 0:
         raise ValueError("exit-position density lives outside the closed ball")
-    z = float(np.linalg.norm(xa - ya))
-    return _poisson_constant(d, a) * (qx / qy) ** (a / 2) * z ** (-d)
+    z = float(np.linalg.norm(xs - ys))
+    return _poisson_constant(d, a) * (qx / qy) ** (a / 2) * (z * radius) ** (-d)
 
 
 def expected_exit_time_ball(params: StableParams, center, radius: float, x) -> float:
-    """E^x tau for the ball: c(d, alpha) (r^2 - |x-c|^2)^{alpha/2}."""
-    _check_radius(radius)
+    """E^x tau for the ball: c(d, alpha) (r^2 - |x-c|^2)^{alpha/2}.
+
+    Raises OverflowError when r^alpha exceeds the float range.
+    """
     d, a = params.d, params.alpha
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    q = radius ** 2 - float(np.sum((xa - c) ** 2))
-    if q < -1e-12 * radius ** 2:
+    (xs,) = _unit_coords(center, radius, x)
+    q = 1.0 - float(np.sum(xs ** 2))
+    if not q >= -1e-12:
         raise ValueError("point must lie in the closed ball")
     q = max(q, 0.0)
     const = exp(
         (1 - a) * math.log(2) + lgamma(d / 2) - math.log(a) - lgamma((d + a) / 2) - lgamma(a / 2)
     )
-    return const * q ** (a / 2)
+    return const * q ** (a / 2) * radius ** a
 
 
 def ball_exit_tail_exact(params: StableParams, x, R: float) -> float:
@@ -117,7 +119,7 @@ def ball_exit_tail_exact(params: StableParams, x, R: float) -> float:
     d, a = params.d, params.alpha
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     nx = float(np.linalg.norm(xa))
-    if nx >= 1.0:
+    if not nx < 1.0:
         raise ValueError("x must lie in the open unit ball")
     if not R >= 1.0:
         raise ValueError(f"tail threshold must be at least the ball radius, got {R!r}")
@@ -185,7 +187,7 @@ def ball_exit_tail(params: StableParams, x, R: float) -> Bracket:
         raise ValueError(f"the comparator is stated for R >= 2, got {R!r}")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     nx = float(np.linalg.norm(xa))
-    if nx >= 1.0:
+    if not nx < 1.0:
         raise ValueError("x must lie in the open unit ball")
     comp = (1.0 - nx) ** (params.alpha / 2) / R ** params.alpha
     lo, hi = _tail_comparability(params.d, params.alpha)

@@ -95,6 +95,34 @@ def test_non_finite_or_overflowing_time_or_radius_exits_2(capsys, monkeypatch, t
     assert "error: " in err and text in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["ball", "exit-time", "--x", "nan"], "--x"),
+        (["ball", "exit-time", "--x", "0", "--center", "nan"], "--center"),
+        (["ball", "poisson", "--x", "0", "--y", "nan"], "--y"),
+        (["ball", "tail", "--x", "nan", "--R", "3"], "--x"),
+        (["ball", "green", "--x", "nan", "--v", "0.5"], "--x"),
+        (["ball", "green", "--x", "0", "--v", "inf"], "--v"),
+    ],
+    ids=["exit_time_x", "exit_time_center", "poisson_y", "tail_x", "green_x", "green_v"],
+)
+def test_non_finite_ball_point_exits_2(capsys, argv, option):
+    # these printed nan with exit 0, or a message that named no option
+    assert cli.main(argv) == 2
+    assert f"error: {option} must have finite coordinates" in capsys.readouterr().err
+
+
+def test_ball_at_a_radius_whose_square_overflows(capsys):
+    # r ** 2 once ended each of these in an OverflowError traceback
+    for query, extra in (("exit-time", []), ("green", ["--v", "5e199"]),
+                         ("poisson", ["--y", "2e200"])):
+        assert cli.main(["ball", query, "--x", "0", "--r", "1e200", *extra]) == 0
+        assert np.isfinite(float(capsys.readouterr().out))
+    assert cli.main(["ball", "exit-time", "--x", "0", "--r", "1e200", "--alpha", "1.9"]) == 2
+    assert "error: the value overflows a float at --r" in capsys.readouterr().err
+
+
 def test_non_positive_worker_env_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("STABLEHEAT_WORKERS", "0")
     assert cli.main(_survival("--n", "64")) == 2

@@ -85,6 +85,60 @@ class TestBallGreen:
         )
 
 
+@pytest.mark.parametrize("d,alpha,radius,xfrac", [(1, 1.0, 2.0, 0.3), (1, 1.5, 0.5, 0.6),
+                                                  (2, 1.5, 3.0, 0.0)])
+def test_green_mass_equals_expected_exit_time_off_the_unit_ball(d, alpha, radius, xfrac):
+    # the Green function once used (r^2-|x|^2)(r^2-|v|^2)/|x-v|^2 without
+    # the 1/r^2, so its mass missed E^x tau whenever r != 1
+    params = StableParams(d, alpha)
+    x = np.zeros(d)
+    x[0] = xfrac * radius
+    if d == 1:
+        f = lambda v: ball_green(params, 0.0, radius, x, (v,))
+        mass, _ = integrate.quad(f, -radius, radius, points=[float(x[0])], limit=300,
+                                 epsabs=1e-10, epsrel=1e-9)
+    else:
+        sd = 2 * math.pi ** (d / 2) / math.gamma(d / 2)
+        f = lambda r: ball_green(params, (0.0,) * d, radius, x, _axis(r, d)) * r ** (d - 1)
+        mass, _ = integrate.quad(f, 0, radius, points=[0.0], limit=300, epsabs=1e-10,
+                                 epsrel=1e-9)
+        mass *= sd
+    assert mass == pytest.approx(expected_exit_time_ball(params, (0.0,) * d, radius, x),
+                                 rel=1e-6)
+
+
+@pytest.mark.parametrize("radius,x", [(1.0, 0.5), (1.0, -0.9), (2.0, 1.2)])
+def test_green_diagonal_is_the_limit_beside_it(p15, radius, x):
+    # the d = 1 < alpha diagonal once used (1-|x|^2)^((alpha-1)/2), which
+    # is the limit only at the centre; beside it the gap is O(z^(alpha-1))
+    diag = ball_green(p15, 0.0, radius, x, x)
+    assert diag == pytest.approx(ball_green(p15, 0.0, radius, x, x + 1e-10), rel=1e-4)
+
+
+def test_ball_closed_forms_reject_a_non_finite_point(p11):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ball_green(p11, 0.0, 1.0, bad, 0.5)
+        with pytest.raises(ValueError):
+            expected_exit_time_ball(p11, bad, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            ball_exit_tail_exact(p11, bad, 3.0)
+    with pytest.raises(ValueError):
+        ball_poisson(p11, 0.0, 1.0, 0.0, math.nan)
+
+
+def test_ball_closed_forms_scale_to_a_radius_whose_square_overflows(p11):
+    # r ** 2 once raised OverflowError at r = 1e200
+    r = 1e200
+    assert expected_exit_time_ball(p11, 0.0, r, 0.0) == pytest.approx(r, rel=1e-14)
+    assert ball_green(p11, 0.0, r, 0.0, 0.5 * r) == pytest.approx(
+        ball_green(p11, 0.0, 1.0, 0.0, 0.5), rel=1e-14)
+    assert ball_poisson(p11, 0.0, r, 0.0, 2.0 * r) == pytest.approx(
+        ball_poisson(p11, 0.0, 1.0, 0.0, 2.0) / r, rel=1e-14)
+    with pytest.raises(OverflowError):
+        expected_exit_time_ball(StableParams(1, 1.9), 0.0, r, 0.0)
+
+
 def _axis(r, d):
     p = np.zeros(d)
     p[0] = r
