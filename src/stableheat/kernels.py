@@ -47,7 +47,8 @@ def _unit_coords(center, radius: float, *points) -> list:
     """The points in units of the ball B(center, radius): (p - c) / r.
 
     The closed forms below are those of the unit ball, scaled back by a
-    power of r, so no square of r is ever formed.
+    power of r, so no square of r is ever formed; a value beyond the float
+    range raises OverflowError.
     """
     if not 0 < radius < math.inf:
         raise ValueError(f"ball radius must be positive and finite, got {radius!r}")
@@ -93,10 +94,7 @@ def ball_poisson(params: StableParams, center, radius: float, x, y) -> float:
 
 
 def expected_exit_time_ball(params: StableParams, center, radius: float, x) -> float:
-    """E^x tau for the ball: c(d, alpha) (r^2 - |x-c|^2)^{alpha/2}.
-
-    Raises OverflowError when r^alpha exceeds the float range.
-    """
+    """E^x tau for the ball: c(d, alpha) (r^2 - |x-c|^2)^{alpha/2}."""
     d, a = params.d, params.alpha
     (xs,) = _unit_coords(center, radius, x)
     q = 1.0 - float(np.sum(xs ** 2))
