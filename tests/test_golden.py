@@ -1,7 +1,7 @@
 """Fixed-seed golden values for the domain catalog, the exact samplers,
 the grid walk, the estimators, the ratio sweeps, the boundary-Harnack
-report, the point evaluator of the free density and the report files
-that ``verify`` writes.
+report, the point evaluator of the free density, the survival-profile
+catalog and the report files that ``verify`` writes.
 
 The expected values pin the package's outputs bit for bit: arrays by a
 sha256 prefix of their bytes, reports and witnesses by a sha256 prefix of
@@ -21,7 +21,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from stableheat import cli, harness
+from stableheat import cli, harness, kernels
 from stableheat import domains as dom
 from stableheat import montecarlo as mc
 from stableheat.stable import StableParams, _p1_point, free_density_radial
@@ -247,6 +247,55 @@ def _radial():
 
 
 # ---------------------------------------------------------------------------
+# the survival-profile catalog: every shape, with and without lambda1 and
+# as the tangent-ball (c11) bracket
+
+PROFILE_KINDS = {
+    "ball": lambda d: dom.Ball((0.25,) * d, 2.0),
+    "halfspace": lambda d: dom.HalfSpace(tuple(range(1, d + 1)), 0.5),
+    "exterior_ball": lambda d: dom.ExteriorBall((0.5,) + (0.0,) * (d - 1), 1.25),
+    "cone": lambda d: dom.CircularCone(1.0, (0.0,) * (d - 1) + (1.0,), beta=0.3),
+    "right_cone": lambda d: dom.CircularCone(np.pi / 2, (0.0,) * (d - 1) + (1.0,)),
+    "hyperplane_complement": dom.HyperplaneComplement,
+    "interval_complement": lambda d: dom.IntervalComplement(((-1.0, 0.0), (1.0, 2.5))),
+    "special_lipschitz": lambda d: dom.SpecialLipschitz(((-1.0, 0.0), (1.0, 0.5)), 0.5),
+    "ball_union_exterior_ball": lambda d: dom.BallUnionExteriorBall((0.0,) * d, 1.0, 2.5),
+}
+PROFILE_VARIANTS = (
+    {}, {"lambda1": 1.3}, {"c11": True}, {"c11": True, "lambda1": 1.3},
+)
+PROFILE_TIMES = np.geomspace(1e-4, 1e4, 17)
+
+
+def _profile_points(d):
+    """11 points in [-2.5, 2.5]^d, the last five on the half-integer grid,
+    and one point of the wrong dimension."""
+    pts = _rng(2027, d).uniform(-2.5, 2.5, (11, d))
+    pts[6:] = np.round(pts[6:] * 2.0) / 2.0
+    return [*pts, np.zeros(d + 1)]
+
+
+def _profile_catalog(kind):
+    out = []
+    for d in (1, 2, 3):
+        domain = PROFILE_KINDS[kind](d)
+        for alpha in (0.5, 1.0, 1.5, 1.9):
+            for kw in PROFILE_VARIANTS:
+                try:
+                    prof = kernels.survival_profile(domain, StableParams(d, alpha), **kw)
+                except ValueError as exc:
+                    out.append(f"{type(exc).__name__}: {exc}")
+                    continue
+                for t in PROFILE_TIMES:
+                    for x in _profile_points(d):
+                        try:
+                            out.append(prof.evaluate_bracket(float(t), x))
+                        except ValueError as exc:
+                            out.append(f"{type(exc).__name__}: {exc}")
+    return _sha(repr(out))
+
+
+# ---------------------------------------------------------------------------
 # ratio sweeps
 
 def _report(rep):
@@ -362,6 +411,8 @@ CASES["survival/halfspace_d2/workers2"] = (_survival, "halfspace_d2", 2)
 CASES["bhp_sweep/workers2"] = (_bhp, 2)
 CASES["factorization/ball_d1/profile"] = (_factorization, "profile", 1)
 CASES["profile_sweep/halfspace_d2"] = (_profile_sweep,)
+for _kind in PROFILE_KINDS:
+    CASES[f"profile/{_kind}"] = (_profile_catalog, _kind)
 for _suite in WRITTEN:
     CASES[f"written/{_suite}"] = (_written, _suite)
 
@@ -419,6 +470,15 @@ EXPECTED = {
     'point/1_1.0': 'f500219a967a6621467c',
     'point/2_1.5': 'c9554ddc4ade85446d31',
     'point/3_0.7': '667bb66310689b485989',
+    'profile/ball': 'b19965c842d735375f3f',
+    'profile/ball_union_exterior_ball': 'e968eec795c3abc3e317',
+    'profile/cone': 'ccbe81a1736ad2eca904',
+    'profile/exterior_ball': 'a8fcac02a3f0f1927170',
+    'profile/halfspace': 'b7b53dd76abf803d2986',
+    'profile/hyperplane_complement': '9dc54cb658ae809e0f0e',
+    'profile/interval_complement': '47f2393d6cc1c83b68cb',
+    'profile/right_cone': '1ae3bdd4d58db2a6bbcc',
+    'profile/special_lipschitz': 'd483061595431c5313eb',
     'profile_sweep/halfspace_d2': 'e0a2842e70d8e5aa6229',
     'survival/ball_d1': '6a4c79eb73768486a3e4',
     'survival/halfspace_d2': '4d1d7e3f9d881f052dbc',
