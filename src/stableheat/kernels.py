@@ -223,103 +223,82 @@ class SurvivalProfile:
     """Comparability shape S(t, x) for the survival probability.
 
     ``evaluate`` returns a single value clamped to [0, 1]; the two-sided
-    tangent-ball form is a genuine bracket, for which ``evaluate`` returns
-    the upper envelope and ``evaluate_bracket`` both sides.  Values are
-    comparators, not probabilities: the missing constants are measured by
-    the sweep harness.
+    tangent-ball form (``c11``) is a genuine bracket, for which
+    ``evaluate`` returns the upper envelope and ``evaluate_bracket`` both
+    sides.  Values are comparators, not probabilities: the missing
+    constants are measured by the sweep harness.  The shape follows the
+    type of ``domain``; ``beta`` is the cone exponent.
 
     ``lambda1`` is the unit-ball decay rate; a ball of radius r decays at
     lambda1 / r^alpha, which is how ``estimate_lambda1`` reports it.  The
-    ``ball`` form (when given ``lambda1``) and the lower envelope of the
-    ``c11`` bracket carry the factor exp(-lambda1 (t - s)_+ / s), with
-    s = r^alpha, resp. s = rho^alpha for rho = max(r, delta(x)): they
-    equal the short-time shape up to s and decay at lambda1 / s after it.
+    ball shape and the lower envelope of the ``c11`` bracket carry the
+    factor exp(-lambda1 (t - s)_+ / s) for s = rho^alpha, rho =
+    max(r, delta(x)) with r = ``domains.c11_scale``: they equal the
+    short-time shape up to s and decay at lambda1 / s after it.
     """
 
     domain: dom.Domain
     params: StableParams
-    form: str
     beta: Optional[float] = None
     lambda1: Optional[float] = None
-    scale_r: Optional[float] = None
-    complement_diam: Optional[float] = None
+    c11: bool = False
 
     def evaluate(self, t: float, x) -> float:
         return self.evaluate_bracket(t, x).upper
 
     def evaluate_bracket(self, t: float, x) -> Bracket:
-        if t <= 0:
-            raise ValueError("time must be positive")
-        d = dom.dim(self.domain)
+        if not 0 < t < math.inf:
+            raise ValueError(f"time must be positive and finite, got {t!r}")
+        D = self.domain
+        d = dom.dim(D)
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         if xa.size != d:
             raise ValueError(f"point has {xa.size} coordinates, expected {d}")
-        if not dom.contains(self.domain, xa):
+        if not dom.contains(D, xa):
             return Bracket(0.0, 0.0)
-        delta = dom.dist_to_complement(self.domain, xa)
+        delta = dom.dist_to_complement(D, xa)
         a = self.params.alpha
         ts = t ** (1.0 / a)
 
-        if self.form == "ball":
-            r = self.domain.radius
-            v = min(1.0, delta / min(r, ts)) ** (a / 2)
+        if self.c11 or isinstance(D, (dom.Ball, dom.HalfSpace)):
+            r = dom.c11_scale(D)  # the ball's radius; inf for the half-space
+            hi = min(1.0, delta / min(r, ts)) ** (a / 2)
+            lo = hi
             if self.lambda1 is not None:
-                v *= _late_decay(self.lambda1, t, r ** a)
-            return _clamp_pair(v, v)
+                lo *= _late_decay(self.lambda1, t, max(r, delta) ** a)
+            if not self.c11:
+                return _clamp_pair(lo, lo)
+            diam = dom.complement_diameter(D)
+            if math.isfinite(diam) and self.params.d > a:
+                lo = max(lo, (min(r, diam) / diam) ** a * hi)
+            return _clamp_pair(lo, hi)
 
-        if self.form == "halfspace":
-            v = min(1.0, delta / ts) ** (a / 2)
-            return _clamp_pair(v, v)
-
-        if self.form == "exterior_gt":  # d > alpha, radius-1 units via scaling
-            R = self.domain.radius
+        if isinstance(D, dom.ExteriorBall):
+            # in units of the radius; StableParams makes d > alpha unless d = 1 <= alpha
+            R = D.radius
             dl, tl = delta / R, t / R ** a
-            v = min(1.0, dl ** (a / 2) / min(1.0, tl ** 0.5))
-            return _clamp_pair(v, v)
-
-        if self.form == "exterior_log":  # d = alpha = 1
-            R = self.domain.radius
-            dl, tl = delta / R, t / R ** a
-            v = min(1.0, math.log1p(dl ** 0.5) / math.log1p(tl ** 0.5))
-            return _clamp_pair(v, v)
-
-        if self.form == "exterior_rec":  # d = 1 < alpha
-            R = self.domain.radius
-            dl, tl = delta / R, t / R ** a
-            g = lambda s: min(s ** (a - 1), s ** (a / 2))
-            v = g(dl) / g(max(tl ** (1.0 / a), dl))
-            return _clamp_pair(v, v)
-
-        if self.form == "cone":
+            if self.params.d > a:
+                v = min(1.0, dl ** (a / 2) / min(1.0, tl ** 0.5))
+            elif a == 1.0:
+                v = min(1.0, math.log1p(dl ** 0.5) / math.log1p(tl ** 0.5))
+            else:
+                g = lambda s: min(s ** (a - 1), s ** (a / 2))
+                v = g(dl) / g(max(tl ** (1.0 / a), dl))
+        elif isinstance(D, dom.CircularCone):
             nx = float(np.linalg.norm(xa))
             v = min(1.0, delta / ts) ** (a / 2) * min(1.0, nx / ts) ** (self.beta - a / 2)
-            return _clamp_pair(v, v)
-
-        if self.form == "hyperplane":
+        elif isinstance(D, dom.HyperplaneComplement):
             v = min(1.0, delta / ts) ** (a - 1.0)
-            return _clamp_pair(v, v)
-
-        if self.form == "interval_complement":
+        elif isinstance(D, dom.IntervalComplement):
             if a > 1.0:
                 num = min(delta ** (a - 1.0), delta ** (a / 2))
                 den = min(t ** (1.0 - 1.0 / a), t ** 0.5)
                 v = min(1.0, num / den)
             else:
                 v = min(1.0, math.log1p(delta ** 0.5) / math.log1p(t ** 0.5))
-            return _clamp_pair(v, v)
-
-        if self.form == "c11":
-            r = self.scale_r
-            plain = min(1.0, delta / min(r, ts)) ** (a / 2) if math.isfinite(r) else min(
-                1.0, delta / ts
-            ) ** (a / 2)
-            lo = plain * _late_decay(self.lambda1, t, max(r, delta) ** a) if math.isfinite(r) else plain
-            diam = self.complement_diam
-            if diam is not None and math.isfinite(diam) and self.params.d > a:
-                lo = max(lo, (min(r, diam) / diam) ** a * plain)
-            return _clamp_pair(lo, plain)
-
-        raise UnsupportedRegimeError(f"no profile form {self.form!r}")
+        else:
+            raise UnsupportedRegimeError(f"no closed survival profile for {type(D).__name__}")
+        return _clamp_pair(v, v)
 
 
 def _late_decay(lambda1: float, t: float, scale_a: float) -> float:
@@ -343,20 +322,17 @@ def survival_profile(
 ) -> SurvivalProfile:
     """Build the comparability profile for a catalog domain.
 
-    The exterior-ball regime (d > alpha, d = alpha = 1, d = 1 < alpha) is
-    selected from the parameters.  Cones need an exponent ``beta`` in
-    [0, alpha) unless the aperture is pi/2 (half-space, beta = alpha/2) or
-    one is stored on the domain.  ``c11=True`` requests the two-sided
-    tangent-ball bracket instead of the variant's native form; it needs
-    ``lambda1``.
-
-    ``lambda1``, positive and finite, is the unit-ball value (the rate for
-    radius r is lambda1 / r^alpha, as ``estimate_lambda1`` reports it).
-    Its decay starts at t = r^alpha in the ``ball`` form and at
-    t = rho^alpha, rho = max(r, delta(x)), in the ``c11`` lower envelope.
+    Cones need an exponent ``beta`` in [0, alpha) unless the aperture is
+    pi/2 (half-space, beta = alpha/2) or one is stored on the domain.
+    Hyperplane complements need alpha > 1, interval complements alpha >= 1.
+    ``c11=True`` requests the two-sided tangent-ball bracket instead of the
+    variant's native shape; it needs a tangent-ball scale and, when that
+    scale is finite, ``lambda1``: positive and finite, the unit-ball value
+    (the rate for radius r is lambda1 / r^alpha, as ``estimate_lambda1``
+    reports it).
     """
-    d, a = params.d, params.alpha
-    if dom.dim(domain) != d:
+    a = params.alpha
+    if dom.dim(domain) != params.d:
         raise ValueError("domain dimension does not match the parameters")
     if lambda1 is not None and not 0 < lambda1 < math.inf:
         raise ValueError(f"lambda1 must be positive and finite, got {lambda1!r}")
@@ -371,26 +347,8 @@ def survival_profile(
             raise MissingParameterError(
                 "the two-sided tangent-ball bracket needs a calibrated lambda1"
             )
-        diam = dom.complement_diameter(domain)
-        return SurvivalProfile(
-            domain, params, "c11", lambda1=lambda1, scale_r=r,
-            complement_diam=diam if math.isfinite(diam) else None,
-        )
+        return SurvivalProfile(domain, params, lambda1=lambda1, c11=True)
 
-    if isinstance(domain, dom.Ball):
-        return SurvivalProfile(domain, params, "ball", lambda1=lambda1)
-    if isinstance(domain, dom.HalfSpace):
-        return SurvivalProfile(domain, params, "halfspace")
-    if isinstance(domain, dom.ExteriorBall):
-        if d > a:
-            return SurvivalProfile(domain, params, "exterior_gt")
-        if d == 1 and a == 1.0:
-            return SurvivalProfile(domain, params, "exterior_log")
-        if d == 1 and a > 1.0:
-            return SurvivalProfile(domain, params, "exterior_rec")
-        raise UnsupportedRegimeError(
-            f"exterior ball with d={d}, alpha={a} falls outside the catalog"
-        )
     if isinstance(domain, dom.CircularCone):
         b = beta if beta is not None else domain.beta
         if b is None and dom.c11_scale(domain) == math.inf:  # a half-space
@@ -401,20 +359,19 @@ def survival_profile(
             )
         if not 0 <= b < a:
             raise ValueError(f"cone exponent beta must lie in [0, alpha), got {b!r}")
-        return SurvivalProfile(domain, params, "cone", beta=float(b))
-    if isinstance(domain, dom.HyperplaneComplement):
-        if a <= 1.0:
-            raise UnsupportedRegimeError("the hyperplane-complement profile needs alpha > 1")
-        return SurvivalProfile(domain, params, "hyperplane")
-    if isinstance(domain, dom.IntervalComplement):
-        if a < 1.0:
-            raise UnsupportedRegimeError(
-                "the interval-complement profile covers the recurrent range alpha >= 1"
-            )
-        return SurvivalProfile(domain, params, "interval_complement")
-    raise UnsupportedRegimeError(
-        f"no closed survival profile for {type(domain).__name__}"
-    )
+        return SurvivalProfile(domain, params, beta=float(b))
+    if isinstance(domain, dom.HyperplaneComplement) and a <= 1.0:
+        raise UnsupportedRegimeError("the hyperplane-complement profile needs alpha > 1")
+    if isinstance(domain, dom.IntervalComplement) and a < 1.0:
+        raise UnsupportedRegimeError(
+            "the interval-complement profile covers the recurrent range alpha >= 1"
+        )
+    if not isinstance(domain, (dom.Ball, dom.HalfSpace, dom.ExteriorBall,
+                               dom.HyperplaneComplement, dom.IntervalComplement)):
+        raise UnsupportedRegimeError(
+            f"no closed survival profile for {type(domain).__name__}"
+        )
+    return SurvivalProfile(domain, params, lambda1=lambda1)
 
 
 def heat_kernel_profile(

@@ -363,10 +363,35 @@ class TestSurvivalProfile:
             survival_profile(CircularCone(1.0, (0.0, 1.0), beta=beta), p21)
 
     def test_exterior_regime_selection(self):
-        assert survival_profile(ExteriorBall((0.0, 0.0), 1.0), StableParams(2, 1.0)).form == "exterior_gt"
-        assert survival_profile(ExteriorBall((0.0,), 1.0), StableParams(1, 1.0)).form == "exterior_log"
-        assert survival_profile(ExteriorBall((0.0,), 1.0), StableParams(1, 1.5)).form == "exterior_rec"
-        assert survival_profile(ExteriorBall((0.0,), 1.0), StableParams(1, 0.5)).form == "exterior_gt"
+        # at delta = R/4 and t = 2 R^alpha the three exterior-ball regimes
+        # give different values, except that the d > alpha and the
+        # d = 1 < alpha formulas are one function at alpha = 1
+        dl, t = 0.25, 2.0
+
+        def regimes(a):
+            g = lambda s: min(s ** (a - 1), s ** (a / 2))
+            return {
+                "gt": min(1.0, dl ** (a / 2) / min(1.0, t ** 0.5)),
+                "log": min(1.0, math.log1p(dl ** 0.5) / math.log1p(t ** 0.5)),
+                "rec": g(dl) / g(max(t ** (1.0 / a), dl)),
+            }
+
+        for d, alpha, regime in ((2, 1.0, "gt"), (1, 1.0, "log"), (1, 1.5, "rec"),
+                                 (1, 0.5, "gt")):
+            prof = survival_profile(ExteriorBall((0.0,) * d, 1.0), StableParams(d, alpha))
+            v = prof.evaluate(t, (1.0 + dl,) + (0.0,) * (d - 1))
+            values = regimes(alpha)
+            assert v == pytest.approx(values[regime], rel=1e-12)
+            others = [w for w in values.values() if w != values[regime]]
+            assert len(others) == (1 if (alpha, regime) == (1.0, "gt") else 2)
+            assert all(abs(v - w) > 1e-2 for w in others)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_time_that_is_not_positive_and_finite(self, p11, t):
+        for kw in ({}, {"lambda1": 1.1, "c11": True}):
+            prof = survival_profile(HalfSpace((1.0,)), p11, **kw)
+            with pytest.raises(ValueError, match="time must be positive and finite"):
+                prof.evaluate_bracket(t, (0.5,))
 
     def test_cone_needs_beta(self, p21):
         with pytest.raises(MissingParameterError):
