@@ -106,11 +106,13 @@ def _cmd_density(args) -> int:
 _BALL_OPTION = {"green": "v", "poisson": "y", "tail": "R"}
 
 
-def _finite_point(args, name: str) -> tuple:
-    """The point given as ``--name``; every coordinate must be finite."""
+def _finite_point(args, name: str, d: int) -> tuple:
+    """The point given as ``--name``: d coordinates, every one finite."""
     v = _parse_vec(getattr(args, name))
     if not all(map(math.isfinite, v)):
         raise ValueError(f"--{name} must have finite coordinates, got {getattr(args, name)!r}")
+    if len(v) != d:
+        raise ValueError(f"--{name} needs {d} coordinates (--d), got {getattr(args, name)!r}")
     return v
 
 
@@ -119,18 +121,30 @@ def _cmd_ball(args) -> int:
     need = _BALL_OPTION.get(args.query)
     if need and getattr(args, need) is None:
         raise ValueError(f"ball {args.query} needs --{need}")
-    center = _finite_point(args, "center") if args.center else (0.0,) * params.d
-    x = _finite_point(args, "x")
+    d = params.d
+    center = _finite_point(args, "center", d) if args.center else (0.0,) * d
+    x = _finite_point(args, "x", d)
     try:
         if args.query == "green":
-            print(_fmt(kernels.ball_green(params, center, args.r, x, _finite_point(args, "v"))))
+            v = _finite_point(args, "v", d)
+            print(_fmt(kernels.ball_green(params, center, args.r, x, v)))
         elif args.query == "poisson":
-            print(_fmt(kernels.ball_poisson(params, center, args.r, x, _finite_point(args, "y"))))
+            y = _finite_point(args, "y", d)
+            print(_fmt(kernels.ball_poisson(params, center, args.r, x, y)))
         elif args.query == "exit-time":
             print(_fmt(kernels.expected_exit_time_ball(params, center, args.r, x)))
         elif args.query == "tail":
-            exact = kernels.ball_exit_tail_exact(params, x, args.R)
-            br = kernels.ball_exit_tail(params, x, args.R)
+            # the tail is scale-free: answer for the unit ball at (x - c)/r, R/r
+            xs = (np.asarray(x) - np.asarray(center)) / args.r
+            R = args.R / args.r
+            if not float(np.linalg.norm(xs)) < 1.0:
+                raise ValueError(f"--x must lie in the open ball B(--center, --r), got {args.x!r}")
+            if not R >= 2.0:
+                raise ValueError(
+                    f"--R, the tail threshold, must be at least 2 --r, got {args.R!r}"
+                )
+            exact = kernels.ball_exit_tail_exact(params, xs, R)
+            br = kernels.ball_exit_tail(params, xs, R)
             print(f"{_fmt(exact)} bracket {_fmt(br.lower)} {_fmt(br.upper)}")
     except OverflowError as exc:
         raise ValueError(f"the value overflows a float at --r {args.r!r}") from exc
@@ -236,6 +250,8 @@ def _cmd_verify(args) -> int:
     params = _params(args)
     out_dir = args.out
     if args.suite == "identities":
+        if not 0 <= args.tol < math.inf:
+            raise ValueError(f"--tol must be finite and nonnegative, got {args.tol!r}")
         rep = harness.verify_identities(params, tol=args.tol)
         for line in rep.lines():
             print(line)
@@ -324,6 +340,8 @@ def _parse_bhp_config(doc: dict, d: Optional[int] = None) -> harness.BHPConfig:
 
 def _cmd_calibrate(args) -> int:
     params = _params(args)
+    if args.window and not args.window[0] < args.window[1]:
+        raise ValueError(f"--window must satisfy T1 < T2, got {' '.join(map(repr, args.window))}")
     if args.quantity == "lambda1":
         window = tuple(args.window) if args.window else None
         est = mc.estimate_lambda1(
@@ -394,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--v", help="second interior point (green)")
     p.add_argument("--y", help="exterior point (poisson)")
-    p.add_argument("--R", type=float, help="tail threshold (tail)")
+    p.add_argument("--R", type=float, help="tail threshold (tail): P^x(|exit - center| > R)")
     p.set_defaults(fn=_cmd_ball)
 
     p = sub.add_parser("survival", help="survival probability")
@@ -443,8 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_opts(p)
     p.add_argument("--r", type=_positive(float), default=1.0, help="ball radius (lambda1)")
     p.add_argument("--x", default="1", help="probe point (beta)")
-    p.add_argument("--window", type=float, nargs=2, default=None)
-    p.add_argument("--thin", type=float, default=None,
+    p.add_argument("--window", type=_positive(float), nargs=2, default=None,
+                   metavar=("T1", "T2"), help="fit window, 0 < T1 < T2")
+    p.add_argument("--thin", type=_positive(float), default=None,
                    help="slab half-width for measure-zero boundaries")
     p.add_argument("--calibration-file", default="calibration.jsonl")
     p.set_defaults(fn=_cmd_calibrate)

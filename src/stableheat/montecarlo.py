@@ -263,6 +263,16 @@ def sample_exit_positions_wos(
 # grid-walk exit simulation
 
 
+def _thin_width(thin: Optional[float]) -> float:
+    """The slab half-width that kills on a hyperplane complement: ``thin``,
+    positive and finite, or the default."""
+    if thin is None:
+        return THIN_BOUNDARY_HALF_WIDTH
+    if not 0 < thin < math.inf:
+        raise ValueError(f"thin must be positive and finite, got {thin!r}")
+    return thin
+
+
 def _walk_batch(
     domain: dom.Domain,
     params: StableParams,
@@ -283,8 +293,7 @@ def _walk_batch(
     ``_check_horizons``.
     """
     nsteps = int(round(horizon / h))
-    if thin is None:
-        thin = THIN_BOUNDARY_HALF_WIDTH
+    thin = _thin_width(thin)
     pos = np.tile(x0, (m, 1))
     tau = np.full(m, np.inf)
     # the live walkers, contiguous and in ascending path order, and their paths
@@ -445,6 +454,7 @@ def survival_curve(
         raise ValueError("start point must lie in the domain")
     t_grid = tuple(float(t) for t in t_grid)
     _check_horizons(t_grid, h)
+    _thin_width(thin)
     t0 = time.perf_counter()
     # only a half-space has tangent balls of every size at its boundary
     if dom.c11_scale(domain) == math.inf:
@@ -568,6 +578,8 @@ def _fit_exponent(curve, tvals, transform):
 
 def _window_grid(fit_window, h: float) -> np.ndarray:
     t1, t2 = fit_window
+    if not 0 < t1 < t2 < math.inf:
+        raise ValueError(f"fit window must be finite with 0 < t1 < t2, got {fit_window!r}")
     tvals = np.geomspace(t1, t2, FIT_POINTS)
     return np.unique(np.array([max(round(t / h), 1) * h for t in tvals]))
 

@@ -240,8 +240,13 @@ def _p1_ascending(d: int, alpha: float, r: float, tol_rel: float):
     return _series_sum(terms(), tol_rel)
 
 
-def _p1_tail(d: int, alpha: float, r: float, tol_rel: float):
-    """Heavy-tail expansion in powers of r^{-alpha}; k=1 term is nu(r)."""
+def _p1_tail(d: int, alpha: float, r: float, tol_rel: float, ln_t: float = 0.0):
+    """Heavy-tail expansion in powers of r^{-alpha}; k=1 term is nu(r).
+
+    With ``ln_t`` = log t it sums p_t(r) = t^{-d/alpha} p_1(r t^{-1/alpha})
+    instead: the scaling enters each term's logarithm as k log t, so a
+    representable p_t is found where p_1 itself under- or overflows.
+    """
     if r <= 0:
         return None
     lead = -(0.5 * d + 1) * _LNPI
@@ -249,7 +254,7 @@ def _p1_tail(d: int, alpha: float, r: float, tol_rel: float):
 
     def terms():
         for k, (c, sg) in enumerate(_tail_terms(d, alpha), 1):
-            lnt = c - (d + k * alpha) * lnr + lead
+            lnt = c - (d + k * alpha) * lnr + k * ln_t + lead
             if lnt > 650.0:
                 return
             # envelope excludes the sin factor: it modulates the sign
@@ -499,9 +504,22 @@ def free_density(params: StableParams, t: float, x, y) -> DensityEval:
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
         raise ValueError("points must have finite coordinates")
     z = math.hypot(*(ya - xa))
-    scale = t ** (-1.0 / a)
-    v, rel = _p1_point(d, a, scale * z, 1e-9)
-    return DensityEval(value=t ** (-d / a) * v, rel_err=rel)
+    try:
+        scale = t ** (-1.0 / a)
+        v, rel = _p1_point(d, a, scale * z, 1e-9)
+        return DensityEval(value=t ** (-d / a) * v, rel_err=rel)
+    except (UnsupportedRegimeError, OverflowError) as exc:
+        # p_1 or the scaling may leave the float range at a tiny t where
+        # p_t does not: sum the tail series of p_t itself
+        res = _p1_tail(d, a, z, 1e-9, log(t))
+        if res is not None and _usable(res):
+            return DensityEval(*res)
+        if isinstance(exc, OverflowError):
+            raise UnsupportedRegimeError(
+                f"the density at d={d}, alpha={a}, t={t!r}, |y - x|={z!r} "
+                "is out of the float range"
+            ) from None
+        raise
 
 
 def free_density_radial(params: StableParams, t, radii) -> np.ndarray:

@@ -454,3 +454,114 @@ def test_malformed_bhp_config_exits_2(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err
+
+
+def test_ball_tail_answers_for_the_ball_it_is_given(capsys):
+    # P^x(|exit - c| > R) from B(c, r) is the unit-ball answer at (x - c)/r, R/r
+    unit = "0.333333333 bracket 0.319144701 0.496329546\n"
+    for argv in (["--x", "0", "--R", "4", "--r", "2"],
+                 ["--x", "5", "--R", "2", "--center", "5"],
+                 ["--x", "1,2", "--R", "6", "--r", "3", "--center", "1,2", "--d", "2"]):
+        assert cli.main(["ball", "tail", *argv]) == 0
+        out = capsys.readouterr().out
+        if "--d" not in argv:
+            assert out == unit
+    assert cli.main(["ball", "tail", "--d", "2", "--x", "0,0", "--R", "2"]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["--center", "5", "--x", "0", "--R", "2"], "--x must lie in the open ball"),
+        (["--x", "2", "--R", "8", "--r", "2"], "--x must lie in the open ball"),
+        (["--x", "0", "--R", "3", "--r", "2"], "--R, the tail threshold, must be at least 2 --r"),
+        (["--x", "0", "--R", "1.5"], "--R, the tail threshold, must be at least 2 --r"),
+    ],
+    ids=["outside_center", "on_the_sphere", "R_below_2r", "R_below_2"],
+)
+def test_ball_tail_outside_point_or_small_threshold_exits_2(capsys, argv, text):
+    assert cli.main(["ball", "tail", *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {text}")
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["exit-time", "--d", "1", "--x", "0.5,0.5"], "--x"),
+        (["exit-time", "--d", "2", "--x", "0.5"], "--x"),
+        (["green", "--d", "2", "--x", "0,0", "--v", "0.5"], "--v"),
+        (["poisson", "--x", "0", "--y", "2,0"], "--y"),
+        (["tail", "--d", "2", "--x", "0,0", "--center", "0", "--R", "3"], "--center"),
+    ],
+    ids=["x_too_long", "x_too_short", "green_v", "poisson_y", "tail_center"],
+)
+def test_ball_point_of_another_dimension_exits_2(capsys, argv, option):
+    # these broadcast against the center and printed a value with exit 0
+    assert cli.main(["ball", *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option} needs ")
+
+
+def test_density_at_a_tiny_time_is_representable(capsys):
+    assert cli.main(["density", "--t", "1e-200", "--x", "0", "--y", "1"]) == 0
+    value = float(capsys.readouterr().out.split()[1])
+    assert value == pytest.approx(1e-200 / np.pi, rel=1e-8)
+
+
+def test_density_whose_scaling_overflows_exits_2_or_answers(capsys):
+    # t^{-1/alpha} = 1e600 ended both of these in an OverflowError traceback
+    argv = ["density", "--alpha", "0.5", "--t", "1e-300", "--x", "0"]
+    assert cli.main([*argv, "--y", "1"]) == 0
+    assert cli.main([*argv, "--y", "0"]) == 2
+    assert "error: the density at d=1, alpha=0.5" in capsys.readouterr().err
+
+
+HYPERPLANE_BETA = ["calibrate", "beta", "--d", "2", "--alpha", "1.5", "--x", "0,1",
+                   "--domain-json", '{"type": "hyperplane_complement", "dim": 2}', "--n", "64"]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        ([*HYPERPLANE_BETA, "--thin", "-1"], "argument --thin: must be positive and finite"),
+        ([*HYPERPLANE_BETA, "--thin", "nan"], "argument --thin: must be positive and finite"),
+        ([*HYPERPLANE_BETA, "--thin", "0"], "argument --thin: must be positive and finite"),
+        (["calibrate", "lambda1", "--window", "nan", "nan", "--n", "64"],
+         "argument --window: must be positive and finite"),
+        (["calibrate", "lambda1", "--window", "1", "inf", "--n", "64"],
+         "argument --window: must be positive and finite"),
+        (["calibrate", "lambda1", "--window", "3", "1", "--n", "64"],
+         "error: --window must satisfy T1 < T2, got 3.0 1.0"),
+        (["verify", "identities", "--tol", "nan"], "error: --tol must be finite and nonnegative"),
+        (["verify", "identities", "--tol", "-1"], "error: --tol must be finite and nonnegative"),
+        (["verify", "identities", "--tol", "inf"], "error: --tol must be finite and nonnegative"),
+    ],
+    ids=["thin_negative", "thin_nan", "thin_0", "window_nan", "window_inf", "window_reversed",
+         "tol_nan", "tol_negative", "tol_inf"],
+)
+def test_bad_thin_window_or_tolerance_exits_2(capsys, monkeypatch, tmp_path, argv, text):
+    # these recorded beta -0, a reversed window or an unnamed NaN error, or
+    # printed FAIL lines, instead of naming the option
+    monkeypatch.chdir(tmp_path)  # default calibration and report paths
+    assert cli.main(argv) == 2
+    assert text in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("thin", [-1.0, 0.0, np.nan, np.inf])
+def test_estimators_reject_a_slab_width_that_is_not_positive_and_finite(thin):
+    params, plane = StableParams(2, 1.5), dom.HyperplaneComplement(2)
+    with pytest.raises(ValueError, match="thin must be positive and finite"):
+        mc.estimate_beta(params, plane, (0.0, 1.0), n=64, thin=thin)
+    with pytest.raises(ValueError, match="thin must be positive and finite"):
+        mc._walk_batch(plane, params, np.array([0.0, 1.0]), 0.25, 1.0,
+                       np.random.default_rng(0), 8, thin=thin)
+
+
+@pytest.mark.parametrize("window", [(np.nan, np.nan), (3.0, 1.0), (0.0, 1.0), (1.0, np.inf)])
+def test_estimators_reject_a_bad_fit_window(window):
+    with pytest.raises(ValueError, match="fit window must be finite with 0 < t1 < t2"):
+        mc.estimate_beta(StableParams(2, 1.5), dom.HyperplaneComplement(2), (0.0, 1.0),
+                         fit_window=window, n=64)
+    with pytest.raises(ValueError, match="fit window must"):
+        mc.estimate_lambda1(StableParams(1, 1.0), 0.5, fit_window=window, n=64)

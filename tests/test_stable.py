@@ -121,6 +121,30 @@ class TestFreeDensity:
         with pytest.raises(UnsupportedRegimeError):
             _p1_point(1, 1.0, 1e200)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_tiny_time_against_the_cauchy_closed_forms(self, d):
+        # p_1 underflows at r = 1e200 although p_t = 3.18e-201 is representable
+        t = 1e-200
+        ev = free_density(StableParams(d, 1.0), t, (0.0,) * d, (1.0,) + (0.0,) * (d - 1))
+        exact = {1: cauchy_1d, 2: cauchy_2d}[d](t, 1.0)
+        assert ev.value == pytest.approx(exact, rel=1e-9)
+        assert ev.rel_err <= 1e-9
+
+    @pytest.mark.parametrize("d, t, z", [(1, 1e-200, 1.0), (2, 1e-250, 3.0), (3, 1e-280, 0.5)])
+    def test_tiny_time_matches_the_levy_density(self, d, t, z):
+        # p_t(z) = t nu(z) (1 + O(t)) with nu(z) = A z^{-d-alpha}
+        params = StableParams(d, 1.5)
+        ev = free_density(params, t, (0.0,) * d, (z,) + (0.0,) * (d - 1))
+        assert ev.value == pytest.approx(t * levy_constant(params) * z ** (-d - 1.5), rel=1e-9)
+
+    def test_tiny_time_whose_scaling_overflows(self):
+        # t^{-1/alpha} = 1e600 overflows; p_t(1) ~ t nu(1) does not, p_t(0) does
+        params = StableParams(1, 0.5)
+        ev = free_density(params, 1e-300, 0.0, 1.0)
+        assert ev.value == pytest.approx(1e-300 * levy_constant(params), rel=1e-9)
+        with pytest.raises(UnsupportedRegimeError, match="out of the float range"):
+            free_density(params, 1e-300, 0.0, 0.0)
+
     def test_symmetry_exact(self, p15):
         a = free_density(p15, 0.7, 0.3, -0.8).value
         b = free_density(p15, 0.7, -0.8, 0.3).value
