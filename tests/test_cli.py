@@ -458,16 +458,16 @@ def test_malformed_bhp_config_exits_2(tmp_path, capsys, text, message):
 
 def test_ball_tail_answers_for_the_ball_it_is_given(capsys):
     # P^x(|exit - c| > R) from B(c, r) is the unit-ball answer at (x - c)/r, R/r
-    unit = "0.333333333 bracket 0.319144701 0.496329546\n"
-    for argv in (["--x", "0", "--R", "4", "--r", "2"],
-                 ["--x", "5", "--R", "2", "--center", "5"],
-                 ["--x", "1,2", "--R", "6", "--r", "3", "--center", "1,2", "--d", "2"]):
+    def tail(*argv):
         assert cli.main(["ball", "tail", *argv]) == 0
-        out = capsys.readouterr().out
-        if "--d" not in argv:
-            assert out == unit
-    assert cli.main(["ball", "tail", "--d", "2", "--x", "0,0", "--R", "2"]) == 0
-    assert capsys.readouterr().out == out
+        return capsys.readouterr().out
+
+    unit = "0.333333333 bracket 0.319144701 0.496329546\n"
+    assert tail("--x", "0", "--R", "2") == unit
+    assert tail("--x", "0", "--R", "4", "--r", "2") == unit
+    assert tail("--x", "5", "--R", "2", "--center", "5") == unit
+    assert (tail("--d", "2", "--x", "2.5,2", "--R", "6", "--r", "3", "--center", "1,2")
+            == tail("--d", "2", "--x", "0.5,0", "--R", "2"))
 
 
 @pytest.mark.parametrize(

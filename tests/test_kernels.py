@@ -17,6 +17,7 @@ from stableheat import (
     MissingParameterError,
     SpecialLipschitz,
     StableParams,
+    SurvivalProfile,
     UnsupportedRegimeError,
     ball_exit_tail,
     ball_exit_tail_exact,
@@ -409,6 +410,12 @@ class TestSurvivalProfile:
         dom_sl = SpecialLipschitz(((-1.0, 0.0), (1.0, 0.0)), 0.5)
         with pytest.raises(UnsupportedRegimeError):
             survival_profile(dom_sl, StableParams(2, 1.0))
+
+    def test_a_profile_outside_the_catalog_raises_when_evaluated(self, p21):
+        # built without survival_profile, which would have refused it
+        prof = SurvivalProfile(SpecialLipschitz(((-1.0, 0.0), (1.0, 0.0)), 0.5), p21)
+        with pytest.raises(UnsupportedRegimeError, match="no closed survival profile"):
+            prof.evaluate_bracket(1.0, (0.0, 1.0))
 
 
 class TestTangentBallBracket:
