@@ -91,6 +91,16 @@ def _params(args) -> StableParams:
     return StableParams(args.d, args.alpha)
 
 
+def _profile(args, domain, params, wanted: bool) -> Optional[kernels.SurvivalProfile]:
+    """The profile built from --lambda1 and --beta if ``wanted``, else None."""
+    if wanted:
+        return kernels.survival_profile(domain, params, beta=args.beta, lambda1=args.lambda1)
+    given = " or ".join(f"--{k}" for k in ("lambda1", "beta") if getattr(args, k) is not None)
+    if given:
+        raise ValueError(f"this command uses no closed survival profile, so it takes no {given}")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -155,10 +165,8 @@ def _cmd_survival(args) -> int:
     params = _params(args)
     domain = _load_domain(args, expect_dim=params.d)
     x = _parse_vec(args.x)
-    if args.profile:
-        prof = kernels.survival_profile(
-            domain, params, beta=args.beta, lambda1=args.lambda1
-        )
+    prof = _profile(args, domain, params, args.profile)
+    if prof:
         print(_fmt(prof.evaluate(args.t, x)))
     else:
         est = mc.survival_curve(
@@ -175,10 +183,9 @@ def _cmd_heatkernel(args) -> int:
     params = _params(args)
     domain = _load_domain(args, expect_dim=params.d)
     x, y = _parse_vec(args.x), _parse_vec(args.y)
-    if args.profile_bracket:
-        br = kernels.heat_kernel_profile(
-            domain, params, args.t, x, y, beta=args.beta, lambda1=args.lambda1
-        )
+    prof = _profile(args, domain, params, args.profile_bracket)
+    if prof:
+        br = kernels.heat_kernel_profile(prof, args.t, x, y)
         print(f"lower {_fmt(br.lower)} upper {_fmt(br.upper)}")
     else:
         est = mc.estimate_heat_kernel(
@@ -249,6 +256,8 @@ def _default_times(domain: dom.Domain, alpha: float, h: float) -> tuple:
 def _cmd_verify(args) -> int:
     params = _params(args)
     out_dir = args.out
+    if args.suite in ("identities", "bhp"):
+        _profile(args, None, params, False)
     if args.suite == "identities":
         if not 0 <= args.tol < math.inf:
             raise ValueError(f"--tol must be finite and nonnegative, got {args.tol!r}")
@@ -270,18 +279,14 @@ def _cmd_verify(args) -> int:
             pts = [_parse_vec(p) for p in args.points.split(";")]
         else:
             pts = _default_points(domain)
+        prof = _profile(args, domain, params, args.suite == "profiles" or args.profile_form)
         if args.suite == "factorization":
             pairs = [(p, q) for p in pts for q in pts]
             rep = harness.factorization_sweep(
-                domain, params, t_set, pairs, args.n, args.h, args.seed,
-                form="profile" if args.profile_form else "mc",
-                workers=_workers(args), lambda1=args.lambda1, beta=args.beta,
+                domain, params, t_set, pairs, args.n, args.h, args.seed, _workers(args), prof
             )
         else:
-            rep = harness.profile_sweep(
-                domain, params, t_set, pts, args.n, args.h, args.seed,
-                workers=_workers(args), lambda1=args.lambda1, beta=args.beta,
-            )
+            rep = harness.profile_sweep(prof, t_set, pts, args.n, args.h, args.seed, _workers(args))
         jpath, cpath = harness.write_report(rep, out_dir, args.suite)
         print(f"empirical_C {_fmt(rep.empirical_C)} cells {len(rep.cells)} "
               f"noisy {rep.stderr_flags}")
@@ -390,6 +395,11 @@ def _add_domain_opts(p):
     p.add_argument("--domain-json", help="inline domain document")
 
 
+def _add_profile_opts(p):
+    p.add_argument("--lambda1", type=float, help="unit-ball decay rate of the profile")
+    p.add_argument("--beta", type=float, help="cone exponent of the profile")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="stableheat",
@@ -423,8 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--mc", action="store_true")
     g.add_argument("--profile", action="store_true")
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    _add_profile_opts(p)
     p.set_defaults(fn=_cmd_survival)
 
     p = sub.add_parser("heatkernel", help="killed transition density")
@@ -436,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--mc", action="store_true")
     g.add_argument("--profile-bracket", action="store_true")
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    _add_profile_opts(p)
     p.set_defaults(fn=_cmd_heatkernel)
 
     p = sub.add_parser("verify", help="identity suite and comparability sweeps")
@@ -451,8 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="configuration file (bhp)")
     p.add_argument("--profile-form", action="store_true",
                    help="use closed profiles for the survival factors")
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    _add_profile_opts(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("calibrate", help="estimate and store decay constants")

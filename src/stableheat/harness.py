@@ -282,19 +282,17 @@ def factorization_sweep(
     n: int,
     h: float,
     seed: int,
-    form: str = "mc",
     workers: int = 1,
-    lambda1: Optional[float] = None,
-    beta: Optional[float] = None,
+    profile: Optional[kernels.SurvivalProfile] = None,
 ) -> RatioReport:
     """Ratio of the killed-kernel estimate to S(x) p(t,x,y) S(y).
 
-    ``form='mc'`` takes S from independent survival estimates (the
-    two-sided factorization in its raw form); ``form='profile'`` takes S
-    from the closed comparability profile.  Cells with relative noise
-    above 25% are flagged and excluded; exterior domains mark cells with
-    t <= diam(D^c)^alpha as outside the guaranteed range (reported but
-    not aggregated).
+    S is the built ``profile`` of the domain (see
+    ``kernels.survival_profile``) when one is given, and otherwise comes
+    from independent survival estimates (the two-sided factorization in
+    its raw form).  Cells with relative noise above 25% are flagged and
+    excluded; exterior domains mark cells with t <= diam(D^c)^alpha as
+    outside the guaranteed range (reported but not aggregated).
     """
     t_set = sorted(float(t) for t in t_set)
     pairs = [
@@ -303,10 +301,6 @@ def factorization_sweep(
     ]
     xs = sorted({p for p, _ in pairs} | {q for _, q in pairs})
     x_index = {p: i for i, p in enumerate(xs)}
-
-    profile = None
-    if form == "profile":
-        profile = kernels.survival_profile(domain, params, lambda1=lambda1, beta=beta)
 
     # one path batch per distinct x gives the kernel for every (t, y);
     # survival factors come from separate seeds to keep numerator and
@@ -317,7 +311,7 @@ def factorization_sweep(
         kern[p] = mc.heat_kernel_grid(
             domain, params, p, xs, t_set, n, h, seed + 7919 * x_index[p], workers
         )
-        if form == "mc":
+        if profile is None:
             curve = mc.survival_curve(
                 domain, params, p, t_set, n, h, seed + 104729 + 7919 * x_index[p], workers
             )
@@ -330,7 +324,7 @@ def factorization_sweep(
     for t in t_set:
         for x, y in pairs:
             est = kern[x][(t, x_index[y])]
-            if form == "mc":
+            if profile is None:
                 sx, sy = surv[x][t], surv[y][t]
                 s_val = sx.mean * sy.mean
                 s_rel2 = _rel2(sx) + _rel2(sy)
@@ -346,24 +340,21 @@ def factorization_sweep(
 
 
 def profile_sweep(
-    domain: dom.Domain,
-    params: StableParams,
+    profile: kernels.SurvivalProfile,
     t_set,
     x_set,
     n: int,
     h: float,
     seed: int,
     workers: int = 1,
-    lambda1: Optional[float] = None,
-    beta: Optional[float] = None,
 ) -> RatioReport:
-    """Ratio of survival estimates to the closed profile per (t, x) cell.
+    """Ratio of survival estimates to the built ``profile`` per (t, x) cell.
 
     For bracket-valued profiles the reported number is the smallest C with
     lower/C <= estimate <= C upper (1 when the estimate is contained).
     """
+    domain, params = profile.domain, profile.params
     t_set = sorted(float(t) for t in t_set)
-    profile = kernels.survival_profile(domain, params, lambda1=lambda1, beta=beta)
     cells = []
     for i, x in enumerate(x_set):
         xa = tuple(np.atleast_1d(np.asarray(x, float)))

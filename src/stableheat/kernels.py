@@ -374,25 +374,15 @@ def survival_profile(
     return SurvivalProfile(domain, params, lambda1=lambda1)
 
 
-def heat_kernel_profile(
-    domain: dom.Domain,
-    params: StableParams,
-    t: float,
-    x,
-    y,
-    *,
-    beta: Optional[float] = None,
-    lambda1: Optional[float] = None,
-) -> Bracket:
+def heat_kernel_profile(profile: SurvivalProfile, t: float, x, y) -> Bracket:
     """Factorized comparator S(t,x) p(t,x,y) S(t,y) as a bracket, with S
-    the ``survival_profile`` of the domain for the given beta and lambda1.
+    the given ``profile`` (built once by ``survival_profile``).
 
     Lower and upper coincide except for bracket-valued profiles.  The true
     killed kernel is comparable to this within constants that the sweep
     harness measures; nothing here asserts their value.
     """
-    profile = survival_profile(domain, params, beta=beta, lambda1=lambda1)
     bx = profile.evaluate_bracket(t, x)
     by = profile.evaluate_bracket(t, y)
-    p = free_density(params, t, x, y).value
+    p = free_density(profile.params, t, x, y).value
     return Bracket(bx.lower * p * by.lower, bx.upper * p * by.upper)

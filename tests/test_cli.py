@@ -565,3 +565,27 @@ def test_estimators_reject_a_bad_fit_window(window):
                          fit_window=window, n=64)
     with pytest.raises(ValueError, match="fit window must"):
         mc.estimate_lambda1(StableParams(1, 1.0), 0.5, fit_window=window, n=64)
+
+
+@pytest.mark.parametrize("option", [["--lambda1", "nan"], ["--beta", "-3"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _survival("--n", "64"),
+        ["heatkernel", "--mc", "--t", "1", "--x", "0", "--y", "0.3", *BALL_ARGS],
+        ["verify", "factorization", "--t", "0.25", "--h", "0.25", *BALL_ARGS],
+        ["verify", "identities"],
+        ["verify", "bhp", "--d", "2", "--alpha", "1.5", "--n", "64", "--config", "bhp.json"],
+    ],
+    ids=["survival_mc", "heatkernel_mc", "factorization_mc", "identities", "bhp"],
+)
+def test_profile_options_without_a_profile_exit_2(capsys, monkeypatch, tmp_path, argv, option):
+    # each of these ran and exited 0, leaving the option unread
+    monkeypatch.chdir(tmp_path)  # the default report directory
+    (tmp_path / "bhp.json").write_text(json.dumps({"configs": [BHP_CELL]}))
+    assert cli.main([*argv, *option]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: this command uses no closed survival profile, so it takes no {option[0]}\n"
+    )
+    assert os.listdir(tmp_path) == ["bhp.json"]  # no report
+

@@ -307,17 +307,20 @@ BALL_POINTS = [(-0.5,), (0.0,), (0.6,)]
 
 def _factorization(form, workers):
     pairs = [(p, q) for p in BALL_POINTS for q in BALL_POINTS]
+    ball, params = dom.Ball((0.0,), 1.0), StableParams(1, 1.0)
+    profile = None
+    if form == "profile":
+        profile = kernels.survival_profile(ball, params, lambda1=1.1577738836977)
     rep = harness.factorization_sweep(
-        dom.Ball((0.0,), 1.0), StableParams(1, 1.0), (0.25, 0.5), pairs, 20_000, 1.0 / 32, 7,
-        form=form, workers=workers, lambda1=1.1577738836977,
+        ball, params, (0.25, 0.5), pairs, 20_000, 1.0 / 32, 7, workers=workers, profile=profile,
     )
     return _report(rep)
 
 
 def _profile_sweep():
     rep = harness.profile_sweep(
-        dom.HalfSpace((0.0, 1.0)), StableParams(2, 1.5), (0.25, 1.0), [(0.0, 0.3), (0.5, 1.0)],
-        20_000, 1.0 / 16, 8,
+        kernels.survival_profile(dom.HalfSpace((0.0, 1.0)), StableParams(2, 1.5)), (0.25, 1.0),
+        [(0.0, 0.3), (0.5, 1.0)], 20_000, 1.0 / 16, 8,
     )
     return _report(rep)
 

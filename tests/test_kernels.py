@@ -449,23 +449,23 @@ class TestTangentBallBracket:
 
 class TestHeatKernelProfile:
     def test_diagonal_dominated_by_peak(self, p11):
-        br = heat_kernel_profile(Ball((0.0,), 1.0), p11, 0.3, 0.2, 0.2)
+        br = heat_kernel_profile(survival_profile(Ball((0.0,), 1.0), p11), 0.3, 0.2, 0.2)
         assert br.upper <= free_density(p11, 0.3, 0.0, 0.0).value * (1 + 1e-12)
 
     def test_ball_composition_at_origin(self, p11):
-        br = heat_kernel_profile(Ball((0.0,), 1.0), p11, 1.0, 0.0, 0.0)
+        br = heat_kernel_profile(survival_profile(Ball((0.0,), 1.0), p11), 1.0, 0.0, 0.0)
         assert br.lower == br.upper == pytest.approx(1.0 / math.pi, rel=1e-9)
 
     def test_halfspace_long_time_decay_scan(self, p11):
         dom_h = HalfSpace((1.0,))
         values = [
-            heat_kernel_profile(dom_h, p11, t, 1.0, 2.0).upper
+            heat_kernel_profile(survival_profile(dom_h, p11), t, 1.0, 2.0).upper
             for t in np.geomspace(1.0, 1e4, 12)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_bracket_type(self, p11):
-        br = heat_kernel_profile(Ball((0.0,), 1.0), p11, 0.5, 0.1, -0.3)
+        br = heat_kernel_profile(survival_profile(Ball((0.0,), 1.0), p11), 0.5, 0.1, -0.3)
         assert isinstance(br, Bracket)
 
 
