@@ -2,8 +2,9 @@
 sweeps and calibration.
 
 Exit status: 0 success/pass, 1 verification or fit failure, 2
-configuration or domain error, 3 inconclusive (too noisy).  All numeric
-output is printed with 9 significant digits, locale-independent.
+configuration or domain error, 3 inconclusive (a sweep too noisy, or an
+estimate outside its known sign or bounds).  All numeric output is
+printed with 9 significant digits, locale-independent.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import calibration
 from . import domains as dom
 from . import harness, kernels
 from . import montecarlo as mc
-from .errors import FitError, InconclusiveError, MissingParameterError, UnsupportedRegimeError
+from .errors import EstimateDiagnostic, FitError, InconclusiveError
 from .stable import StableParams, free_density
 
 
@@ -315,19 +316,26 @@ def _cmd_verify(args) -> int:
     raise ValueError(f"unknown verify suite {args.suite!r}")
 
 
-def _parse_region(doc: dict):
+def _parse_region(doc: dict, name: str, d: int):
+    """The target region ``name`` in R^d; an interval [a, b] is the 1-D box."""
     t = doc.get("type")
-    if t == "interval":
-        return mc.IntervalRegion(float(doc["a"]), float(doc["b"]))
     if t == "ball":
-        return mc.BallRegion(tuple(doc["center"]), float(doc["radius"]))
-    if t == "box":
-        return mc.BoxRegion(tuple(doc["lo"]), tuple(doc["hi"]))
-    raise ValueError(f"unknown region type {t!r}")
+        region = mc.BallRegion(tuple(doc["center"]), float(doc["radius"]))
+    elif t == "box":
+        region = mc.BoxRegion(tuple(doc["lo"]), tuple(doc["hi"]))
+    elif t == "interval":
+        region = mc.BoxRegion((float(doc["a"]),), (float(doc["b"]),))
+    else:
+        raise ValueError(f"unknown region type {t!r}")
+    corners = [region.center] if t == "ball" else [region.lo, region.hi]
+    if any(len(c) != d for c in corners):
+        raise ValueError(f"{name} must be a region of the domain's dimension {d}, got {doc!r}")
+    return region
 
 
 def _parse_bhp_config(doc: dict, d: Optional[int] = None) -> harness.BHPConfig:
     ambient = dom.domain_from_dict(doc["domain"], expect_dim=d)
+    d = dom.dim(ambient)
     x0 = tuple(doc["x0"])
     r = float(doc["r"])
     u = dom.Intersection((ambient, dom.Ball(x0, r)))
@@ -338,8 +346,8 @@ def _parse_bhp_config(doc: dict, d: Optional[int] = None) -> harness.BHPConfig:
         p=float(doc.get("p", 0.5)),
         x1=tuple(doc["x1"]),
         x2=tuple(doc["x2"]),
-        target1=_parse_region(doc["target1"]),
-        target2=_parse_region(doc["target2"]),
+        target1=_parse_region(doc["target1"], "target1", d),
+        target2=_parse_region(doc["target2"], "target2", d),
     )
 
 
@@ -348,19 +356,20 @@ def _cmd_calibrate(args) -> int:
     if args.window and not args.window[0] < args.window[1]:
         raise ValueError(f"--window must satisfy T1 < T2, got {' '.join(map(repr, args.window))}")
     if args.quantity == "lambda1":
-        window = tuple(args.window) if args.window else None
+        ra = args.r ** params.alpha
+        default = tuple(f * ra for f in mc.LAMBDA1_FIT_WINDOW)
+        window = tuple(args.window) if args.window else default
         est = mc.estimate_lambda1(
             params, args.r, fit_window=window, n=args.n, h=args.h,
             rng_seed=args.seed, workers=_workers(args),
         )
         desc = {"type": "ball", "radius": args.r}
         entry = calibration.append_entry(
-            args.calibration_file, "lambda1", params.d, params.alpha, desc, est,
-            window or (args.r ** params.alpha, 3 * args.r ** params.alpha),
+            args.calibration_file, "lambda1", params.d, params.alpha, desc, est, window,
         )
     else:
         domain = _load_domain(args, expect_dim=params.d)
-        window = tuple(args.window) if args.window else (4.0, 64.0)
+        window = tuple(args.window) if args.window else mc.BETA_FIT_WINDOW
         est = mc.estimate_beta(
             params, domain, _parse_vec(args.x), fit_window=window, n=args.n,
             h=args.h, rng_seed=args.seed, workers=_workers(args), thin=args.thin,
@@ -487,13 +496,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (ValueError, MissingParameterError, UnsupportedRegimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FitError as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
         return 1
-    except InconclusiveError as exc:
+    except (InconclusiveError, EstimateDiagnostic) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
     finally:

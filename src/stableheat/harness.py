@@ -374,7 +374,8 @@ class BHPConfig:
     """One admissible boundary-Harnack configuration.
 
     ``u_domain`` must be an open set inside B(x0, r); x1, x2 inside
-    B(x0, p r); the targets outside B(x0, r).
+    B(x0, p r); the targets, regions with ``contains_many`` and ``dist``,
+    outside B(x0, r).
     """
 
     u_domain: dom.Domain
@@ -394,6 +395,9 @@ class BHPConfig:
                 raise ValueError(f"{name} must lie in the inner ball of radius p*r")
             if not dom.contains(self.u_domain, pa):
                 raise ValueError(f"{name} must lie in the localized domain")
+        for name, target in (("target1", self.target1), ("target2", self.target2)):
+            if target.dist(x0) < self.r:
+                raise ValueError(f"{name} must lie outside the localization ball B(x0, r)")
 
 
 def bhp_sweep(

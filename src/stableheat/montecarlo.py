@@ -59,6 +59,10 @@ STICKS = 64
 #: log-spaced horizons of an exponent fit window (before rounding to the step)
 FIT_POINTS = 9
 
+#: default fit windows: for lambda1 in units of r^alpha, for beta in time
+LAMBDA1_FIT_WINDOW = (1.0, 3.0)
+BETA_FIT_WINDOW = (4.0, 64.0)
+
 #: walk-on-spheres iterations after which the walk stops with an error
 #: (a degenerate domain/point configuration)
 WOS_MAX_STEPS = 1_000_000
@@ -596,15 +600,16 @@ def estimate_lambda1(
     """Long-time decay rate of survival in a ball, scaled by r^alpha.
 
     Fits log P(tau > t) ~ const - lambda1 t / r^alpha over a log-spaced
-    window (default [r^alpha, 3 r^alpha]: late enough that the spatial
-    prefactor is flat, early enough that survivors remain; the survival
-    is exponentially small past a few multiples of r^alpha).  Two
+    window (default ``LAMBDA1_FIT_WINDOW``, [r^alpha, 3 r^alpha]: late
+    enough that the spatial prefactor is flat, early enough that survivors
+    remain; the survival is exponentially small past a few multiples of
+    r^alpha).  Two
     disjoint half-windows must give slopes agreeing within 3 combined
     stderr, else the fit fails.
     """
     ra = radius ** params.alpha
     if fit_window is None:
-        fit_window = (ra, 3.0 * ra)
+        fit_window = tuple(f * ra for f in LAMBDA1_FIT_WINDOW)
     t1, t2 = fit_window
     if t1 < ra:
         raise ValueError("fit window must start at or after r^alpha")
@@ -629,7 +634,7 @@ def estimate_beta(
     params: StableParams,
     cone: dom.Domain,
     x,
-    fit_window=(4.0, 64.0),
+    fit_window=BETA_FIT_WINDOW,
     n: int = 100_000,
     h: float = 1.0 / 16,
     rng_seed: int = 1,
@@ -715,21 +720,16 @@ def bhp_cross_ratio(
 
 
 @dataclass(frozen=True)
-class IntervalRegion:
-    a: float
-    b: float
-
-    def contains_many(self, pts: np.ndarray) -> np.ndarray:
-        return (pts[:, 0] >= self.a) & (pts[:, 0] <= self.b)
-
-
-@dataclass(frozen=True)
 class BallRegion:
     center: tuple
     radius: float
 
     def contains_many(self, pts: np.ndarray) -> np.ndarray:
         return dom._sq_dist(pts, self.center) <= self.radius ** 2
+
+    def dist(self, x) -> float:
+        gap = np.asarray(x, float) - np.asarray(self.center)
+        return max(float(np.linalg.norm(gap)) - self.radius, 0.0)
 
 
 @dataclass(frozen=True)
@@ -741,3 +741,8 @@ class BoxRegion:
         lo = np.asarray(self.lo)
         hi = np.asarray(self.hi)
         return np.all((pts >= lo) & (pts <= hi), axis=1)
+
+    def dist(self, x) -> float:
+        x = np.asarray(x, float)
+        gap = np.maximum(np.asarray(self.lo) - x, x - np.asarray(self.hi))
+        return float(np.linalg.norm(np.maximum(gap, 0.0)))

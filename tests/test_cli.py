@@ -589,3 +589,59 @@ def test_profile_options_without_a_profile_exit_2(capsys, monkeypatch, tmp_path,
     )
     assert os.listdir(tmp_path) == ["bhp.json"]  # no report
 
+
+def test_heatkernel_with_a_diagnostic_estimate_is_inconclusive(capsys):
+    # the estimate -0.00536 lies below -3 stderr; this ended in a traceback
+    argv = ["heatkernel", "--mc", "--d", "1", "--alpha", "1.5", "--domain-json", BALL_1D,
+            "--x", "0.9", "--y", "-0.9", "--t", "8", "--n", "64", "--h", "0.5", "--seed", "57"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "inconclusive: killed-kernel estimate -0.00536 is below -3 stderr"
+    )
+
+
+def _bhp_1d(tmp_path, capsys, target1, target2):
+    cell = {"domain": {"type": "halfspace", "axis": [1]}, "x0": [1], "r": 1, "p": 0.5,
+            "x1": [0.8], "x2": [1.2], "target1": target1, "target2": target2}
+    out = tmp_path / target1["type"]
+    config = tmp_path / f"{target1['type']}.json"
+    config.write_text(json.dumps({"configs": [cell]}))
+    argv = ["verify", "bhp", "--d", "1", "--alpha", "1.5", "--config", str(config),
+            "--n", "4096", "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    return [(out / f"bhp.{ext}").read_bytes() for ext in ("json", "csv")]
+
+
+def test_interval_target_is_the_one_dimensional_box(tmp_path, capsys):
+    intervals = _bhp_1d(tmp_path, capsys, {"type": "interval", "a": -4, "b": 0},
+                        {"type": "interval", "a": 2, "b": 6})
+    boxes = _bhp_1d(tmp_path, capsys, {"type": "box", "lo": [-4], "hi": [0]},
+                    {"type": "box", "lo": [2], "hi": [6]})
+    assert intervals == boxes
+
+
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        ({"target1": {"type": "box", "lo": [-4, -4], "hi": [0, 0]},
+          "target2": {"type": "box", "lo": [0, -4], "hi": [4, 0]}},
+         "error: target1 must lie outside the localization ball B(x0, r)"),
+        ({"target2": {"type": "ball", "center": [1.5, 1.5], "radius": 1.5}},
+         "error: target2 must lie outside the localization ball B(x0, r)"),
+        ({"target1": {"type": "interval", "a": 2, "b": 3}},
+         "error: target1 must be a region of the domain's dimension 2"),
+        ({"target2": {"type": "box", "lo": [2], "hi": [3]}},
+         "error: target2 must be a region of the domain's dimension 2"),
+    ],
+    ids=["boxes_at_x0", "ball_within_r", "interval_in_2d", "box_of_1d"],
+)
+def test_bhp_target_inside_the_localization_ball_or_of_another_dimension_exits_2(
+        tmp_path, capsys, targets, message):
+    # the first was measured (empirical_C 2.33 at the default n) and exited 0
+    config = tmp_path / "bhp.json"
+    config.write_text(json.dumps({"configs": [{**BHP_CELL, **targets}]}))
+    argv = ["verify", "bhp", "--d", "2", "--alpha", "1.5", "--config", str(config),
+            "--n", "64", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(message)
