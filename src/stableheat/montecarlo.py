@@ -603,9 +603,8 @@ def estimate_lambda1(
     window (default ``LAMBDA1_FIT_WINDOW``, [r^alpha, 3 r^alpha]: late
     enough that the spatial prefactor is flat, early enough that survivors
     remain; the survival is exponentially small past a few multiples of
-    r^alpha).  Two
-    disjoint half-windows must give slopes agreeing within 3 combined
-    stderr, else the fit fails.
+    r^alpha).  Two disjoint half-windows must give slopes agreeing within
+    3 combined stderr, else the fit fails.
     """
     ra = radius ** params.alpha
     if fit_window is None:
