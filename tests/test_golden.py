@@ -1,7 +1,7 @@
 """Fixed-seed golden values for the domain catalog, the exact samplers,
 the grid walk, the estimators, the ratio sweeps, the boundary-Harnack
-report, the point evaluator of the free density, the survival-profile
-catalog and the report files that ``verify`` writes.
+report, the point evaluator and fast table of the free density, the
+survival-profile catalog and the report files that ``verify`` writes.
 
 The expected values pin the package's outputs bit for bit: arrays by a
 sha256 prefix of their bytes, reports and witnesses by a sha256 prefix of
@@ -24,6 +24,7 @@ import pytest
 from stableheat import cli, harness, kernels
 from stableheat import domains as dom
 from stableheat import montecarlo as mc
+from stableheat import stable
 from stableheat.stable import StableParams, _p1_point, free_density_radial
 
 
@@ -246,6 +247,14 @@ def _radial():
                      for p in SAMPLER_PARAMS for t in (0.3, 1.0, 2.5)))
 
 
+def _table(d, alpha):
+    """The whole fast table, built afresh: its tail cut, head spline,
+    tail coefficients and measured error."""
+    fast = stable._P1Fast(d, alpha)
+    return _digest(np.array(fast.zstar), fast._spline.c, fast._tail_b,
+                   np.array(fast.max_rel_err))
+
+
 # ---------------------------------------------------------------------------
 # the survival-profile catalog: every shape, with and without lambda1 and
 # as the tangent-ball (c11) bracket
@@ -405,6 +414,8 @@ CASES["estimate/heat_kernel"] = (_heat_kernel,)
 CASES["free_density_radial"] = (_radial,)
 for _d, _alpha in ((1, 1.0), (2, 1.5), (3, 0.7), (1, 0.5)):
     CASES[f"point/{_d}_{_alpha}"] = (_point, _d, _alpha)
+for _d, _alpha in ((1, 1.0), (2, 1.5), (3, 0.7), (1, 0.5), (2, 1.9)):
+    CASES[f"table/{_d}_{_alpha}"] = (_table, _d, _alpha)
 # bit-identical for any worker count: each workers=2 case shares one expected
 # value with its workers=1 case; listed after the first of them, they run
 # on the worker pool that it started
@@ -487,6 +498,11 @@ EXPECTED = {
     'survival/halfspace_d2': '4d1d7e3f9d881f052dbc',
     'survival/halfspace_d2/workers2': '4d1d7e3f9d881f052dbc',
     'survival/hyperplane_complement_d2': 'c80a734c0bd4d87234c3',
+    'table/1_0.5': '15952d7f2d09c18c900c',
+    'table/1_1.0': 'e3b582df108fb08c132b',
+    'table/2_1.5': '0483c39aeffd1236391e',
+    'table/2_1.9': 'b3c0376029d505d58083',
+    'table/3_0.7': '55c5ac5b278e386a1471',
     'walk/ball_d1_all_killed': '2ac8e6d933020e39cfca',
     'walk/halfspace_d2': 'f7fad2f7de1204ff80b5',
     'walk/hyperplane_complement_d2_thin': '10afc8c9a914a5fb5ba4',
