@@ -257,6 +257,8 @@ def _default_times(domain: dom.Domain, alpha: float, h: float) -> tuple:
 def _cmd_verify(args) -> int:
     params = _params(args)
     out_dir = args.out
+    if args.profile_form and args.suite != "factorization":
+        raise ValueError(f"--profile-form applies only to verify factorization, not to {args.suite}")
     if args.suite in ("identities", "bhp"):
         _profile(args, None, params, False)
     if args.suite == "identities":
@@ -356,7 +358,10 @@ def _cmd_calibrate(args) -> int:
     if args.window and not args.window[0] < args.window[1]:
         raise ValueError(f"--window must satisfy T1 < T2, got {' '.join(map(repr, args.window))}")
     if args.quantity == "lambda1":
-        ra = args.r ** params.alpha
+        try:
+            ra = args.r ** params.alpha
+        except OverflowError:
+            raise ValueError(f"the value overflows a float at --r {args.r!r}") from None
         default = tuple(f * ra for f in mc.LAMBDA1_FIT_WINDOW)
         window = tuple(args.window) if args.window else default
         est = mc.estimate_lambda1(
@@ -467,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="reports", help="report output directory")
     p.add_argument("--config", help="configuration file (bhp)")
     p.add_argument("--profile-form", action="store_true",
-                   help="use closed profiles for the survival factors")
+                   help="use closed profiles for the survival factors (factorization)")
     _add_profile_opts(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -481,18 +481,32 @@ def survival_curve(
 
 def _kernel_sums(domain, params, x, y_list, t_grid, h, seed, index, m):
     """Sums of p(t - tau, X_tau, y) and of its square over the walks killed
-    before t, per (t, y), for batch ``index``."""
+    before t, per (t, y), for batch ``index``.
+
+    One table evaluation serves the whole batch: the (t - tau, |X_tau - y|)
+    pairs of every cell are evaluated in one array, and each cell sums its
+    own slice.  The density is computed element by element, so every value
+    is the one a call per cell would give.
+    """
     tau, pos, _ = _walk_batch(domain, params, x, h, max(t_grid), _stream(seed, index), m)
     s1 = np.zeros((len(t_grid), len(y_list)))
     s2 = np.zeros((len(t_grid), len(y_list)))
-    for j, y in enumerate(y_list):
-        dist = np.linalg.norm(pos - np.asarray(y), axis=1)
-        for i, t in enumerate(t_grid):
-            sel = tau < t
-            if sel.any():
-                vals = free_density_radial(params, t - tau[sel], dist[sel])
-                s1[i, j] = vals.sum()
-                s2[i, j] = (vals * vals).sum()
+    dists = [np.linalg.norm(pos - np.asarray(y), axis=1) for y in y_list]
+    cells, ages, radii = [], [], []
+    for i, t in enumerate(t_grid):
+        sel = tau < t
+        if sel.any():
+            age = t - tau[sel]
+            for j, dist in enumerate(dists):
+                cells.append((i, j))
+                ages.append(age)
+                radii.append(dist[sel])
+    if cells:
+        vals = free_density_radial(params, np.concatenate(ages), np.concatenate(radii))
+        ends = np.cumsum([a.size for a in ages])
+        for (i, j), v in zip(cells, np.split(vals, ends[:-1])):
+            s1[i, j] = v.sum()
+            s2[i, j] = (v * v).sum()
     return s1, s2
 
 

@@ -151,47 +151,6 @@ def incomplete_kernel_integral(a: float, b: float, w: float) -> float:
 # unit-time radial profile p_1(r): series + quadrature
 
 
-def _series_sum(term_iter, tol_rel):
-    """Sum terms with alternating-tail/optimal-truncation error control.
-
-    Accepts an iterator of (signed_term, envelope) pairs where
-    ``envelope`` is a smooth magnitude bound (oscillating prefactors
-    stripped), so that the optimal-truncation point of an asymptotic
-    expansion is detected reliably.  Returns (sum, rel_err) or None when
-    the series is unusable at this point (divergence before convergence,
-    overflow or catastrophic cancellation).
-    """
-    s = 0.0
-    maxmag = 0.0
-    prev = None
-    decreasing = False
-    best = None  # (sum_at_min_envelope, envelope, maxmag)
-    for k, (t, mag) in enumerate(term_iter):
-        if mag > 1e290:
-            return None
-        if prev is not None:
-            if mag < prev:
-                decreasing = True
-            elif decreasing and mag > prev:
-                # passed the optimal-truncation point of an asymptotic series
-                break
-        s += t
-        maxmag = max(maxmag, mag)
-        if best is None or mag < best[1]:
-            best = (s, mag, maxmag)
-        prev = mag
-        if s > 0 and mag <= 0.25 * tol_rel * s and k >= 1:
-            best = (s, mag, maxmag)
-            break
-    if best is None:
-        return None
-    s, trunc, maxmag = best
-    if s <= 0:
-        return None
-    rel = (trunc + maxmag * 2e-15) / s
-    return s, rel
-
-
 # The series coefficients depend on (d, alpha) only.  Each cached prefix
 # is the leading part of its term's left-to-right sum, so a term built
 # from it is the same float as one written out in full.
@@ -221,27 +180,59 @@ def _tail_terms(d: int, alpha: float) -> tuple:
     )
 
 
+# Both series below are summed in one loop with the same error control.
+# ``mag`` is a term's magnitude with any oscillating factor stripped, so
+# that the optimal-truncation point of an asymptotic expansion is found
+# reliably.  The sum stops at a term past exp(650) (overflow ahead), once
+# the magnitudes rise again after falling (past the optimal truncation),
+# or at the second term or later once ``mag <= tol_rel s / 4``.  The
+# result is the partial sum at that last term, or else at the smallest
+# magnitude seen, with relative error (that magnitude + 2e-15 x the
+# largest one so far) / sum.  The route is unusable (None) when a
+# magnitude passes 1e290, no term was summed or the sum is not positive
+# (divergence, overflow or cancellation).
+
+
 def _p1_ascending(d: int, alpha: float, r: float, tol_rel: float):
-    """Power series in r^2 around the origin."""
+    """Power series in r^2 around the origin: (value, rel_err) or None."""
     lead = (1 - d) * _LN2 - 0.5 * d * _LNPI - log(alpha)
     x = r * r / 4.0
     if x == 0.0:
         return exp(lead + lgamma(d / alpha) - lgamma(d / 2)), 1e-15
     lnx = log(x)
-
-    def terms():
-        for k, c in enumerate(_ascending_terms(d, alpha)):
-            lnt = c + k * lnx + lead
-            if lnt > 650.0:
-                return
-            mag = exp(lnt)
-            yield (mag if k % 2 == 0 else -mag), mag
-
-    return _series_sum(terms(), tol_rel)
+    stop = 0.25 * tol_rel
+    s = maxmag = prev = 0.0
+    best_s = best_mag = best_max = 0.0
+    falling = False
+    for k, c in enumerate(_ascending_terms(d, alpha)):
+        lnt = c + k * lnx + lead
+        if lnt > 650.0:
+            break
+        mag = exp(lnt)
+        if mag > 1e290:
+            return None
+        if k:
+            if mag < prev:
+                falling = True
+            elif falling and mag > prev:
+                break
+        s += mag if k % 2 == 0 else -mag
+        if mag > maxmag:
+            maxmag = mag
+        if k == 0 or mag < best_mag:
+            best_s, best_mag, best_max = s, mag, maxmag
+        prev = mag
+        if s > 0 and mag <= stop * s and k >= 1:
+            best_s, best_mag, best_max = s, mag, maxmag
+            break
+    if best_s <= 0:
+        return None
+    return best_s, (best_mag + best_max * 2e-15) / best_s
 
 
 def _p1_tail(d: int, alpha: float, r: float, tol_rel: float, ln_t: float = 0.0):
     """Heavy-tail expansion in powers of r^{-alpha}; k=1 term is nu(r).
+    Returns (value, rel_err) or None.
 
     With ``ln_t`` = log t it sums p_t(r) = t^{-d/alpha} p_1(r t^{-1/alpha})
     instead: the scaling enters each term's logarithm as k log t, so a
@@ -251,18 +242,36 @@ def _p1_tail(d: int, alpha: float, r: float, tol_rel: float, ln_t: float = 0.0):
         return None
     lead = -(0.5 * d + 1) * _LNPI
     lnr = log(r)
-
-    def terms():
-        for k, (c, sg) in enumerate(_tail_terms(d, alpha), 1):
-            lnt = c - (d + k * alpha) * lnr + k * ln_t + lead
-            if lnt > 650.0:
-                return
-            # envelope excludes the sin factor: it modulates the sign
-            # pattern and would fake a truncation minimum where it dips
-            mag = exp(lnt)
-            yield (sg * mag if k % 2 == 1 else -sg * mag), mag
-
-    return _series_sum(terms(), tol_rel)
+    stop = 0.25 * tol_rel
+    s = maxmag = prev = 0.0
+    best_s = best_mag = best_max = 0.0
+    falling = False
+    for k, (c, sg) in enumerate(_tail_terms(d, alpha), 1):
+        lnt = c - (d + k * alpha) * lnr + k * ln_t + lead
+        if lnt > 650.0:
+            break
+        mag = exp(lnt)
+        if mag > 1e290:
+            return None
+        if k > 1:
+            if mag < prev:
+                falling = True
+            elif falling and mag > prev:
+                break
+        # the sin factor stays out of mag: it modulates the sign pattern
+        # and would fake a truncation minimum where it dips
+        s += sg * mag if k % 2 == 1 else -sg * mag
+        if mag > maxmag:
+            maxmag = mag
+        if k == 1 or mag < best_mag:
+            best_s, best_mag, best_max = s, mag, maxmag
+        prev = mag
+        if s > 0 and mag <= stop * s and k >= 2:
+            best_s, best_mag, best_max = s, mag, maxmag
+            break
+    if best_s <= 0:
+        return None
+    return best_s, (best_mag + best_max * 2e-15) / best_s
 
 
 @lru_cache(maxsize=64)
@@ -434,7 +443,7 @@ class _P1Fast:
 
     def _tail_at_zstar(self) -> np.ndarray:
         # Truncate at the smallest-magnitude term measured at zstar once the
-        # terms have started to fall, as _series_sum does: past that point an
+        # terms have started to fall, as the series sums do: past that point an
         # asymptotic expansion diverges, and for every r > zstar the same
         # truncation is at least as accurate.  The terms may grow before
         # they fall (alpha < 1, where the series converges, and alpha = 1 in

@@ -590,6 +590,36 @@ def test_profile_options_without_a_profile_exit_2(capsys, monkeypatch, tmp_path,
     assert os.listdir(tmp_path) == ["bhp.json"]  # no report
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "identities"],
+        ["verify", "profiles", "--t", "0.25", "--h", "0.25", *BALL_ARGS],
+        ["verify", "bhp", "--d", "2", "--alpha", "1.5", "--n", "64", "--config", "bhp.json"],
+    ],
+    ids=["identities", "profiles", "bhp"],
+)
+def test_profile_form_outside_factorization_exits_2(capsys, monkeypatch, tmp_path, argv):
+    # each of these ran and exited 0, leaving --profile-form unread
+    monkeypatch.chdir(tmp_path)  # the default report directory
+    (tmp_path / "bhp.json").write_text(json.dumps({"configs": [BHP_CELL]}))
+    assert cli.main([*argv, "--profile-form"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --profile-form applies only to verify factorization, not to {argv[1]}\n"
+    )
+    assert os.listdir(tmp_path) == ["bhp.json"]  # no report
+
+
+def test_calibrate_lambda1_at_a_radius_whose_power_overflows(capsys, tmp_path):
+    # r ** alpha once ended this in an OverflowError traceback
+    store = tmp_path / "calibration.jsonl"
+    argv = ["calibrate", "lambda1", "--d", "1", "--r", "1e300", "--alpha", "1.9", "--n", "64",
+            "--calibration-file", str(store)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: the value overflows a float at --r 1e+300\n"
+    assert not store.exists()
+
+
 def test_heatkernel_with_a_diagnostic_estimate_is_inconclusive(capsys):
     # the estimate -0.00536 lies below -3 stderr; this ended in a traceback
     argv = ["heatkernel", "--mc", "--d", "1", "--alpha", "1.5", "--domain-json", BALL_1D,

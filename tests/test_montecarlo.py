@@ -236,3 +236,59 @@ def test_wos_steps_count_the_jumps_of_each_walker():
         dom.Ball((0.0, 0.0), 1.0), StableParams(2, 1.5), (0.0, 0.0), _rng(2, 0), 64)
     assert np.array_equal(steps, np.ones(64, dtype=np.int64))
     assert np.all(np.hypot(pos[:, 0], pos[:, 1]) >= 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the batched density evaluation of the killed-kernel sums
+
+
+def _kernel_sums_per_cell(domain, params, x, y_list, t_grid, h, seed, index, m):
+    """One ``free_density_radial`` call per (t, y) cell: the reference that
+    ``mc._kernel_sums`` must match bit for bit."""
+    tau, pos, _ = mc._walk_batch(domain, params, x, h, max(t_grid), mc._stream(seed, index), m)
+    s1 = np.zeros((len(t_grid), len(y_list)))
+    s2 = np.zeros((len(t_grid), len(y_list)))
+    for j, y in enumerate(y_list):
+        dist = np.linalg.norm(pos - np.asarray(y), axis=1)
+        for i, t in enumerate(t_grid):
+            sel = tau < t
+            if sel.any():
+                vals = mc.free_density_radial(params, t - tau[sel], dist[sel])
+                s1[i, j] = vals.sum()
+                s2[i, j] = (vals * vals).sum()
+    return s1, s2
+
+
+# a walker is first found outside at time h or later, so the horizon h
+# has no killed walker in any of its cells
+KERNEL_SUM_CASES = {
+    "ball_d1": (dom.Ball((0.0,), 1.0), StableParams(1, 1.0), (0.3,),
+                ((-0.95,), (0.0,), (0.5,), (0.95,)), (1 / 64, 0.125, 0.25, 0.5), 1 / 64),
+    "ball_d2": (dom.Ball((0.0, 0.0), 1.0), StableParams(2, 1.5), (0.0, 0.5),
+                ((0.0, 0.0), (0.6, -0.6)), (1 / 32, 0.25, 1.0), 1 / 32),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_SUM_CASES))
+def test_kernel_sums_equal_the_per_cell_evaluation(case):
+    domain, params, x, y_list, t_grid, h = KERNEL_SUM_CASES[case]
+    x = np.asarray(x)
+    tau, _, _ = mc._walk_batch(domain, params, x, h, max(t_grid), mc._stream(5, 2), 3000)
+    assert not (tau < t_grid[0]).any() and (tau < t_grid[-1]).any()
+    got = mc._kernel_sums(domain, params, x, y_list, t_grid, h, 5, 2, 3000)
+    ref = _kernel_sums_per_cell(domain, params, x, y_list, t_grid, h, 5, 2, 3000)
+    for g, r in zip(got, ref):
+        assert g.tobytes() == r.tobytes()
+    assert np.all(got[0][0] == 0.0) and np.all(got[0][1:] > 0.0)
+
+
+def test_kernel_sums_of_a_batch_that_all_survives_skip_the_density(monkeypatch):
+    def no_call(*args):
+        raise AssertionError("no walker was killed: nothing to evaluate")
+
+    monkeypatch.setattr(mc, "free_density_radial", no_call)
+    ball = dom.Ball((0.0, 0.0), 1e9)
+    s1, s2 = mc._kernel_sums(ball, StableParams(2, 1.5), np.zeros(2), ((0.0, 0.0), (1.0, 0.0)),
+                             (0.25, 0.5), 0.25, 3, 0, 500)
+    assert s1.shape == s2.shape == (2, 2)
+    assert not s1.any() and not s2.any()
