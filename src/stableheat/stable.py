@@ -194,7 +194,8 @@ def _tail_terms(d: int, alpha: float) -> tuple:
 
 
 def _p1_ascending(d: int, alpha: float, r: float, tol_rel: float):
-    """Power series in r^2 around the origin: (value, rel_err) or None."""
+    """Power series in r^2 around the origin, summed as described above:
+    (value, rel_err), or None where it is unusable."""
     lead = (1 - d) * _LN2 - 0.5 * d * _LNPI - log(alpha)
     x = r * r / 4.0
     if x == 0.0:
@@ -232,7 +233,7 @@ def _p1_ascending(d: int, alpha: float, r: float, tol_rel: float):
 
 def _p1_tail(d: int, alpha: float, r: float, tol_rel: float, ln_t: float = 0.0):
     """Heavy-tail expansion in powers of r^{-alpha}; k=1 term is nu(r).
-    Returns (value, rel_err) or None.
+    Summed as described above: (value, rel_err), or None where unusable.
 
     With ``ln_t`` = log t it sums p_t(r) = t^{-d/alpha} p_1(r t^{-1/alpha})
     instead: the scaling enters each term's logarithm as k log t, so a
@@ -400,6 +401,12 @@ class _P1Fast:
     with v_{i+1} > v_i puts at least one of the two off by a factor of at
     least sqrt(v_{i+1}/v_i); ``max_rel_err`` takes that factor less one
     too, which flags a bad node that no probe radius reaches.
+
+    ``_p1_fast`` builds one table per (d, alpha) and process; the build
+    makes about a thousand point evaluations, mostly by the two series.
+    A call evaluates each radius on its own, so one call on a concatenated
+    array gives, radius for radius, the floats of one call per part, and
+    one call serves many cells at once.
     """
 
     def __init__(self, d: int, alpha: float):
@@ -533,7 +540,9 @@ def free_density(params: StableParams, t: float, x, y) -> DensityEval:
 
 def free_density_radial(params: StableParams, t, radii) -> np.ndarray:
     """Vectorized p_t at an array of radii |y - x| (fast path); ``t`` is one
-    time or an array of times paired with the radii.
+    time or an array of times paired with the radii.  Each value depends
+    on its own (t, r) pair only, so the pairs of several evaluations may
+    be concatenated into one call, which runs the table's tail sum once.
 
     Backed by the calibrated spline/tail evaluator.  Its measured error
     bound is the table's ``max_rel_err`` (see ``_P1Fast``), and a
