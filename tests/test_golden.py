@@ -151,23 +151,33 @@ def _ball_exit(i, rho):
     return _digest(pos, rng.random(1))
 
 
+#: the domain shape of the exit-wos benchmark workload, with a normal whose
+#: matmul rounds
+TILTED_D2 = dom.Intersection((dom.HalfSpace((0.6, 0.8), 0.0), dom.Ball((0, 0), 1)))
+
+#: name -> (domain, start, index into SAMPLER_PARAMS, path counts drawn in
+#: turn from one stream); a single walker keeps all or none at each step
 WOS_CASES = {
-    "ball_d1": (dom.Ball((0.0,), 1.0), (0.3,), 0),
-    "halfspace_d2": (dom.HalfSpace((0.0, 1.0)), (0.2, 0.5), 1),
+    "ball_d1": (dom.Ball((0.0,), 1.0), (0.3,), 0, (2000,)),
+    "halfspace_d2": (dom.HalfSpace((0.0, 1.0)), (0.2, 0.5), 1, (2000,)),
     "intersection_d3": (
         dom.Intersection((dom.HalfSpace((0.0, 0.0, 1.0)), dom.Ball((0.0, 0.0, 0.0), 1.0))),
         (0.1, 0.0, 0.3),
         2,
+        (2000,),
     ),
+    "intersection_d2_tilted": (TILTED_D2, (0.1, 0.3), 1, (1, 2000)),
 }
 
 
 def _wos(name):
-    domain, x, i = WOS_CASES[name]
+    domain, x, i, sizes = WOS_CASES[name]
     params = StableParams(*SAMPLER_PARAMS[i])
     rng = _rng(78, i)
-    pos, steps = mc.sample_exit_positions_wos(domain, params, x, rng, 2000)
-    return _digest(pos, steps, rng.random(1))
+    out = []
+    for n in sizes:
+        out.extend(mc.sample_exit_positions_wos(domain, params, x, rng, n))
+    return _digest(*out, rng.random(1))
 
 
 SURVIVAL_CASES = {
@@ -178,29 +188,35 @@ SURVIVAL_CASES = {
 }
 
 
-#: name -> (domain, params, start, step, horizon, paths, thin, every walker killed)
+#: name -> (domain, params, start, step, horizon, path counts drawn in turn
+#: from one stream, thin, every walker killed)
 WALK_CASES = {
     "ball_d1_all_killed": (dom.Ball((0.0,), 1.0), StableParams(1, 1.0), (0.2,), 1.0 / 16, 32.0,
-                           1500, None, True),
+                           (1500,), None, True),
     "halfspace_d2": (dom.HalfSpace((0.0, 1.0)), StableParams(2, 1.5), (0.1, 0.3), 1.0 / 16, 1.0,
-                     1500, None, False),
+                     (1500,), None, False),
     "hyperplane_complement_d2_thin": (dom.HyperplaneComplement(2), StableParams(2, 1.5),
-                                      (0.0, 0.5), 1.0 / 16, 1.0, 1500, 0.05, False),
+                                      (0.0, 0.5), 1.0 / 16, 1.0, (1500,), 0.05, False),
     "intersection_d3": (
         dom.Intersection((dom.HalfSpace((0.0, 0.0, 1.0)), dom.Ball((0.0, 0.0, 0.0), 1.0))),
-        StableParams(3, 0.7), (0.1, 0.0, 0.3), 1.0 / 32, 0.5, 1500, None, False),
+        StableParams(3, 0.7), (0.1, 0.0, 0.3), 1.0 / 32, 0.5, (1500,), None, False),
+    "intersection_d2_tilted": (TILTED_D2, StableParams(2, 1.5), (0.1, 0.3), 1.0 / 16, 1.0,
+                               (1, 2000), None, False),
 }
 
 
 def _walk(name):
-    domain, params, x, h, horizon, m, thin, all_killed = WALK_CASES[name]
+    domain, params, x, h, horizon, sizes, thin, all_killed = WALK_CASES[name]
     rng = _rng(79, list(WALK_CASES).index(name))
-    tau, pos, survived = mc._walk_batch(domain, params, np.array(x), h, horizon, rng, m, thin=thin)
+    out = []
+    for m in sizes:
+        out.extend(mc._walk_batch(domain, params, np.array(x), h, horizon, rng, m, thin=thin))
+    tau, survived = out[-3], out[-1]
     if all_killed:  # the step loop must leave by its early exit
         assert tau.max() < horizon
     else:
         assert survived.any()
-    return _digest(tau, pos, survived, rng.random(1))
+    return _digest(*out, rng.random(1))
 
 
 def _estimates(*ests):
@@ -506,6 +522,7 @@ EXPECTED = {
     'walk/ball_d1_all_killed': '2ac8e6d933020e39cfca',
     'walk/halfspace_d2': 'f7fad2f7de1204ff80b5',
     'walk/hyperplane_complement_d2_thin': '10afc8c9a914a5fb5ba4',
+    'walk/intersection_d2_tilted': '4be3f58e74d59711cf37',
     'walk/intersection_d3': '659f657d785322fcb3f9',
     'witness/ball': '32eff36babc23e6bd219',
     'witness/ball_union_exterior_ball': 'c093ed67cce76df80846',
@@ -519,6 +536,7 @@ EXPECTED = {
     'witness/special_lipschitz': 'e666899af4466d5caee6',
     'wos/ball_d1': 'bb407d6ca1807c6424a6',
     'wos/halfspace_d2': 'c4e107577a7da3328179',
+    'wos/intersection_d2_tilted': '486ac63995e537a7e191',
     'wos/intersection_d3': 'cc1ab5f0d7b742779dba',
     'written/bhp': '7feb25be1ad5596c2140 435b91491280c6da018e',
     'written/factorization': 'ab92bc8d4cb9123a2693 9a8a92fccd91909e8e32',

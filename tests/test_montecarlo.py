@@ -239,6 +239,72 @@ def test_wos_steps_count_the_jumps_of_each_walker():
 
 
 # ---------------------------------------------------------------------------
+# a single walker: each step keeps every live walker or none
+
+SINGLE_WALKER_CASES = {
+    "tilted_d2": (dom.Intersection((dom.HalfSpace((0.6, 0.8), 0.0), dom.Ball((0, 0), 1))),
+                  StableParams(2, 1.5), (0.1, 0.3)),
+    "ball_d1": (dom.Ball((0.0,), 1.0), StableParams(1, 1.0), (0.2,)),
+}
+
+
+def _one_wos_walker(domain, params, x, rng):
+    """Walk-on-spheres of one walker as a plain loop: the reference that
+    ``mc.sample_exit_positions_wos`` at n = 1 must match bit for bit."""
+    y = np.array([x], dtype=float)
+    r = dom.dist_many(domain, y)
+    k = 0
+    while True:
+        k += 1
+        y = mc._jump(params, y, r, rng, 1)
+        r = dom.dist_many(domain, y)
+        if not r[0] > 0:
+            return y, k
+
+
+def _one_grid_walker(domain, params, x, h, nsteps, rng):
+    """The grid walk of one walker as a plain loop: the reference that
+    ``mc._walk_batch`` at m = 1 must match bit for bit."""
+    y = np.array([x], dtype=float)
+    for k in range(1, nsteps + 1):
+        y = y + mc.sample_stable_increments(params, h, rng, 1)
+        if not dom.contains_many(domain, y)[0]:
+            return k * h, y
+    return math.inf, y
+
+
+@pytest.mark.parametrize("case", list(SINGLE_WALKER_CASES))
+def test_a_single_wos_walker_matches_the_plain_loop(case):
+    domain, params, x = SINGLE_WALKER_CASES[case]
+    steps_seen = set()
+    for seed in range(12):
+        pos, steps = mc.sample_exit_positions_wos(domain, params, x, _rng(11, seed), 1)
+        ref_pos, ref_steps = _one_wos_walker(domain, params, x, _rng(11, seed))
+        assert pos.tobytes() == ref_pos.tobytes()
+        assert steps.tolist() == [ref_steps]
+        steps_seen.add(ref_steps)
+    # both a jump that keeps the walker and one that loses it were taken
+    assert max(steps_seen) > 1
+
+
+@pytest.mark.parametrize("case", list(SINGLE_WALKER_CASES))
+def test_a_single_grid_walker_matches_the_plain_loop(case):
+    domain, params, x = SINGLE_WALKER_CASES[case]
+    h, horizon = 1.0 / 16, 0.25
+    killed = set()
+    for seed in range(12):
+        tau, pos, survived = mc._walk_batch(domain, params, np.array(x), h, horizon,
+                                            _rng(12, seed), 1)
+        ref_tau, ref_pos = _one_grid_walker(domain, params, x, h, 4, _rng(12, seed))
+        assert tau.tolist() == [ref_tau]
+        assert pos.tobytes() == ref_pos.tobytes()
+        assert survived.tolist() == [ref_tau == math.inf]
+        killed.add(math.isfinite(ref_tau))
+    # some walkers were killed during the walk and some survived it
+    assert killed == {True, False}
+
+
+# ---------------------------------------------------------------------------
 # the batched density evaluation of the killed-kernel sums
 
 
