@@ -13,12 +13,15 @@ acceptance bound degrades).  Exit positions from any other catalog domain
 with a complement of positive measure are exact by walk-on-spheres: each
 live walker jumps to the exact exit point of its largest inscribed ball,
 a point is in the domain when its distance to the complement is
-positive, and one distance evaluation per jump serves both as the exit
-test and as the next radii.  The live walkers stay contiguous and in path
-order, so a walk costs nothing for the walkers that have left.  Exit
-times from a half-space are exact too: they depend only on the supremum
-of a 1-D stable process, which stick-breaking samples without a time
-grid.  Exit times from every other
+positive (a non-positive or NaN distance is an exit), and one distance
+evaluation per jump serves both as the exit test and as the next radii.
+Both walks keep their live walkers contiguous and in path order: each
+step turns its exit mask into index lists of the walkers that stay and
+of those that leave, gathers the first with ``take`` and scatters the
+second to the outputs, so a walk costs nothing for the walkers that have
+left.  Exit times from a half-space are exact too: they depend only on
+the supremum of a 1-D stable process, which stick-breaking samples
+without a time grid.  Exit times from every other
 domain are simulated on a time grid with a one-sided bias, so callers
 compare runs at h and h/2.  The bias is not O(h): for E^0 tau on the unit
 ball (d = 1, alpha = 1.5) it fell by a factor 0.63-0.69 per halving of h,
@@ -66,6 +69,9 @@ BETA_FIT_WINDOW = (4.0, 64.0)
 #: walk-on-spheres iterations after which the walk stops with an error
 #: (a degenerate domain/point configuration)
 WOS_MAX_STEPS = 1_000_000
+
+#: the most steps h a grid walk may be asked for; a longer horizon is rejected
+WALK_MAX_STEPS = 1_000_000
 
 #: half-width of the slab used to stand in for a measure-zero boundary
 #: ({x_d = 0} is invisible to a discrete walk; the thickened domain has
@@ -154,7 +160,10 @@ def _jump(params: StableParams, p, radius, rng: np.random.Generator, n: int) -> 
         sgn = rng.integers(0, 2, n) * 2.0 - 1.0
         return p + (rad * sgn)[:, None]
     z = rng.standard_normal((n, d))
-    z /= np.sqrt(dom._sq_dist(z, 0.0))[:, None]
+    q = z[:, 0] * z[:, 0]
+    for j in range(1, d):
+        q += z[:, j] * z[:, j]
+    z /= np.sqrt(q, out=q)[:, None]
     z *= rad[:, None]
     z += p
     return z
@@ -220,10 +229,13 @@ def sample_exit_positions_wos(
     steps[i] is the jump at which walker i left.
 
     A point belongs to the domain when its distance to the complement is
-    positive, so every ball has a positive radius and a landing at
-    distance 0 is an exit.  The live walkers are kept contiguous and in
-    ascending path order, and one domain evaluation per jump gives both
-    the exit test and the next radii.  Exact in law because each ball
+    positive, so every ball has a positive radius, and a landing at a
+    non-positive or NaN distance is an exit.  The live walkers are kept
+    contiguous and in ascending path order, and one ``dom.dist_many`` call
+    per jump gives both the exit test and the next radii.  A jump that
+    loses walkers turns the test into index lists of those that stay and
+    those that leave; the leavers are scattered to the outputs and the
+    stayers gathered with ``take``.  Exact in law because each ball
     exit is exact and exits occur by jumps.  Not applicable to domains
     whose complement has measure zero (the walk would never terminate).
     """
@@ -253,13 +265,13 @@ def sample_exit_positions_wos(
             )
         live = _jump(params, live, radii, rng, idx.size)
         radii = dom.dist_many(domain, live)
-        keep = radii > 0
-        if not keep.all():
-            out = ~keep
-            gone = idx[out]
-            pos[gone] = live[out]
-            steps[gone] = it
-            idx, live, radii = idx[keep], live[keep], radii[keep]
+        inside = radii > 0
+        if not inside.all():
+            keep, gone = np.flatnonzero(inside), np.flatnonzero(~inside)
+            left = idx.take(gone)
+            pos[left] = live.take(gone, axis=0)
+            steps[left] = it
+            idx, live, radii = idx.take(keep), live.take(keep, axis=0), radii.take(keep)
     return pos, steps
 
 
@@ -292,9 +304,13 @@ def _walk_batch(
     tau is the first grid time at which the chain is found outside the
     domain (jump-and-return excursions inside one step are missed, so
     survival is biased upward, by the order h^{1/alpha} measured in the
-    module docstring); censored walks carry tau = inf.  The horizon must
-    be a whole number of steps, which the estimators check with
-    ``_check_horizons``.
+    module docstring); censored walks carry tau = inf.  The live walkers
+    are kept contiguous and in ascending path order: a step that loses
+    walkers turns its exit mask into index lists of those that stay and
+    those that leave, scatters the leavers to tau and the end positions
+    and gathers the stayers with ``take``.  The horizon must be a whole
+    number of steps, at most ``WALK_MAX_STEPS``, which the estimators
+    check with ``_check_horizons`` and ``_check_step_budget``.
     """
     nsteps = int(round(horizon / h))
     thin = _thin_width(thin)
@@ -303,20 +319,21 @@ def _walk_batch(
     # the live walkers, contiguous and in ascending path order, and their paths
     idx = np.arange(m)
     live = pos.copy()
+    slab = isinstance(domain, dom.HyperplaneComplement)
     for k in range(1, nsteps + 1):
         if idx.size == 0:
             break
         live += sample_stable_increments(params, h, rng, idx.size)
-        if isinstance(domain, dom.HyperplaneComplement):
+        if slab:
             out = np.abs(live[:, -1]) <= thin
         else:
             out = ~dom.contains_many(domain, live)
         if out.any():
-            newly = idx[out]
-            tau[newly] = k * h
-            pos[newly] = live[out]
-            keep = ~out
-            idx, live = idx[keep], live[keep]
+            keep, gone = np.flatnonzero(~out), np.flatnonzero(out)
+            left = idx.take(gone)
+            tau[left] = k * h
+            pos[left] = live.take(gone, axis=0)
+            idx, live = idx.take(keep), live.take(keep, axis=0)
     pos[idx] = live
     return tau, pos, ~np.isfinite(tau)
 
@@ -394,6 +411,17 @@ def _check_horizons(t_grid, h: float) -> None:
             raise ValueError("each horizon must be an integer multiple of the step")
 
 
+def _check_step_budget(t_grid, h: float) -> None:
+    """Reject horizons that would walk more than ``WALK_MAX_STEPS`` steps h
+    on the grid; check ``_check_horizons`` first."""
+    steps = round(max(t_grid) / h)
+    if steps > WALK_MAX_STEPS:
+        raise ValueError(
+            f"horizon {max(t_grid)!r} is {steps:.3g} steps of {h!r}; a grid walk "
+            f"takes at most {WALK_MAX_STEPS} steps"
+        )
+
+
 def _survival_counts(domain, params, x, t_grid, h, thin, seed, index, m):
     """Walks still inside at each horizon of t_grid, for batch ``index``."""
     tau, _, _ = _walk_batch(
@@ -450,8 +478,8 @@ def survival_curve(
     On a half-space (``HalfSpace``, or ``CircularCone`` with angle pi/2)
     the estimates are exact in law: they come from stick-broken suprema,
     use no time grid and carry step 0.  On every other domain they come
-    from grid walks with step h.  Horizons must be whole multiples of h
-    either way.
+    from grid walks with step h, at most ``WALK_MAX_STEPS`` steps long.
+    Horizons must be whole multiples of h either way.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if not dom.contains(domain, xa):
@@ -466,6 +494,7 @@ def survival_curve(
         job = partial(_supremum_counts, params.alpha, delta, t_grid, rng_seed)
         step = 0.0
     else:
+        _check_step_budget(t_grid, h)
         job = partial(_survival_counts, domain, params, xa, t_grid, h, thin, rng_seed)
         step = h
     parts = _run_batches(n, job, workers)
@@ -524,6 +553,7 @@ def heat_kernel_grid(
     y_list = tuple(tuple(np.atleast_1d(np.asarray(y, dtype=float))) for y in y_list)
     t_grid = tuple(float(t) for t in t_grid)
     _check_horizons(t_grid, h)
+    _check_step_budget(t_grid, h)
     t0 = time.perf_counter()
     job = partial(_kernel_sums, domain, params, xa, y_list, t_grid, h, rng_seed)
     parts = _run_batches(n, job, workers)

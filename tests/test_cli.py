@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -617,6 +618,20 @@ def test_calibrate_lambda1_at_a_radius_whose_power_overflows(capsys, tmp_path):
             "--calibration-file", str(store)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: the value overflows a float at --r 1e+300\n"
+    assert not store.exists()
+
+
+def test_calibrate_lambda1_beyond_the_step_budget_exits_2_at_once(capsys, tmp_path):
+    # the fit window [1e285, 3e285] asks the grid walk for about 2e287 steps;
+    # the call once ran for minutes with no output
+    store = tmp_path / "calibration.jsonl"
+    argv = ["calibrate", "lambda1", "--d", "1", "--r", "1e150", "--alpha", "1.9", "--n", "64",
+            "--calibration-file", str(store)]
+    t0 = time.monotonic()
+    assert cli.main(argv) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().err.endswith(
+        f"steps of 0.015625; a grid walk takes at most {mc.WALK_MAX_STEPS} steps\n")
     assert not store.exists()
 
 

@@ -162,6 +162,18 @@ def test_both_grid_estimators_apply_one_horizon_rule(t_grid, message):
         mc.heat_kernel_grid(ball, params, (0.0,), ((0.3,),), t_grid, 512, 1.0 / 64, 1)
 
 
+def test_only_the_grid_walk_has_a_step_budget():
+    ball, params = dom.Ball((0.0,), 1.0), StableParams(1, 1.0)
+    t = (mc.WALK_MAX_STEPS + 1) / 64
+    with pytest.raises(ValueError, match="a grid walk takes at most"):
+        mc.survival_curve(ball, params, (0.0,), (t,), 512, 1.0 / 64, 1)
+    with pytest.raises(ValueError, match="a grid walk takes at most"):
+        mc.heat_kernel_grid(ball, params, (0.0,), ((0.3,),), (t,), 512, 1.0 / 64, 1)
+    # the exact half-space survival takes no steps
+    half = mc.survival_curve(dom.HalfSpace((1.0,)), params, (1.0,), (t,), 512, 1.0 / 64, 1)
+    assert half[0].step == 0.0
+
+
 def _fields(curve):
     return [(e.mean, e.stderr, e.n, e.seed, e.step) for e in curve]
 
