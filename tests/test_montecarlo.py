@@ -72,15 +72,20 @@ def _upper_tail(alpha, q):
 
 
 # d = 2 and 3 check that one coordinate of an isotropic increment is the
-# 1-D law, which the half-space supremum relies on; dt = 0.5 checks scaling
-@pytest.mark.parametrize("d,alpha", [(1, 1.0), (1, 0.7), (2, 1.5), (3, 1.0)])
+# 1-D law, which the half-space supremum relies on; dt = 0.5 checks scaling;
+# the lower tail P(X < -q) equals the upper one by symmetry; 0.98 and 1.02
+# sit on either side of the alpha = 1 special case
+@pytest.mark.parametrize("d,alpha", [(1, 1.0), (1, 0.7), (2, 1.5), (3, 1.0),
+                                     (1, 0.3), (1, 0.5), (1, 0.98), (1, 1.02),
+                                     (1, 1.5), (1, 1.9)])
 def test_stable_increments_match_the_exact_upper_tail(d, alpha):
     dt = 0.5
-    rng = _rng(42, 100 * d + int(10 * alpha))
+    rng = _rng(42, 1000 * d + round(100 * alpha))
     x = mc.sample_stable_increments(StableParams(d, alpha), dt, rng, 4 * GATE_N)[:, 0]
     for q in (0.25, 1.0, 4.0):
         exact = _upper_tail(alpha, q * dt ** (-1.0 / alpha))
         assert abs(_z_prob(x > q, exact)) <= Z_GATE, q
+        assert abs(_z_prob(x < -q, exact)) <= Z_GATE, -q
 
 
 #: P(|X_1| > q) for the unit Cauchy law in d = 2 and d = 3
@@ -125,16 +130,27 @@ def test_cauchy_supremum_matches_spitzer(theta, exact):
     assert abs(_z_mean(1.0 / (1.0 + theta * sup), exact)) <= Z_GATE
 
 
+def _spitzer_z(alpha, exact):
+    rng = _rng(44, int(10 * alpha))
+    sup = mc._sample_supremum(alpha, rng, 32768)
+    e = rng.standard_exponential(sup.size)
+    return _z_mean(np.exp(-e ** (1.0 / alpha) * sup), exact)
+
+
 def test_supremum_matches_spitzer_at_alpha_1_5():
     # With E ~ Exp(1) independent, E^{1/alpha} S_1 is the supremum up to
     # time E, and Spitzer's identity gives
     # E exp(-E^{1/alpha} S_1) = exp(int_0^inf e^{-t} g(t^{1/alpha}) dt / t),
     # g(s) = int_0^inf (e^{-s y} - 1) p_1(y) dy; nested quadrature of
     # _p1_point gives 0.5641009688
-    rng = _rng(44, 15)
-    sup = mc._sample_supremum(1.5, rng, 32768)
-    e = rng.standard_exponential(sup.size)
-    assert abs(_z_mean(np.exp(-e ** (1.0 / 1.5) * sup), 0.5641009688)) <= Z_GATE
+    assert abs(_spitzer_z(1.5, 0.5641009688)) <= Z_GATE
+
+
+# the same nested quadrature as at alpha = 1.5; at alpha = 1 it reproduces
+# the Cauchy value 0.6282307780 to 1e-10
+@pytest.mark.parametrize("alpha,exact", [(0.7, 0.6631353231), (1.9, 0.5125801076)])
+def test_supremum_matches_spitzer_at_small_and_large_alpha(alpha, exact):
+    assert abs(_spitzer_z(alpha, exact)) <= Z_GATE
 
 
 @pytest.mark.parametrize("t,h", [(math.inf, 0.25), (math.nan, 0.25), (1e300, 1e-300)])
