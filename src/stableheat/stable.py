@@ -334,13 +334,16 @@ def _p1_quadrature(d: int, alpha: float, r: float):
     return None
 
 
+@lru_cache(maxsize=4096)
 def _p1_point(d: int, alpha: float, r: float, tol_rel: float = 1e-9):
     """Rigorous evaluation of p_1 at radius r: (value, rel_err).
 
     Only a route whose value is finite and positive, and whose error
     estimate is positive and below one (at least one correct digit),
     counts; a radius that every route misses raises
-    ``UnsupportedRegimeError``.
+    ``UnsupportedRegimeError``.  Results are cached, since a sweep asks
+    for the same (t, |y - x|) in its kernel estimate and again in its
+    report.
     """
     if not 0.0 <= r < math.inf:
         raise ValueError(f"radius must be finite and nonnegative, got {r!r}")

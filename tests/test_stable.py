@@ -254,6 +254,17 @@ class TestFreeDensity:
             table = stable._P1Fast(1, 1.0)
         assert table.max_rel_err >= 1.0
 
+    # a factorization sweep asks for each (t, |y - x|) in its kernel
+    # estimate and again in its report; the second ask is a cache hit
+    def test_a_repeated_point_is_evaluated_once(self):
+        params = StableParams(1, 1.37)
+        before = _p1_point.cache_info()
+        first = free_density(params, 0.7, 0.0, 0.413)
+        again = free_density(params, 0.7, 0.413, 0.0)
+        after = _p1_point.cache_info()
+        assert again == first
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
     # the Cauchy densities; just past the table's switch radius its
     # truncated tail once read 4.8e-6 (d = 1) to 3.4e-4 (d = 3) off them
     @pytest.mark.parametrize("d", [1, 2, 3])
