@@ -323,7 +323,9 @@ def survival_profile(
     """Build the comparability profile for a catalog domain.
 
     Cones need an exponent ``beta`` in [0, alpha) unless the aperture is
-    pi/2 (half-space, beta = alpha/2) or one is stored on the domain.
+    pi/2 (half-space, beta = alpha/2) or one is stored on the domain; no
+    other profile reads ``beta``, so giving it elsewhere, or with ``c11``,
+    raises ``ValueError``.
     Hyperplane complements need alpha > 1, interval complements alpha >= 1.
     ``c11=True`` requests the two-sided tangent-ball bracket instead of the
     variant's native shape; it needs a tangent-ball scale and, when that
@@ -336,6 +338,11 @@ def survival_profile(
         raise ValueError("domain dimension does not match the parameters")
     if lambda1 is not None and not 0 < lambda1 < math.inf:
         raise ValueError(f"lambda1 must be positive and finite, got {lambda1!r}")
+    if beta is not None and (c11 or not isinstance(domain, dom.CircularCone)):
+        raise ValueError(
+            "beta applies only to the native profile of a cone, not to "
+            + ("the tangent-ball bracket" if c11 else type(domain).__name__)
+        )
 
     if c11:
         r = dom.c11_scale(domain)

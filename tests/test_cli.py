@@ -224,6 +224,16 @@ def test_missing_option_bad_decay_rate_exponent_or_off_grid_horizon_exits_2(
     assert "error: " in err and text in err
 
 
+def test_beta_on_a_domain_that_is_not_a_cone_exits_2(capsys):
+    # the ball profile never read it, and this printed 1 and exited 0
+    argv = ["survival", "--profile", "--d", "1", "--alpha", "1", "--domain-json", BALL_1D,
+            "--x", "0", "--t", "0.5", "--beta", "7"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: beta applies only to the native profile of a cone, not to Ball\n"
+    )
+
+
 def test_run_batches_rejects_empty_runs():
     with pytest.raises(ValueError, match="path count must be positive"):
         mc._run_batches(0, lambda i, m: m)

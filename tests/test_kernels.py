@@ -363,6 +363,16 @@ class TestSurvivalProfile:
         with pytest.raises(ValueError, match=r"beta must lie in \[0, alpha\)"):
             survival_profile(CircularCone(1.0, (0.0, 1.0), beta=beta), p21)
 
+    def test_rejects_a_beta_that_no_profile_reads(self, p11, p21):
+        # only a cone's native profile reads beta
+        with pytest.raises(ValueError, match="not to Ball"):
+            survival_profile(Ball((0.0,), 1.0), p11, beta=0.5)
+        with pytest.raises(ValueError, match="not to HalfSpace"):
+            survival_profile(HalfSpace((1.0,)), p11, beta=0.5)
+        with pytest.raises(ValueError, match="not to the tangent-ball bracket"):
+            survival_profile(ExteriorBall((0.0, 0.0), 1.0), p21, beta=0.5,
+                             lambda1=1.0, c11=True)
+
     def test_exterior_regime_selection(self):
         # at delta = R/4 and t = 2 R^alpha the three exterior-ball regimes
         # give different values, except that the d > alpha and the
