@@ -134,8 +134,8 @@ def sample_stable_increments(
     one-sided alpha/2-stable time with Laplace transform exp(-dt l^{a/2});
     subordination makes the characteristic function exp(-dt |xi|^alpha).
     """
-    if dt <= 0:
-        raise ValueError("time step must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"time step must be positive and finite, got {dt!r}")
     s = dt ** (2.0 / params.alpha) * _one_sided_stable(params.alpha / 2.0, rng, n)
     z = rng.standard_normal((n, params.d))
     return np.sqrt(2.0 * s)[:, None] * z

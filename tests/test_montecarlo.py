@@ -88,6 +88,13 @@ def test_stable_increments_match_the_exact_upper_tail(d, alpha):
         assert abs(_z_prob(x < -q, exact)) <= Z_GATE, -q
 
 
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+def test_a_time_step_that_is_not_positive_and_finite_is_rejected(dt):
+    # NaN and inf once gave NaN and infinite increments
+    with pytest.raises(ValueError, match="time step must be positive and finite"):
+        mc.sample_stable_increments(StableParams(1, 1.5), dt, _rng(47, 0), 8)
+
+
 #: P(|X_1| > q) for the unit Cauchy law in d = 2 and d = 3
 CAUCHY_RADIAL_TAILS = {
     2: lambda q: (1.0 + q * q) ** -0.5,
