@@ -1,11 +1,13 @@
 """Samplers and estimators for the killed isotropic stable process.
 
-Increments are exact: a centered Gaussian evaluated at an independent
-one-sided stable time, so the increment law has characteristic function
-exp(-dt |xi|^alpha) by construction.  The time is drawn by Kanter's
-trigonometric method, except at alpha = 1, where it is the Levy law
-1/(2 Z^2) of one standard normal Z and the increment is the Cauchy law
-dt N/|Z|.
+Increments are exact, with characteristic function exp(-dt |xi|^alpha).
+In d = 1 they are drawn directly by the Chambers-Mallows-Stuck formula,
+from one uniform and, unless alpha = 1, one exponential; the half-space
+supremum takes the same draw.  In d >= 2 they are a centered Gaussian
+evaluated at an independent one-sided stable time, which is drawn by
+Kanter's trigonometric method, except at alpha = 1, where it is the Levy
+law 1/(2 Z^2) of one standard normal Z and the increment is the Cauchy
+law dt N/|Z|.
 Ball exit positions are exact: the radial law from the center reduces to
 a Beta variable, and general starting points use rejection against the
 center law (falling back to an exact composition of center draws when the
@@ -125,17 +127,57 @@ def _one_sided_stable(rho: float, rng: np.random.Generator, n: int) -> np.ndarra
     return np.exp((1.0 - rho) / rho * (ln_a - np.log(e)))
 
 
+def _symmetric_stable(alpha: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n unit 1-D stable draws, characteristic function exp(-|xi|^alpha).
+
+    Chambers, Mallows & Stuck (J. Amer. Statist. Assoc. 71 (1976)): with
+    V = pi (U - 1/2) and W ~ Exp(1),
+
+        Z = sin(alpha V) / cos(V)^{1/alpha} (cos((1 - alpha) V) / W)^{(1 - alpha)/alpha},
+
+    which is tan V at alpha = 1, where no W is drawn.  The two powers are
+    one exp of a sum of logs, so no factor overflows where Z does not;
+    U = 0 gives cos V = 6e-17, not 0, and every draw is finite unless W
+    is 0 at alpha < 1, or U is within e^{-700 alpha} of 0 or 1.
+    """
+    v = rng.random(n)
+    v -= 0.5
+    v *= pi
+    if alpha == 1.0:
+        return np.tan(v, out=v)
+    w = rng.standard_exponential(n)
+    c = np.multiply(v, 1.0 - alpha)
+    np.cos(c, out=c)
+    c /= w
+    np.log(c, out=c)
+    c *= 1.0 - alpha
+    np.cos(v, out=w)
+    np.log(w, out=w)
+    c -= w
+    c /= alpha
+    np.exp(c, out=c)
+    v *= alpha
+    np.sin(v, out=v)
+    v *= c
+    return v
+
+
 def sample_stable_increments(
     params: StableParams, dt: float, rng: np.random.Generator, n: int
 ) -> np.ndarray:
     """n exact increments over time dt, shape (n, d).
 
-    A Gaussian vector with per-coordinate variance 2S, where S is a
+    In d = 1, dt^{1/alpha} Z with Z from ``_symmetric_stable``.  In d >= 2,
+    a Gaussian vector with per-coordinate variance 2S, where S is a
     one-sided alpha/2-stable time with Laplace transform exp(-dt l^{a/2});
     subordination makes the characteristic function exp(-dt |xi|^alpha).
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"time step must be positive and finite, got {dt!r}")
+    if params.d == 1:
+        z = _symmetric_stable(params.alpha, rng, n)
+        z *= dt ** (1.0 / params.alpha)
+        return z[:, None]
     s = dt ** (2.0 / params.alpha) * _one_sided_stable(params.alpha / 2.0, rng, n)
     z = rng.standard_normal((n, params.d))
     return np.sqrt(2.0 * s)[:, None] * z
@@ -438,16 +480,16 @@ def _sample_supremum(alpha: float, rng: np.random.Generator, n: int) -> np.ndarr
     of [0, 1] with independent unit stable Z_k (Pitman & Uribe Bravo, Ann.
     Probab. 40 (2012); Gonzalez Cazares, Mijatovic & Uribe Bravo, Adv.
     Appl. Probab. 51 (2019)).  Each stick draws the sign of Z_k first and
-    a magnitude only for a positive face, which is exact by symmetry.
+    a magnitude only for a positive face, which is exact by symmetry; Z_k
+    is the 1-D draw of ``sample_stable_increments``, by ``_symmetric_stable``.
     """
-    line = StableParams(1, alpha)
     sup = np.zeros(n)
     rest = np.ones(n)
     for _ in range(STICKS):
         stick = rest * rng.random(n)
         rest -= stick
         up = np.flatnonzero(rng.random(n) < 0.5)
-        z = sample_stable_increments(line, 1.0, rng, up.size)[:, 0]
+        z = _symmetric_stable(alpha, rng, up.size)
         sup[up] += stick[up] ** (1.0 / alpha) * np.abs(z)
     return sup
 

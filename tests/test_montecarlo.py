@@ -95,6 +95,34 @@ def test_a_time_step_that_is_not_positive_and_finite_is_rejected(dt):
         mc.sample_stable_increments(StableParams(1, 1.5), dt, _rng(47, 0), 8)
 
 
+@pytest.mark.parametrize("n", [1, 1000, 8193])
+def test_a_cauchy_increment_in_d1_draws_one_uniform(n):
+    # the Chambers-Mallows-Stuck draw at alpha = 1 is tan(pi (U - 1/2)):
+    # no Gaussian and no clock may come back into the stream
+    rng, twin = _rng(48, n), _rng(48, n)
+    mc.sample_stable_increments(StableParams(1, 1.0), 0.5, rng, n)
+    twin.random(n)
+    # the state holds small arrays (counter, key, buffer), printed in full
+    assert str(rng.bit_generator.state) == str(twin.bit_generator.state)
+
+
+class _EdgeGenerator:
+    """U alternating between 0 and the largest double below 1, and W = 1."""
+
+    def random(self, n):
+        return np.resize([0.0, 1.0 - 2.0 ** -53], n)
+
+    def standard_exponential(self, n):
+        return np.ones(n)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 1.5, 1.9])
+def test_increments_at_the_ends_of_the_uniform_are_finite(alpha):
+    # cos(pi (U - 1/2)) is tiny there, but not 0
+    x = mc.sample_stable_increments(StableParams(1, alpha), 0.5, _EdgeGenerator(), 4)
+    assert np.all(np.isfinite(x)) and np.all(x[::2] < 0) and np.all(x[1::2] > 0)
+
+
 #: P(|X_1| > q) for the unit Cauchy law in d = 2 and d = 3
 CAUCHY_RADIAL_TAILS = {
     2: lambda q: (1.0 + q * q) ** -0.5,
