@@ -469,11 +469,11 @@ EXPECTED = {
     'document/interval_complement': "{'type': 'interval_complement', 'intervals': [[-1.0, 0.0], [1.0, 2.5]]} -> IntervalComplement(intervals=((-1.0, 0.0), (1.0, 2.5)))",
     'document/special_lipschitz': "{'type': 'special_lipschitz', 'breakpoints': [[-1.0, 0.0], [0.0, 0.5], [1.0, 0.0]], 'lipschitz_constant': 0.5} -> SpecialLipschitz(breakpoints=((-1.0, 0.0), (0.0, 0.5), (1.0, 0.0)), lipschitz_constant=0.5)",
     'estimate/beta_hyperplane_complement_thin': '39f8f6128b77c4ca66bd',
-    'estimate/heat_kernel': '3bad11aa585e7624e6ea',
-    'estimate/lambda1': '8d0e7839015857827036',
-    'factorization/ball_d1/profile': '1c3f3fcbb9b39c463c3d',
-    'factorization/ball_d1/workers1': 'be86013a4b122ddcaa25',
-    'factorization/ball_d1/workers2': 'be86013a4b122ddcaa25',
+    'estimate/heat_kernel': '38058f422eabe1c70b42',
+    'estimate/lambda1': 'c480ab83b044431b9a13',
+    'factorization/ball_d1/profile': 'ef6dcf63d3773fa07232',
+    'factorization/ball_d1/workers1': 'c4f2bfea2753cd4d705f',
+    'factorization/ball_d1/workers2': 'c4f2bfea2753cd4d705f',
     'free_density_radial': '05318c90ca38c320dd72',
     'geometry/ball': '600ce111d72673668fc2',
     'geometry/ball_union_exterior_ball': 'ec077829e1c83a1ff1cf',
@@ -509,17 +509,17 @@ EXPECTED = {
     'profile/interval_complement': '47f2393d6cc1c83b68cb',
     'profile/right_cone': '1ae3bdd4d58db2a6bbcc',
     'profile/special_lipschitz': 'd483061595431c5313eb',
-    'profile_sweep/halfspace_d2': 'e0a2842e70d8e5aa6229',
-    'survival/ball_d1': '6a4c79eb73768486a3e4',
-    'survival/halfspace_d2': '4d1d7e3f9d881f052dbc',
-    'survival/halfspace_d2/workers2': '4d1d7e3f9d881f052dbc',
+    'profile_sweep/halfspace_d2': '5291c42dfccfee8c1959',
+    'survival/ball_d1': 'e7463559bc0214c56ee7',
+    'survival/halfspace_d2': '1db618ee3cfe4314d484',
+    'survival/halfspace_d2/workers2': '1db618ee3cfe4314d484',
     'survival/hyperplane_complement_d2': 'c80a734c0bd4d87234c3',
     'table/1_0.5': '15952d7f2d09c18c900c',
     'table/1_1.0': 'e3b582df108fb08c132b',
     'table/2_1.5': '0483c39aeffd1236391e',
     'table/2_1.9': 'b3c0376029d505d58083',
     'table/3_0.7': '55c5ac5b278e386a1471',
-    'walk/ball_d1_all_killed': '2ac8e6d933020e39cfca',
+    'walk/ball_d1_all_killed': 'a792fedbf1e8985b8c85',
     'walk/halfspace_d2': 'f7fad2f7de1204ff80b5',
     'walk/hyperplane_complement_d2_thin': '10afc8c9a914a5fb5ba4',
     'walk/intersection_d2_tilted': '4be3f58e74d59711cf37',
@@ -539,9 +539,9 @@ EXPECTED = {
     'wos/intersection_d2_tilted': '486ac63995e537a7e191',
     'wos/intersection_d3': 'cc1ab5f0d7b742779dba',
     'written/bhp': '7feb25be1ad5596c2140 435b91491280c6da018e',
-    'written/factorization': 'ab92bc8d4cb9123a2693 9a8a92fccd91909e8e32',
+    'written/factorization': '2126133ce34507e3e539 a1553d5a4f7df1cb6171',
     'written/identities': '75f546991ba55b9bcdc1',
-    'written/profiles': '2ca225aa27a9fb069020 d4011cae503a0361b4fd',
+    'written/profiles': '23a7a339e02b3a1abf5f 696a066f2f4ce17f32cb',
 }
 
 
