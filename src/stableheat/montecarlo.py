@@ -136,9 +136,9 @@ def _symmetric_stable(alpha: float, rng: np.random.Generator, n: int) -> np.ndar
         Z = sin(alpha V) / cos(V)^{1/alpha} (cos((1 - alpha) V) / W)^{(1 - alpha)/alpha},
 
     which is tan V at alpha = 1, where no W is drawn.  The two powers are
-    one exp of a sum of logs, so no factor overflows where Z does not;
-    U = 0 gives cos V = 6e-17, not 0, and every draw is finite unless W
-    is 0 at alpha < 1, or U is within e^{-700 alpha} of 0 or 1.
+    taken as one exp of a sum of logs, so no factor overflows on its own.
+    cos V >= 6e-17 for every double U, so a draw is infinite only for
+    W = 0 at alpha < 1, or for alpha below about 0.05 at the ends of [0, 1).
     """
     v = rng.random(n)
     v -= 0.5
