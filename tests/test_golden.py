@@ -223,6 +223,12 @@ def _estimates(*ests):
     return _digest(np.array([(e.mean, e.stderr, e.n, e.seed, e.step) for e in ests]))
 
 
+def _supremum(alpha):
+    # the stick-broken supremum with no stop level draws all STICKS sticks
+    rng = mc._stream(5, 0)
+    return _digest(mc._sample_supremum(alpha, rng, 5000), rng.random(1))
+
+
 def _survival(name, workers=1):
     domain, params, x, thin = SURVIVAL_CASES[name]
     curve = mc.survival_curve(
@@ -423,6 +429,8 @@ for _name in WALK_CASES:
     CASES[f"walk/{_name}"] = (_walk, _name)
 for _name in SURVIVAL_CASES:
     CASES[f"survival/{_name}"] = (_survival, _name)
+for _alpha in (0.7, 1.0, 1.5, 1.9):
+    CASES[f"supremum/{_alpha}"] = (_supremum, _alpha)
 CASES["bhp_sweep"] = (_bhp,)
 CASES["estimate/lambda1"] = (_lambda1,)
 CASES["estimate/beta_hyperplane_complement_thin"] = (_beta,)
@@ -510,6 +518,10 @@ EXPECTED = {
     'profile/right_cone': '1ae3bdd4d58db2a6bbcc',
     'profile/special_lipschitz': 'd483061595431c5313eb',
     'profile_sweep/halfspace_d2': '5291c42dfccfee8c1959',
+    'supremum/0.7': '2d9bc71398ad565e8559',
+    'supremum/1.0': '4d44986b28db303e10e2',
+    'supremum/1.5': 'c8431e617e1f55ba5141',
+    'supremum/1.9': 'df3d825699df0d436c31',
     'survival/ball_d1': 'e7463559bc0214c56ee7',
     'survival/halfspace_d2': '1db618ee3cfe4314d484',
     'survival/halfspace_d2/workers2': '1db618ee3cfe4314d484',
