@@ -472,7 +472,9 @@ def _survival_counts(domain, params, x, t_grid, h, thin, seed, index, m):
     return np.array([(tau > t).sum() for t in t_grid], dtype=np.int64)
 
 
-def _sample_supremum(alpha: float, rng: np.random.Generator, n: int) -> np.ndarray:
+def _sample_supremum(
+    alpha: float, rng: np.random.Generator, n: int, stop: float = math.inf
+) -> np.ndarray:
     """n exact draws of S_1, the supremum over [0, 1] of a 1-D stable
     process with characteristic function exp(-t |xi|^alpha).
 
@@ -482,16 +484,37 @@ def _sample_supremum(alpha: float, rng: np.random.Generator, n: int) -> np.ndarr
     Appl. Probab. 51 (2019)).  Each stick draws the sign of Z_k first and
     a magnitude only for a positive face, which is exact by symmetry; Z_k
     is the 1-D draw of ``sample_stable_increments``, by ``_symmetric_stable``.
+
+    A path whose partial sum reaches a finite ``stop`` leaves the draw and
+    returns that partial sum, a value at or above ``stop`` but not S_1:
+    every term is nonnegative and a float sum of nonnegative terms never
+    falls, so S_1 >= stop too and no indicator S_1 < b with b <= stop can
+    change.  The live paths are kept contiguous and in path order, as in
+    ``_walk_batch``, and each stick draws only for them.  With no stop
+    (the default) every path draws all ``STICKS`` sticks.
     """
+    out = np.empty(n)
+    # the live paths, contiguous and in path order, with their partial sums
+    idx = np.arange(n)
     sup = np.zeros(n)
     rest = np.ones(n)
     for _ in range(STICKS):
-        stick = rest * rng.random(n)
+        m = idx.size
+        if m == 0:
+            break
+        stick = rest * rng.random(m)
         rest -= stick
-        up = np.flatnonzero(rng.random(n) < 0.5)
+        up = np.flatnonzero(rng.random(m) < 0.5)
         z = _symmetric_stable(alpha, rng, up.size)
         sup[up] += stick[up] ** (1.0 / alpha) * np.abs(z)
-    return sup
+        if stop < math.inf:
+            done = sup >= stop
+            if done.any():
+                keep, gone = np.flatnonzero(~done), np.flatnonzero(done)
+                out[idx.take(gone)] = sup.take(gone)
+                idx, sup, rest = idx.take(keep), sup.take(keep), rest.take(keep)
+    out[idx] = sup
+    return out
 
 
 def _supremum_counts(alpha, delta, t_grid, seed, index, m):
@@ -499,9 +522,12 @@ def _supremum_counts(alpha, delta, t_grid, seed, index, m):
 
     A walker at height delta survives to t iff <X, n> stays above the
     boundary, that is iff S_1 < delta t^{-1/alpha} by self-similarity.
+    The largest of these levels is the supremum's stop level: a path that
+    reaches it is dead at every horizon.
     """
-    sup = _sample_supremum(alpha, _stream(seed, index), m)
-    return np.array([(sup < delta * t ** (-1.0 / alpha)).sum() for t in t_grid], dtype=np.int64)
+    levels = [delta * t ** (-1.0 / alpha) for t in t_grid]
+    sup = _sample_supremum(alpha, _stream(seed, index), m, stop=max(levels))
+    return np.array([(sup < b).sum() for b in levels], dtype=np.int64)
 
 
 def survival_curve(
@@ -519,9 +545,13 @@ def survival_curve(
 
     On a half-space (``HalfSpace``, or ``CircularCone`` with angle pi/2)
     the estimates are exact in law: they come from stick-broken suprema,
-    use no time grid and carry step 0.  On every other domain they come
-    from grid walks with step h, at most ``WALK_MAX_STEPS`` steps long.
-    Horizons must be whole multiples of h either way.
+    use no time grid and carry step 0.  A supremum stops breaking sticks
+    once its partial sum reaches the largest survival level delta
+    t^{-1/alpha} of the horizons: the sticks left can only raise it, so
+    the path is dead at every horizon.  On every other domain the
+    estimates come from grid walks with step h, at most
+    ``WALK_MAX_STEPS`` steps long.  Horizons must be whole multiples of h
+    either way.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if not dom.contains(domain, xa):

@@ -188,6 +188,46 @@ def test_supremum_matches_spitzer_at_small_and_large_alpha(alpha, exact):
     assert abs(_spitzer_z(alpha, exact)) <= Z_GATE
 
 
+def _two_sample_z(hits, other, n):
+    """z of the difference of two hit counts out of n each, pooled."""
+    if hits == other:
+        return 0.0
+    pooled = (hits + other) / (2 * n)
+    return (hits - other) / math.sqrt(2.0 * n * pooled * (1.0 - pooled))
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+@pytest.mark.parametrize("delta", [0.05, 1.0, 16.0])
+def test_stopped_supremum_counts_match_the_full_draw(alpha, delta):
+    # a path stops once its partial sum reaches the largest level; the
+    # counts must keep the law of the full 64-stick draw, here drawn from
+    # an independent stream
+    t_grid, n = (1.0, 16.0, 256.0), 16384
+    counts = mc._supremum_counts(alpha, delta, t_grid, 50, 0, n)
+    sup = mc._sample_supremum(alpha, _rng(51, int(100 * alpha)), n)
+    for t, c in zip(t_grid, counts):
+        full = int((sup < delta * t ** (-1.0 / alpha)).sum())
+        assert abs(_two_sample_z(int(c), full, n)) <= Z_GATE, t
+
+
+def test_a_stopped_supremum_draws_less_than_half_the_full_stream(monkeypatch):
+    # the stop must fire: at delta = 0.05 and t = 1 most paths pass the
+    # level within a few sticks; each Philox counter step is four words
+    real, streams = mc._stream, []
+
+    def spy(seed, index):
+        streams.append(real(seed, index))
+        return streams[-1]
+
+    monkeypatch.setattr(mc, "_stream", spy)
+    mc._supremum_counts(1.5, 0.05, (1.0,), 52, 0, mc.BATCH)
+    stopped = int(streams[-1].bit_generator.state["state"]["counter"][0])
+    rng = real(52, 0)
+    mc._sample_supremum(1.5, rng, mc.BATCH)
+    full = int(rng.bit_generator.state["state"]["counter"][0])
+    assert 0 < stopped < full / 2
+
+
 @pytest.mark.parametrize("t,h", [(math.inf, 0.25), (math.nan, 0.25), (1e300, 1e-300)])
 def test_a_horizon_of_no_finite_step_count_is_rejected(t, h):
     ball, params = dom.Ball((0.0,), 1.0), StableParams(1, 1.0)
