@@ -517,14 +517,14 @@ EXPECTED = {
     'profile/interval_complement': '47f2393d6cc1c83b68cb',
     'profile/right_cone': '1ae3bdd4d58db2a6bbcc',
     'profile/special_lipschitz': 'd483061595431c5313eb',
-    'profile_sweep/halfspace_d2': '5291c42dfccfee8c1959',
+    'profile_sweep/halfspace_d2': '497e121ecfe7c55a0713',
     'supremum/0.7': '2d9bc71398ad565e8559',
     'supremum/1.0': '4d44986b28db303e10e2',
     'supremum/1.5': 'c8431e617e1f55ba5141',
     'supremum/1.9': 'df3d825699df0d436c31',
     'survival/ball_d1': 'e7463559bc0214c56ee7',
-    'survival/halfspace_d2': '1db618ee3cfe4314d484',
-    'survival/halfspace_d2/workers2': '1db618ee3cfe4314d484',
+    'survival/halfspace_d2': '7b7c8cb2dd1de41e2061',
+    'survival/halfspace_d2/workers2': '7b7c8cb2dd1de41e2061',
     'survival/hyperplane_complement_d2': 'c80a734c0bd4d87234c3',
     'table/1_0.5': '15952d7f2d09c18c900c',
     'table/1_1.0': 'e3b582df108fb08c132b',
@@ -553,7 +553,7 @@ EXPECTED = {
     'written/bhp': '7feb25be1ad5596c2140 435b91491280c6da018e',
     'written/factorization': '2126133ce34507e3e539 a1553d5a4f7df1cb6171',
     'written/identities': '75f546991ba55b9bcdc1',
-    'written/profiles': '23a7a339e02b3a1abf5f 696a066f2f4ce17f32cb',
+    'written/profiles': '6756b7bc341ba85bc55b c2ba7edb72d412c041fb',
 }
 
 
