@@ -262,7 +262,7 @@ class SurvivalProfile:
 
         if self.c11 or isinstance(D, (dom.Ball, dom.HalfSpace)):
             r = dom.c11_scale(D)  # the ball's radius; inf for the half-space
-            hi = min(1.0, delta / min(r, ts)) ** (a / 2)
+            hi = _unit_ratio(delta, min(r, ts)) ** (a / 2)
             lo = hi
             if self.lambda1 is not None:
                 lo *= _late_decay(self.lambda1, t, max(r, delta) ** a)
@@ -286,9 +286,9 @@ class SurvivalProfile:
                 v = g(dl) / g(max(tl ** (1.0 / a), dl))
         elif isinstance(D, dom.CircularCone):
             nx = float(np.linalg.norm(xa))
-            v = min(1.0, delta / ts) ** (a / 2) * min(1.0, nx / ts) ** (self.beta - a / 2)
+            v = _unit_ratio(delta, ts) ** (a / 2) * _unit_ratio(nx, ts) ** (self.beta - a / 2)
         elif isinstance(D, dom.HyperplaneComplement):
-            v = min(1.0, delta / ts) ** (a - 1.0)
+            v = _unit_ratio(delta, ts) ** (a - 1.0)
         elif isinstance(D, dom.IntervalComplement):
             if a > 1.0:
                 num = min(delta ** (a - 1.0), delta ** (a / 2))
@@ -299,6 +299,12 @@ class SurvivalProfile:
         else:
             raise UnsupportedRegimeError(f"no closed survival profile for {type(D).__name__}")
         return _clamp_pair(v, v)
+
+
+def _unit_ratio(length: float, scale: float) -> float:
+    """min(1, length / scale) for a positive length; 1 at scale 0, where a
+    short horizon's t^{1/alpha} underflows."""
+    return min(1.0, length / scale) if scale > 0 else 1.0
 
 
 def _late_decay(lambda1: float, t: float, scale_a: float) -> float:

@@ -517,6 +517,15 @@ def _sample_supremum(
     return out
 
 
+def _survival_level(delta: float, t: float, alpha: float) -> float:
+    """delta t^{-1/alpha}, the level below which S_1 keeps a walker at
+    height delta alive to t; inf where the power overflows a float."""
+    try:
+        return delta * t ** (-1.0 / alpha)
+    except OverflowError:
+        return math.inf
+
+
 def _supremum_counts(alpha, delta, t_grid, seed, index, m):
     """Half-space survivors at each horizon of t_grid, for batch ``index``.
 
@@ -525,7 +534,7 @@ def _supremum_counts(alpha, delta, t_grid, seed, index, m):
     The largest of these levels is the supremum's stop level: a path that
     reaches it is dead at every horizon.
     """
-    levels = [delta * t ** (-1.0 / alpha) for t in t_grid]
+    levels = [_survival_level(delta, t, alpha) for t in t_grid]
     sup = _sample_supremum(alpha, _stream(seed, index), m, stop=max(levels))
     return np.array([(sup < b).sum() for b in levels], dtype=np.int64)
 
@@ -548,8 +557,9 @@ def survival_curve(
     use no time grid and carry step 0.  A supremum stops breaking sticks
     once its partial sum reaches the largest survival level delta
     t^{-1/alpha} of the horizons: the sticks left can only raise it, so
-    the path is dead at every horizon.  On every other domain the
-    estimates come from grid walks with step h, at most
+    the path is dead at every horizon.  A level whose power overflows is
+    infinite, so at such a horizon every path survives.  On every other
+    domain the estimates come from grid walks with step h, at most
     ``WALK_MAX_STEPS`` steps long.  Horizons must be whole multiples of h
     either way.
     """

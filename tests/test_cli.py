@@ -326,6 +326,17 @@ def test_survival_on_a_halfspace_reports_that_no_time_grid_was_used(capsys):
     assert capsys.readouterr().out.rstrip().endswith(" h 0")
 
 
+@pytest.mark.parametrize("mode, field", [("--mc", 1), ("--profile", 0)])
+def test_survival_on_a_halfspace_at_a_horizon_whose_scaling_overflows(capsys, mode, field):
+    # t^{-1/alpha} overflowed the Monte Carlo survival level (OverflowError)
+    # and t^{1/alpha} underflowed the profile's scale (ZeroDivisionError)
+    argv = ["survival", mode, "--d", "1", "--alpha", "0.3", "--domain-json",
+            '{"type": "halfspace", "axis": [1]}', "--x", "1", "--t", "1e-100",
+            "--h", "1e-100", "--n", "1000"]
+    assert cli.main(argv) == 0
+    assert float(capsys.readouterr().out.split()[field]) == 1.0
+
+
 @pytest.mark.parametrize(
     "doc, d",
     [

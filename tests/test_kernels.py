@@ -404,6 +404,17 @@ class TestSurvivalProfile:
             with pytest.raises(ValueError, match="time must be positive and finite"):
                 prof.evaluate_bracket(t, (0.5,))
 
+    def test_a_horizon_whose_scale_underflows_gives_one(self):
+        # t^{1/alpha} = 1e-100^{10/3} is 0, and delta / 0 raised ZeroDivisionError
+        p = StableParams(1, 0.3)
+        cases = [(HalfSpace((1.0,)), {}), (Ball((0.0,), 1.0), {}),
+                 (Ball((0.0,), 1.0), {"lambda1": 1.1, "c11": True})]
+        for domain, kw in cases:
+            br = survival_profile(domain, p, **kw).evaluate_bracket(1e-100, (0.5,))
+            assert br == Bracket(1.0, 1.0), domain
+        cone = survival_profile(CircularCone(1.0, (0.0, 1.0)), StableParams(2, 0.3), beta=0.1)
+        assert cone.evaluate_bracket(1e-100, (0.1, 1.0)) == Bracket(1.0, 1.0)
+
     def test_cone_needs_beta(self, p21):
         with pytest.raises(MissingParameterError):
             survival_profile(CircularCone(math.pi / 3, (0.0, 1.0)), p21)

@@ -228,6 +228,14 @@ def test_a_stopped_supremum_draws_less_than_half_the_full_stream(monkeypatch):
     assert 0 < stopped < full / 2
 
 
+def test_a_survival_level_that_overflows_keeps_every_path():
+    # delta t^{-1/alpha} at t = 1e-100, alpha = 0.3 once raised OverflowError
+    half, params = dom.HalfSpace((1.0,)), StableParams(1, 0.3)
+    assert mc._survival_level(1.0, 1e-100, 0.3) == math.inf
+    est = mc.survival_curve(half, params, (1.0,), (1e-100,), 1000, 1e-100, 1)[0]
+    assert est.mean == 1.0 and est.step == 0.0
+
+
 @pytest.mark.parametrize("t,h", [(math.inf, 0.25), (math.nan, 0.25), (1e300, 1e-300)])
 def test_a_horizon_of_no_finite_step_count_is_rejected(t, h):
     ball, params = dom.Ball((0.0,), 1.0), StableParams(1, 1.0)
