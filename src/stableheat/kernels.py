@@ -227,7 +227,8 @@ class SurvivalProfile:
     ``evaluate`` returns the upper envelope and ``evaluate_bracket`` both
     sides.  Values are comparators, not probabilities: the missing
     constants are measured by the sweep harness.  The shape follows the
-    type of ``domain``; ``beta`` is the cone exponent.
+    type of ``domain``; ``beta`` is the cone exponent.  A point with a
+    non-finite coordinate raises ``ValueError``.
 
     ``lambda1`` is the unit-ball decay rate; a ball of radius r decays at
     lambda1 / r^alpha, which is how ``estimate_lambda1`` reports it.  The
@@ -254,6 +255,8 @@ class SurvivalProfile:
         xa = np.atleast_1d(np.asarray(x, dtype=float))
         if xa.size != d:
             raise ValueError(f"point has {xa.size} coordinates, expected {d}")
+        if not np.all(np.isfinite(xa)):
+            raise ValueError(f"point must have finite coordinates, got {xa.tolist()}")
         if not dom.contains(D, xa):
             return Bracket(0.0, 0.0)
         delta = dom.dist_to_complement(D, xa)

@@ -561,9 +561,11 @@ def survival_curve(
     infinite, so at such a horizon every path survives.  On every other
     domain the estimates come from grid walks with step h, at most
     ``WALK_MAX_STEPS`` steps long.  Horizons must be whole multiples of h
-    either way.
+    either way, and the start point must have finite coordinates.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(xa)):
+        raise ValueError(f"start point must have finite coordinates, got {xa.tolist()}")
     if not dom.contains(domain, xa):
         raise ValueError("start point must lie in the domain")
     t_grid = tuple(float(t) for t in t_grid)

@@ -337,6 +337,34 @@ def test_survival_on_a_halfspace_at_a_horizon_whose_scaling_overflows(capsys, mo
     assert float(capsys.readouterr().out.split()[field]) == 1.0
 
 
+HALFSPACE_2D = '{"type": "halfspace", "axis": [0, 1]}'
+D2 = ["--d", "2", "--alpha", "1.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["survival", "--mc", "--domain-json", HALFSPACE_2D, "--x", "0,inf", "--t", "1"],
+         "start point must have finite coordinates"),
+        (["survival", "--mc", "--domain-json",
+          '{"type": "exterior_ball", "center": [0, 0], "radius": 1}', "--x", "0,inf",
+          "--t", "1"], "start point must have finite coordinates"),
+        (["survival", "--profile", "--domain-json", HALFSPACE_2D, "--x", "0,inf", "--t", "1"],
+         "point must have finite coordinates"),
+        (["verify", "profiles", "--domain-json", HALFSPACE_2D, "--points", "0,inf;0,1",
+          "--n", "512"], "start point must have finite coordinates"),
+    ],
+    ids=["survival_mc_halfspace", "survival_mc_exterior_ball", "survival_profile",
+         "verify_profiles"],
+)
+def test_non_finite_start_or_probe_point_exits_2(capsys, monkeypatch, tmp_path, argv, text):
+    # each of these printed a survival of 1, or wrote ok cells, with exit 0
+    monkeypatch.chdir(tmp_path)  # the default report path
+    assert cli.main([*argv, *D2]) == 2
+    assert f"error: {text}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize(
     "doc, d",
     [

@@ -415,6 +415,14 @@ class TestSurvivalProfile:
         cone = survival_profile(CircularCone(1.0, (0.0, 1.0)), StableParams(2, 0.3), beta=0.1)
         assert cone.evaluate_bracket(1e-100, (0.1, 1.0)) == Bracket(1.0, 1.0)
 
+    @pytest.mark.parametrize("x", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_rejects_a_point_that_is_not_finite(self, x):
+        # (0, inf) lies in the half-space and once evaluated to 1
+        for domain in (HalfSpace((0.0, 1.0)), ExteriorBall((0.0, 0.0), 1.0)):
+            prof = survival_profile(domain, StableParams(2, 1.5))
+            with pytest.raises(ValueError, match="point must have finite coordinates"):
+                prof.evaluate_bracket(1.0, x)
+
     def test_cone_needs_beta(self, p21):
         with pytest.raises(MissingParameterError):
             survival_profile(CircularCone(math.pi / 3, (0.0, 1.0)), p21)

@@ -236,6 +236,15 @@ def test_a_survival_level_that_overflows_keeps_every_path():
     assert est.mean == 1.0 and est.step == 0.0
 
 
+@pytest.mark.parametrize("x", [(0.0, math.inf), (math.nan, 1.0)])
+def test_a_start_point_that_is_not_finite_is_rejected(x):
+    # (0, inf) lies in both domains and once gave survival 1
+    params = StableParams(2, 1.5)
+    for domain in (dom.HalfSpace((0.0, 1.0)), dom.ExteriorBall((0.0, 0.0), 1.0)):
+        with pytest.raises(ValueError, match="start point must have finite coordinates"):
+            mc.survival_curve(domain, params, x, (1.0,), 512, 1.0 / 16, 1)
+
+
 @pytest.mark.parametrize("t,h", [(math.inf, 0.25), (math.nan, 0.25), (1e300, 1e-300)])
 def test_a_horizon_of_no_finite_step_count_is_rejected(t, h):
     ball, params = dom.Ball((0.0,), 1.0), StableParams(1, 1.0)
