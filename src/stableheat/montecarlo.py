@@ -23,11 +23,16 @@ of those that leave, gathers the first with ``take`` and scatters the
 second to the outputs, so a walk costs nothing for the walkers that have
 left.  Exit times from a half-space are exact too: they depend only on
 the supremum of a 1-D stable process, which stick-breaking samples
-without a time grid.  Exit times from every other
-domain are simulated on a time grid with a one-sided bias, so callers
-compare runs at h and h/2.  The bias is not O(h): for E^0 tau on the unit
-ball (d = 1, alpha = 1.5) it fell by a factor 0.63-0.69 per halving of h,
-which is the order h^{1/alpha}.
+without a time grid.  A walker at height delta survives to t iff that
+supremum stays below delta t^{-1/alpha}, and a path stops breaking
+sticks once its partial sum reaches the largest of these levels: each
+stick adds a nonnegative term and a float sum of nonnegative terms never
+falls, so the path is dead at every horizon whatever the rest would add.
+The stopped paths leave the batch as walkers leave the walks.  Exit
+times from every other domain are simulated on a time grid with a
+one-sided bias, so callers compare runs at h and h/2.  The bias is not
+O(h): for E^0 tau on the unit ball (d = 1, alpha = 1.5) it fell by a
+factor 0.63-0.69 per halving of h, which is the order h^{1/alpha}.
 
 Reproducibility: paths are organized in fixed-size batches; batch i uses
 a counter-based Philox stream keyed by (seed, i), and partial results are
