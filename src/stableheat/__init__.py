@@ -35,7 +35,6 @@ from .kernels import (
     ball_green,
     ball_poisson,
     expected_exit_time_ball,
-    exterior_ball_martin,
     heat_kernel_profile,
     survival_profile,
 )

@@ -2,11 +2,9 @@
 survival comparability profiles.
 
 The unit ball's Green function, exit law and expected exit time are
-explicit, and the exterior ball has an explicit Martin kernel via an
-incomplete Beta-type integral.  Around these, ``survival_profile``
-packages the comparability shape S(t, x) for P^x(tau_D > t) for every
-domain the catalog covers; the unknown two-sided constants are left to
-empirical measurement.
+explicit.  Around these, ``survival_profile`` packages the comparability
+shape S(t, x) for P^x(tau_D > t) for every domain the catalog covers; the
+unknown two-sided constants are left to empirical measurement.
 """
 
 from __future__ import annotations
@@ -190,28 +188,6 @@ def ball_exit_tail(params: StableParams, x, R: float) -> Bracket:
     comp = (1.0 - nx) ** (params.alpha / 2) / R ** params.alpha
     lo, hi = _tail_comparability(params.d, params.alpha)
     return Bracket(lo * comp, hi * comp)
-
-
-def exterior_ball_martin(params: StableParams, x, raw: bool = False) -> float:
-    """Martin kernel at infinity of the exterior unit ball, d > alpha.
-
-    M(x) = c * int_0^{|x|^2-1} s^{alpha/2-1} (1+s)^{-d/2} ds, normalized so
-    that M = 1 at |x| = 2.  ``raw=True`` skips the normalization.
-    """
-    d, a = params.d, params.alpha
-    if not d > a:
-        raise UnsupportedRegimeError(
-            "the Martin-kernel route needs d > alpha; use the d = 1 "
-            "recurrent variants otherwise"
-        )
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    nx = float(np.linalg.norm(xa))
-    if nx < 1.0:
-        raise ValueError("x must satisfy |x| >= 1")
-    val = incomplete_kernel_integral(a / 2, d / 2, nx * nx - 1.0)
-    if raw:
-        return val
-    return val / incomplete_kernel_integral(a / 2, d / 2, 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ PACKAGE = ROOT / "src" / "stableheat"
 #: exported names kept without a caller, with the reason
 KEPT_WITHOUT_CALLER = {
     "fat_witness": "the kappa-fat sweep (ROADMAP item 4) decides whether it stays",
-    "exterior_ball_martin": "the never-hit oracle of the exterior_gt profile as t -> infinity",
 }
 
 

@@ -24,7 +24,6 @@ from stableheat import (
     ball_green,
     ball_poisson,
     expected_exit_time_ball,
-    exterior_ball_martin,
     free_density,
     heat_kernel_profile,
     survival_profile,
@@ -200,34 +199,6 @@ class TestExpectedExitTime:
     def test_rejects_outside(self, p11):
         with pytest.raises(ValueError):
             expected_exit_time_ball(p11, 0.0, 1.0, 1.2)
-
-
-class TestExteriorBallMartin:
-    def test_raw_value(self, p21):
-        assert exterior_ball_martin(p21, (math.sqrt(2.0), 0.0), raw=True) == pytest.approx(
-            math.pi / 2, rel=1e-10
-        )
-
-    def test_vanishes_on_sphere(self, p21):
-        assert exterior_ball_martin(p21, (1.0, 0.0)) == 0.0
-
-    def test_monotone(self, p21):
-        a = exterior_ball_martin(p21, (math.sqrt(2.0), 0.0), raw=True)
-        b = exterior_ball_martin(p21, (2.0, 0.0), raw=True)
-        assert b > a
-
-    def test_normalization_point(self, p21):
-        assert exterior_ball_martin(p21, (2.0, 0.0)) == pytest.approx(1.0, rel=1e-14)
-
-    def test_bounded_at_infinity(self, p21):
-        limit = exterior_ball_martin(p21, (1e8, 0.0))
-        beta_ref = math.gamma(0.5) * math.gamma(0.5) / math.gamma(1.0)
-        norm = exterior_ball_martin(p21, (2.0, 0.0), raw=True)
-        assert limit == pytest.approx(beta_ref / norm, rel=1e-3)
-
-    def test_rejects_recurrent_range(self, p11):
-        with pytest.raises(UnsupportedRegimeError):
-            exterior_ball_martin(p11, 2.0)
 
 
 @pytest.mark.parametrize("radius", [math.inf, math.nan, -1.0, 0.0])
