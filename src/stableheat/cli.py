@@ -1,6 +1,12 @@
 """Command-line driver: kernel evaluation, estimators, verification
 sweeps and calibration.
 
+Every variant of ``ball``, ``verify`` and ``calibrate`` is a subcommand of
+its own that declares exactly the options its function reads, spelled in
+full: the parser refuses any other option, and a missing required one,
+with exit 2.  JSON documents (``--domain``, ``--domain-json``, ``--config``)
+must hold only numbers that are finite as floats.
+
 Exit status: 0 success/pass, 1 verification or fit failure, 2
 configuration or domain error, 3 inconclusive (a sweep too noisy, or an
 estimate outside its known sign or bounds).  All numeric output is
@@ -42,22 +48,34 @@ def _parse_vec(s: str) -> tuple:
     return vals
 
 
-def _read_json(path, what: str):
+def _finite(convert):
+    """json parse hook: ``convert(s)`` if a float holds ``s`` as a finite number."""
+    def parse(s: str):
+        if not math.isfinite(float(s)):
+            raise ValueError(f"{s[:16]}{'...' * (len(s) > 16)} is not a finite number")
+        return convert(s)
+
+    return parse
+
+
+def _read_json(what: str, path=None, text=None):
+    """The JSON document in the file ``path``, or in ``text``.  A number that no
+    finite float holds (NaN, Infinity, 1e999, a 400-digit integer) is an error."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read {what} {path!r}: {exc}") from exc
+        if path is not None:
+            with open(path) as fh:
+                text = fh.read()
+        return json.loads(text, parse_float=_finite(float), parse_int=_finite(int),
+                          parse_constant=_finite(float))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read {what}: {exc}") from exc
 
 
 def _load_domain(args, expect_dim=None) -> dom.Domain:
-    if getattr(args, "domain", None):
-        doc = _read_json(args.domain, "domain document")
-    elif getattr(args, "domain_json", None):
-        try:
-            doc = json.loads(args.domain_json)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"inline domain spec is not valid JSON: {exc}") from exc
+    if args.domain:
+        doc = _read_json(f"domain document {args.domain!r}", path=args.domain)
+    elif args.domain_json:
+        doc = _read_json("inline domain document", text=args.domain_json)
     else:
         raise ValueError("a domain is required (--domain FILE or --domain-json JSON)")
     return dom.domain_from_dict(doc, expect_dim=expect_dim)
@@ -113,10 +131,6 @@ def _cmd_density(args) -> int:
     return 0
 
 
-#: the option each ball query needs besides --x
-_BALL_OPTION = {"green": "v", "poisson": "y", "tail": "R"}
-
-
 def _finite_point(args, name: str, d: int) -> tuple:
     """The point given as ``--name``: d coordinates, every one finite."""
     v = _parse_vec(getattr(args, name))
@@ -129,9 +143,6 @@ def _finite_point(args, name: str, d: int) -> tuple:
 
 def _cmd_ball(args) -> int:
     params = _params(args)
-    need = _BALL_OPTION.get(args.query)
-    if need and getattr(args, need) is None:
-        raise ValueError(f"ball {args.query} needs --{need}")
     d = params.d
     center = _finite_point(args, "center", d) if args.center else (0.0,) * d
     x = _finite_point(args, "x", d)
@@ -144,7 +155,7 @@ def _cmd_ball(args) -> int:
             print(_fmt(kernels.ball_poisson(params, center, args.r, x, y)))
         elif args.query == "exit-time":
             print(_fmt(kernels.expected_exit_time_ball(params, center, args.r, x)))
-        elif args.query == "tail":
+        else:
             # the tail is scale-free: answer for the unit ball at (x - c)/r, R/r
             xs = (np.asarray(x) - np.asarray(center)) / args.r
             R = args.R / args.r
@@ -254,68 +265,76 @@ def _default_times(domain: dom.Domain, alpha: float, h: float) -> tuple:
     return tuple(dict.fromkeys(max(round(t / h), 1) * h for t in times))
 
 
-def _cmd_verify(args) -> int:
+def _cmd_identities(args) -> int:
+    if not 0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and nonnegative, got {args.tol!r}")
+    rep = harness.verify_identities(_params(args), tol=args.tol)
+    for line in rep.lines():
+        print(line)
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "identities.json"), "w") as fh:
+        json.dump(rep.to_json_dict(), fh, indent=2)
+        fh.write("\n")
+    return 0 if rep.passed else 1
+
+
+def _sweep_grid(args) -> tuple:
+    """The parameters, domain, horizons and probe points of a factorization or
+    profile sweep."""
     params = _params(args)
-    out_dir = args.out
-    if args.profile_form and args.suite != "factorization":
-        raise ValueError(f"--profile-form applies only to verify factorization, not to {args.suite}")
-    if args.suite in ("identities", "bhp"):
-        _profile(args, None, params, False)
-    if args.suite == "identities":
-        if not 0 <= args.tol < math.inf:
-            raise ValueError(f"--tol must be finite and nonnegative, got {args.tol!r}")
-        rep = harness.verify_identities(params, tol=args.tol)
-        for line in rep.lines():
-            print(line)
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "identities.json"), "w") as fh:
-            json.dump(rep.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-        return 0 if rep.passed else 1
+    domain = _load_domain(args, expect_dim=params.d)
+    t_set = _parse_vec(args.t) if args.t else _default_times(domain, params.alpha, args.h)
+    if not all(0 < t < math.inf for t in t_set):
+        raise ValueError(f"--t must list positive finite horizons, got {args.t!r}")
+    if args.points:
+        pts = [_parse_vec(p) for p in args.points.split(";")]
+    else:
+        pts = _default_points(domain)
+    return params, domain, t_set, pts
 
-    if args.suite in ("factorization", "profiles"):
-        domain = _load_domain(args, expect_dim=params.d)
-        t_set = _parse_vec(args.t) if args.t else _default_times(domain, params.alpha, args.h)
-        if not all(0 < t < math.inf for t in t_set):
-            raise ValueError(f"--t must list positive finite horizons, got {args.t!r}")
-        if args.points:
-            pts = [_parse_vec(p) for p in args.points.split(";")]
-        else:
-            pts = _default_points(domain)
-        prof = _profile(args, domain, params, args.suite == "profiles" or args.profile_form)
-        if args.suite == "factorization":
-            pairs = [(p, q) for p in pts for q in pts]
-            rep = harness.factorization_sweep(
-                domain, params, t_set, pairs, args.n, args.h, args.seed, _workers(args), prof
-            )
-        else:
-            rep = harness.profile_sweep(prof, t_set, pts, args.n, args.h, args.seed, _workers(args))
-        jpath, cpath = harness.write_report(rep, out_dir, args.suite)
-        print(f"empirical_C {_fmt(rep.empirical_C)} cells {len(rep.cells)} "
-              f"noisy {rep.stderr_flags}")
-        print(f"report {jpath}")
-        print(f"cells {cpath}")
-        return 0
 
-    if args.suite == "bhp":
-        if not args.config:
-            raise ValueError("verify bhp needs --config FILE")
-        doc = _read_json(args.config, "bhp config")
-        if not isinstance(doc, dict) or not doc.get("configs"):
-            raise ValueError("verify bhp needs a non-empty \"configs\" list")
-        try:
-            configs = [_parse_bhp_config(c, params.d) for c in doc["configs"]]
-        except KeyError as exc:
-            raise ValueError(f"bhp config is missing the key {exc}") from None
-        except (TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed bhp config: {exc}") from None
-        rep = harness.bhp_sweep(configs, params, args.n, args.seed, _workers(args))
-        jpath, cpath = harness.write_report(rep, out_dir, "bhp")
-        print(f"empirical_C {_fmt(rep.empirical_C)}")
-        print(f"report {jpath}")
-        return 0
+def _write_sweep(args, rep, suite: str) -> int:
+    jpath, cpath = harness.write_report(rep, args.out, suite)
+    print(f"empirical_C {_fmt(rep.empirical_C)} cells {len(rep.cells)} "
+          f"noisy {rep.stderr_flags}")
+    print(f"report {jpath}")
+    print(f"cells {cpath}")
+    return 0
 
-    raise ValueError(f"unknown verify suite {args.suite!r}")
+
+def _cmd_factorization(args) -> int:
+    params, domain, t_set, pts = _sweep_grid(args)
+    prof = _profile(args, domain, params, args.profile_form)
+    pairs = [(p, q) for p in pts for q in pts]
+    rep = harness.factorization_sweep(
+        domain, params, t_set, pairs, args.n, args.h, args.seed, _workers(args), prof
+    )
+    return _write_sweep(args, rep, "factorization")
+
+
+def _cmd_profiles(args) -> int:
+    params, domain, t_set, pts = _sweep_grid(args)
+    prof = _profile(args, domain, params, True)
+    rep = harness.profile_sweep(prof, t_set, pts, args.n, args.h, args.seed, _workers(args))
+    return _write_sweep(args, rep, "profiles")
+
+
+def _cmd_bhp(args) -> int:
+    params = _params(args)
+    doc = _read_json(f"bhp config {args.config!r}", path=args.config)
+    if not isinstance(doc, dict) or not doc.get("configs"):
+        raise ValueError("verify bhp needs a non-empty \"configs\" list")
+    try:
+        configs = [_parse_bhp_config(c, params.d) for c in doc["configs"]]
+    except KeyError as exc:
+        raise ValueError(f"bhp config is missing the key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed bhp config: {exc}") from None
+    rep = harness.bhp_sweep(configs, params, args.n, args.seed, _workers(args))
+    jpath, _ = harness.write_report(rep, args.out, "bhp")
+    print(f"empirical_C {_fmt(rep.empirical_C)}")
+    print(f"report {jpath}")
+    return 0
 
 
 def _parse_region(doc: dict, name: str, d: int):
@@ -393,102 +412,93 @@ def _cmd_calibrate(args) -> int:
 # parser
 
 
-def _add_common(p, mc_opts=True):
-    p.add_argument("--d", type=int, default=1, help="space dimension")
-    p.add_argument("--alpha", type=float, default=1.0, help="stability index in (0,2)")
-    if mc_opts:
-        p.add_argument("--n", type=_positive(int), default=100_000, help="sample paths")
-        p.add_argument("--h", type=_positive(float), default=1.0 / 64, help="time step")
-        p.add_argument("--seed", type=int, default=1, help="64-bit stream seed")
-        p.add_argument("--workers", type=_positive(int), default=None,
-                       help="worker processes (default: STABLEHEAT_WORKERS or 1)")
-
-
-def _add_domain_opts(p):
-    p.add_argument("--domain", help="path to a domain document (JSON)")
-    p.add_argument("--domain-json", help="inline domain document")
-
-
-def _add_profile_opts(p):
-    p.add_argument("--lambda1", type=float, help="unit-ball decay rate of the profile")
-    p.add_argument("--beta", type=float, help="cone exponent of the profile")
+def _options(*specs) -> argparse.ArgumentParser:
+    """A parent parser with the options ``specs``, each (flag, add_argument keywords)."""
+    p = argparse.ArgumentParser(add_help=False)
+    for flag, kw in specs:
+        p.add_argument(flag, **kw)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="stableheat",
-        description="killed stable processes: kernels, estimators, verification",
+    common = _options(("--d", dict(type=int, default=1, help="space dimension")),
+                      ("--alpha", dict(type=float, default=1.0, help="stability index in (0,2)")))
+    paths = _options(
+        ("--n", dict(type=_positive(int), default=100_000, help="sample paths")),
+        ("--seed", dict(type=int, default=1, help="64-bit stream seed")),
+        ("--workers", dict(type=_positive(int), help="worker processes "
+                           "(default: STABLEHEAT_WORKERS or 1)")),
     )
+    step = _options(("--h", dict(type=_positive(float), default=1.0 / 64, help="time step")))
+    domain = _options(("--domain", dict(help="path to a domain document (JSON)")),
+                      ("--domain-json", dict(help="inline domain document")))
+    profile = _options(("--lambda1", dict(type=float, help="unit-ball decay rate of the profile")),
+                       ("--beta", dict(type=float, help="cone exponent of the profile")))
+    probe = _options(("--t", dict(type=_positive(float), required=True)),
+                     ("--x", dict(required=True)))
+    sweep = _options(("--t", dict(help="comma-separated horizons")),
+                     ("--points", dict(help="semicolon-separated probe points")))
+    out = _options(("--out", dict(default="reports", help="report output directory")))
+    ball = _options(("--r", dict(type=_positive(float), default=1.0, help="ball radius")),
+                    ("--center", {}), ("--x", dict(required=True)))
+    fit = _options(("--window", dict(type=_positive(float), nargs=2, metavar=("T1", "T2"),
+                                     help="fit window, 0 < T1 < T2")),
+                   ("--calibration-file", dict(default="calibration.jsonl")))
+
+    def leaf(sub, name, fn, *parents, help=None):
+        p = sub.add_parser(name, parents=[common, *parents], allow_abbrev=False, help=help)
+        p.set_defaults(fn=fn)
+        return p
+
+    ap = argparse.ArgumentParser(prog="stableheat", description="killed stable processes: "
+                                 "kernels, estimators, verification")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("density", help="free transition density p(t, x, y)")
-    _add_common(p, mc_opts=False)
+    p = leaf(sub, "density", _cmd_density, help="free transition density p(t, x, y)")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.set_defaults(fn=_cmd_density)
 
-    p = sub.add_parser("ball", help="closed-form ball kernels")
-    p.add_argument("query", choices=["green", "poisson", "exit-time", "tail"])
-    _add_common(p, mc_opts=False)
-    p.add_argument("--r", type=_positive(float), default=1.0, help="ball radius")
-    p.add_argument("--center", default=None)
-    p.add_argument("--x", required=True)
-    p.add_argument("--v", help="second interior point (green)")
-    p.add_argument("--y", help="exterior point (poisson)")
-    p.add_argument("--R", type=float, help="tail threshold (tail): P^x(|exit - center| > R)")
-    p.set_defaults(fn=_cmd_ball)
+    qsub = sub.add_parser("ball", help="closed-form ball kernels").add_subparsers(
+        dest="query", required=True)
+    leaf(qsub, "green", _cmd_ball, ball).add_argument(
+        "--v", required=True, help="second interior point")
+    leaf(qsub, "poisson", _cmd_ball, ball).add_argument("--y", required=True, help="exterior point")
+    leaf(qsub, "exit-time", _cmd_ball, ball)
+    leaf(qsub, "tail", _cmd_ball, ball).add_argument(
+        "--R", type=float, required=True, help="tail threshold: P^x(|exit - center| > R)")
 
-    p = sub.add_parser("survival", help="survival probability")
-    _add_common(p)
-    _add_domain_opts(p)
-    p.add_argument("--t", type=_positive(float), required=True)
-    p.add_argument("--x", required=True)
+    p = leaf(sub, "survival", _cmd_survival, paths, step, domain, profile, probe,
+             help="survival probability")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--mc", action="store_true")
     g.add_argument("--profile", action="store_true")
-    _add_profile_opts(p)
-    p.set_defaults(fn=_cmd_survival)
 
-    p = sub.add_parser("heatkernel", help="killed transition density")
-    _add_common(p)
-    _add_domain_opts(p)
-    p.add_argument("--t", type=_positive(float), required=True)
-    p.add_argument("--x", required=True)
+    p = leaf(sub, "heatkernel", _cmd_heatkernel, paths, step, domain, profile, probe,
+             help="killed transition density")
     p.add_argument("--y", required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--mc", action="store_true")
     g.add_argument("--profile-bracket", action="store_true")
-    _add_profile_opts(p)
-    p.set_defaults(fn=_cmd_heatkernel)
 
-    p = sub.add_parser("verify", help="identity suite and comparability sweeps")
-    p.add_argument("suite", choices=["identities", "factorization", "profiles", "bhp"])
-    _add_common(p)
-    _add_domain_opts(p)
-    p.add_argument("--t", help="comma-separated horizons")
-    p.add_argument("--points", help="semicolon-separated probe points")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--out", default="reports", help="report output directory")
-    p.add_argument("--config", help="configuration file (bhp)")
+    vsub = sub.add_parser("verify", help="identity suite and comparability sweeps"
+                          ).add_subparsers(dest="suite", required=True)
+    leaf(vsub, "identities", _cmd_identities, out).add_argument("--tol", type=float, default=1e-6)
+    p = leaf(vsub, "factorization", _cmd_factorization, paths, step, domain, profile, sweep, out)
     p.add_argument("--profile-form", action="store_true",
-                   help="use closed profiles for the survival factors (factorization)")
-    _add_profile_opts(p)
-    p.set_defaults(fn=_cmd_verify)
+                   help="use closed profiles for the survival factors")
+    leaf(vsub, "profiles", _cmd_profiles, paths, step, domain, profile, sweep, out)
+    leaf(vsub, "bhp", _cmd_bhp, paths, out).add_argument(
+        "--config", required=True, help="configuration file")
 
-    p = sub.add_parser("calibrate", help="estimate and store decay constants")
-    p.add_argument("quantity", choices=["lambda1", "beta"])
-    _add_common(p)
-    _add_domain_opts(p)
-    p.add_argument("--r", type=_positive(float), default=1.0, help="ball radius (lambda1)")
-    p.add_argument("--x", default="1", help="probe point (beta)")
-    p.add_argument("--window", type=_positive(float), nargs=2, default=None,
-                   metavar=("T1", "T2"), help="fit window, 0 < T1 < T2")
-    p.add_argument("--thin", type=_positive(float), default=None,
+    csub = sub.add_parser("calibrate", help="estimate and store decay constants"
+                          ).add_subparsers(dest="quantity", required=True)
+    leaf(csub, "lambda1", _cmd_calibrate, paths, step, fit).add_argument(
+        "--r", type=_positive(float), default=1.0, help="ball radius")
+    p = leaf(csub, "beta", _cmd_calibrate, paths, step, domain, fit)
+    p.add_argument("--x", default="1", help="probe point")
+    p.add_argument("--thin", type=_positive(float),
                    help="slab half-width for measure-zero boundaries")
-    p.add_argument("--calibration-file", default="calibration.jsonl")
-    p.set_defaults(fn=_cmd_calibrate)
-
     return ap
 
 

@@ -566,7 +566,8 @@ def survival_curve(
     infinite, so at such a horizon every path survives.  On every other
     domain the estimates come from grid walks with step h, at most
     ``WALK_MAX_STEPS`` steps long.  Horizons must be whole multiples of h
-    either way, and the start point must have finite coordinates.
+    either way, and the start point must have finite coordinates.  ``thin``
+    applies only to a ``HyperplaneComplement``.
     """
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(xa)):
@@ -575,6 +576,9 @@ def survival_curve(
         raise ValueError("start point must lie in the domain")
     t_grid = tuple(float(t) for t in t_grid)
     _check_horizons(t_grid, h)
+    if thin is not None and not isinstance(domain, dom.HyperplaneComplement):
+        raise ValueError(f"thin applies only to a hyperplane complement, not to "
+                         f"{type(domain).__name__}")
     _thin_width(thin)
     t0 = time.perf_counter()
     # only a half-space has tangent balls of every size at its boundary

@@ -3,9 +3,14 @@ settings: 2 with an ``error:`` line for configuration errors, 3 for an
 inconclusive sweep; and the lifetime of the worker pool that
 ``montecarlo._run_batches`` keeps between calls."""
 
+import argparse
+import ast
+import importlib.util
+import inspect
 import json
 import multiprocessing
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -198,9 +203,9 @@ CONE_PROFILE = ["survival", "--profile", "--t", "2", "--x", "0,1", "--d", "2",
 @pytest.mark.parametrize(
     "argv, text",
     [
-        (["ball", "green", "--x", "0"], "ball green needs --v"),
-        (["ball", "poisson", "--x", "0"], "ball poisson needs --y"),
-        (["ball", "tail", "--x", "0"], "ball tail needs --R"),
+        (["ball", "green", "--x", "0"], "the following arguments are required: --v"),
+        (["ball", "poisson", "--x", "0"], "the following arguments are required: --y"),
+        (["ball", "tail", "--x", "0"], "the following arguments are required: --R"),
         ([*BALL_PROFILE, "--lambda1", "nan"], "lambda1 must be positive and finite"),
         ([*BALL_PROFILE, "--lambda1", "-5"], "lambda1 must be positive and finite"),
         ([*BALL_PROFILE, "--lambda1", "inf"], "lambda1 must be positive and finite"),
@@ -608,6 +613,26 @@ def test_estimators_reject_a_slab_width_that_is_not_positive_and_finite(thin):
                        np.random.default_rng(0), 8, thin=thin)
 
 
+@pytest.mark.parametrize("domain", [dom.Ball((0.0, 0.0), 1.0), dom.HalfSpace((0.0, 1.0)),
+                                    dom.CircularCone(1.0, (0.0, 1.0))])
+def test_survival_rejects_a_slab_width_outside_a_hyperplane_complement(domain):
+    with pytest.raises(ValueError, match="thin applies only to a hyperplane complement, not to "):
+        mc.survival_curve(domain, StableParams(2, 1.5), (0.0, 0.5), (0.25,), 64, 0.25, 1,
+                          thin=0.3)
+
+
+def test_calibrate_beta_with_thin_on_a_cone_exits_2(capsys, tmp_path):
+    # the walk never read --thin on a cone: this recorded a beta and exited 0
+    store = tmp_path / "calibration.jsonl"
+    argv = ["calibrate", "beta", "--d", "2", "--alpha", "1.5", "--x", "0,1", "--domain-json",
+            CONE_2D, "--thin", "0.3", "--n", "64", "--calibration-file", str(store)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: thin applies only to a hyperplane complement, not to CircularCone\n"
+    )
+    assert not store.exists()
+
+
 @pytest.mark.parametrize("window", [(np.nan, np.nan), (3.0, 1.0), (0.0, 1.0), (1.0, np.inf)])
 def test_estimators_reject_a_bad_fit_window(window):
     with pytest.raises(ValueError, match="fit window must be finite with 0 < t1 < t2"):
@@ -617,26 +642,32 @@ def test_estimators_reject_a_bad_fit_window(window):
         mc.estimate_lambda1(StableParams(1, 1.0), 0.5, fit_window=window, n=64)
 
 
+#: the hand check of a command that declares --lambda1 and --beta for its
+#: profile mode, and the parser's refusal where a command declares neither
+NO_PROFILE = "error: this command uses no closed survival profile, so it takes no {0}\n"
+UNRECOGNIZED = "error: unrecognized arguments: {0} {1}\n"
+
+
 @pytest.mark.parametrize("option", [["--lambda1", "nan"], ["--beta", "-3"]])
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        _survival("--n", "64"),
-        ["heatkernel", "--mc", "--t", "1", "--x", "0", "--y", "0.3", *BALL_ARGS],
-        ["verify", "factorization", "--t", "0.25", "--h", "0.25", *BALL_ARGS],
-        ["verify", "identities"],
-        ["verify", "bhp", "--d", "2", "--alpha", "1.5", "--n", "64", "--config", "bhp.json"],
+        (_survival("--n", "64"), NO_PROFILE),
+        (["heatkernel", "--mc", "--t", "1", "--x", "0", "--y", "0.3", *BALL_ARGS], NO_PROFILE),
+        (["verify", "factorization", "--t", "0.25", "--h", "0.25", *BALL_ARGS], NO_PROFILE),
+        (["verify", "identities"], UNRECOGNIZED),
+        (["verify", "bhp", "--d", "2", "--alpha", "1.5", "--n", "64", "--config", "bhp.json"],
+         UNRECOGNIZED),
     ],
     ids=["survival_mc", "heatkernel_mc", "factorization_mc", "identities", "bhp"],
 )
-def test_profile_options_without_a_profile_exit_2(capsys, monkeypatch, tmp_path, argv, option):
+def test_profile_options_without_a_profile_exit_2(capsys, monkeypatch, tmp_path, argv, message,
+                                                  option):
     # each of these ran and exited 0, leaving the option unread
     monkeypatch.chdir(tmp_path)  # the default report directory
     (tmp_path / "bhp.json").write_text(json.dumps({"configs": [BHP_CELL]}))
     assert cli.main([*argv, *option]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: this command uses no closed survival profile, so it takes no {option[0]}\n"
-    )
+    assert capsys.readouterr().err.endswith(message.format(*option))
     assert os.listdir(tmp_path) == ["bhp.json"]  # no report
 
 
@@ -654,9 +685,7 @@ def test_profile_form_outside_factorization_exits_2(capsys, monkeypatch, tmp_pat
     monkeypatch.chdir(tmp_path)  # the default report directory
     (tmp_path / "bhp.json").write_text(json.dumps({"configs": [BHP_CELL]}))
     assert cli.main([*argv, "--profile-form"]) == 2
-    assert capsys.readouterr().err == (
-        f"error: --profile-form applies only to verify factorization, not to {argv[1]}\n"
-    )
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --profile-form\n")
     assert os.listdir(tmp_path) == ["bhp.json"]  # no report
 
 
@@ -739,3 +768,115 @@ def test_bhp_target_inside_the_localization_ball_or_of_another_dimension_exits_2
             "--n", "64", "--out", str(tmp_path)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+                         ids=["nan", "inf", "minus_inf", "1e999", "400_digits"])
+@pytest.mark.parametrize("option", ["--domain", "--domain-json", "--config"])
+def test_a_json_number_that_no_finite_float_holds_exits_2(capsys, monkeypatch, tmp_path,
+                                                         option, number):
+    # a ball of radius Infinity ended verify profiles in an OverflowError
+    # traceback and made survival --profile print 1 with exit 0; a 400-digit
+    # radius raised "int too large to convert to float"
+    monkeypatch.chdir(tmp_path)  # the default report directory
+    ball = f'{{"type": "ball", "center": [0], "radius": {number}}}'
+    cell = json.dumps({"configs": [{**BHP_CELL, "r": "R"}]}).replace('"R"', number)
+    (tmp_path / "doc.json").write_text(cell if option == "--config" else ball)
+    argv = {
+        "--domain": ["verify", "profiles", "--domain", "doc.json", "--n", "64", "--h", "0.25"],
+        "--domain-json": ["survival", "--profile", "--t", "1", "--x", "0", "--domain-json", ball],
+        "--config": ["verify", "bhp", "--d", "2", "--alpha", "1.5", "--n", "64",
+                     "--config", "doc.json"],
+    }[option]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and "is not a finite number" in err
+    assert os.listdir(tmp_path) == ["doc.json"]  # no report
+
+
+def _leaves(parser, path=()):
+    """(command path, parser) of every leaf subcommand below ``parser``."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, (*path, name))
+
+
+def _options(parser) -> dict:
+    return {s: a for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")}
+
+
+LEAVES = dict(_leaves(cli.build_parser()))
+EVERY_OPTION = {s: a for leaf in LEAVES.values() for s, a in _options(leaf).items()}
+#: the variants of ball, verify and calibrate (survival and heatkernel keep
+#: --mc and the profile options that their Monte Carlo mode refuses by hand)
+VARIANTS = [p for p in LEAVES if p[0] in ("ball", "verify", "calibrate")]
+
+
+@pytest.mark.parametrize("path", VARIANTS, ids=" ".join)
+def test_a_leaf_refuses_every_option_that_it_does_not_declare(capsys, monkeypatch, tmp_path,
+                                                              path):
+    # verify identities took --n, --h, --domain-json, --points, --t and
+    # --config, calibrate lambda1 took --x, --thin and --domain-json, and
+    # ball green took --y and --R, each with exit 0 and the option unread
+    monkeypatch.chdir(tmp_path)  # the default report and calibration paths
+    own = _options(LEAVES[path])
+    base = [*path, *(w for s, a in own.items() if a.required for w in (s, "1"))]
+    cli.build_parser().parse_args(base)
+    foreign = sorted(set(EVERY_OPTION) - set(own))
+    assert "--domain-json" in foreign or "--domain-json" in own
+    for option in foreign:
+        nargs = EVERY_OPTION[option].nargs
+        given = [option, *["1"] * (nargs if isinstance(nargs, int) else 1)]
+        assert cli.main([*base, *given]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: unrecognized arguments: {' '.join(given)}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def _reads() -> dict:
+    """Function name -> the ``args`` attributes that a function of ``cli``
+    reads, itself or through the module functions it calls; a string given
+    with ``args`` to a call, as in ``_finite_point(args, "v", d)``, is read."""
+    funcs = {f.name: f for f in ast.parse(inspect.getsource(cli)).body
+             if isinstance(f, ast.FunctionDef)}
+    direct, calls = {}, {}
+    for name, f in funcs.items():
+        nodes = list(ast.walk(f))
+        direct[name] = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                        and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        for n in nodes:
+            if isinstance(n, ast.Call) and any(getattr(a, "id", None) == "args" for a in n.args):
+                direct[name] |= {a.value for a in n.args if isinstance(a, ast.Constant)}
+        calls[name] = {n.func.id for n in nodes if isinstance(n, ast.Call)
+                       and getattr(n.func, "id", None) in funcs}
+    reads = {}
+    for name in funcs:
+        seen, todo = set(), [name]
+        while todo:
+            f = todo.pop()
+            if f not in seen:
+                seen.add(f)
+                todo.extend(calls[f])
+        reads[name] = set().union(*(direct[f] for f in seen))
+    return reads
+
+
+@pytest.mark.parametrize("path", VARIANTS, ids=" ".join)
+def test_a_leaf_declares_only_options_that_its_function_reads(path):
+    leaf = LEAVES[path]
+    declared = {a.dest for a in _options(leaf).values()}
+    assert declared <= _reads()[leaf.get_default("fn").__name__]
+
+
+def test_every_benchmark_call_parses(tmp_path):
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        calls = workloads.build(name, 1, 2, str(tmp_path / name))
+        for argv in calls["calls"] + calls["gate_calls"]:
+            assert callable(cli.build_parser().parse_args(argv).fn)
