@@ -1,7 +1,8 @@
 """Fixed-seed golden values for the domain catalog, the exact samplers,
 the grid walk, the estimators, the ratio sweeps, the boundary-Harnack
 report, the point evaluator and fast table of the free density, the
-survival-profile catalog and the report files that ``verify`` writes.
+survival-profile catalog, the report files that ``verify`` writes and the
+lines that the other commands print.
 
 The expected values pin the package's outputs bit for bit: arrays by a
 sha256 prefix of their bytes, reports and witnesses by a sha256 prefix of
@@ -13,7 +14,9 @@ document field fails here.  The values are not to be edited to follow a
 change in the code: a change that moves them is a change in behaviour.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -414,6 +417,51 @@ def _written(suite):
 
 
 # ---------------------------------------------------------------------------
+# lines the CLI prints
+
+BALL_1D = '{"type": "ball", "center": [0], "radius": 1}'
+HALFSPACE_2D = '{"type": "halfspace", "axis": [0, 1]}'
+
+#: case -> command line; a calibrate case pins only its first line, since
+#: the second names the store file
+PRINTED = {
+    "survival/mc": ["survival", "--mc", "--d", "1", "--alpha", "1.5", "--domain-json", BALL_1D,
+                    "--x", "0.5", "--t", "0.5", "--n", "4096", "--h", "0.0625", "--seed", "3"],
+    "survival/profile": ["survival", "--profile", "--d", "1", "--alpha", "1.5",
+                         "--domain-json", BALL_1D, "--x", "0.5", "--t", "2",
+                         "--lambda1", "1.6"],
+    "heatkernel/mc": ["heatkernel", "--mc", "--d", "2", "--alpha", "1.5",
+                      "--domain-json", HALFSPACE_2D, "--x", "0,0.5", "--y", "0.3,1",
+                      "--t", "1", "--n", "4096", "--h", "0.0625", "--seed", "3"],
+    "heatkernel/profile": ["heatkernel", "--profile-bracket", "--d", "1", "--alpha", "1",
+                           "--domain-json", BALL_1D, "--x", "0.5", "--y", "-0.25",
+                           "--t", "2", "--lambda1", "1.2"],
+    "ball/green": ["ball", "green", "--d", "2", "--alpha", "1.5", "--x", "0.2,0.1",
+                   "--v", "0.3,-0.4"],
+    "ball/poisson": ["ball", "poisson", "--alpha", "0.7", "--x", "1.5", "--y", "3.5",
+                     "--center", "1", "--r", "2"],
+    "ball/exit-time": ["ball", "exit-time", "--d", "3", "--alpha", "1.2", "--x", "0.1,0,0.3"],
+    "ball/tail": ["ball", "tail", "--d", "2", "--alpha", "1.5", "--x", "0.5,0", "--R", "3"],
+    "calibrate/lambda1": ["calibrate", "lambda1", "--alpha", "1.5", "--n", "4096",
+                          "--h", "0.0625", "--seed", "3"],
+    "calibrate/beta": ["calibrate", "beta", "--d", "2", "--alpha", "1.5", "--domain-json",
+                       '{"type": "cone", "angle": 1, "axis": [0, 1]}', "--x", "0,1",
+                       "--n", "4096", "--h", "0.25", "--seed", "3"],
+}
+
+
+def _printed(case):
+    """What ``stableheat`` prints for the command line ``PRINTED[case]``."""
+    argv = PRINTED[case]
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()) as buf:
+        if argv[0] == "calibrate":
+            argv = [*argv, "--calibration-file", os.path.join(out, "calibration.jsonl")]
+        assert cli.main(argv) == 0
+    text = buf.getvalue()
+    return text.splitlines(keepends=True)[0] if argv[0] == "calibrate" else text
+
+
+# ---------------------------------------------------------------------------
 
 CASES = {}
 for _name in DOMAINS:
@@ -455,6 +503,8 @@ for _kind in PROFILE_KINDS:
     CASES[f"profile/{_kind}"] = (_profile_catalog, _kind)
 for _suite in WRITTEN:
     CASES[f"written/{_suite}"] = (_written, _suite)
+for _case in PRINTED:
+    CASES[f"printed/{_case}"] = (_printed, _case)
 
 EXPECTED = {
     'ball_exit/0/0.0': '56c0121fc1dc32b3502e',
@@ -510,6 +560,16 @@ EXPECTED = {
     'point/1_1.0': 'f500219a967a6621467c',
     'point/2_1.5': 'c9554ddc4ade85446d31',
     'point/3_0.7': '667bb66310689b485989',
+    'printed/ball/exit-time': '0.387274654\n',
+    'printed/ball/green': '0.159947043\n',
+    'printed/ball/poisson': '0.169569632\n',
+    'printed/ball/tail': '0.0489166522 bracket 0.0345155086 0.0671590131\n',
+    'printed/calibrate/beta': 'beta 1.15030236 stderr 0.0348171863 seed 3 n 4096\n',
+    'printed/calibrate/lambda1': 'lambda1 1.327862 stderr 0.0286242214 seed 3 n 4096\n',
+    'printed/heatkernel/mc': 'mean 0.0608402056 stderr 0.000417473278 n 4096 seed 3 h 0.0625\n',
+    'printed/heatkernel/profile': 'lower 0.00775150663 upper 0.00775150663\n',
+    'printed/survival/mc': 'mean 0.509765625 stderr 0.00781100974 n 4096 seed 3 h 0.0625\n',
+    'printed/survival/profile': '0.120048388\n',
     'profile/ball': 'b19965c842d735375f3f',
     'profile/ball_union_exterior_ball': 'e968eec795c3abc3e317',
     'profile/cone': 'ccbe81a1736ad2eca904',
