@@ -1,10 +1,13 @@
 """Command-line driver: kernel evaluation, estimators, verification
 sweeps and calibration.
 
-Every variant of ``ball``, ``verify`` and ``calibrate`` is a subcommand of
-its own that declares exactly the options its function reads, spelled in
-full: the parser refuses any other option, and a missing required one,
-with exit 2.  JSON documents (``--domain``, ``--domain-json``, ``--config``)
+Every leaf of ``density``, ``ball green|poisson|exit-time|tail``, ``survival
+mc|profile``, ``heatkernel mc|profile``, ``verify identities|factorization|
+profiles|bhp`` and ``calibrate lambda1|beta`` is a subcommand with a function
+of its own that declares exactly the options its function reads, in full
+spelling: the parser refuses any other option, and a missing required one,
+with exit 2.  ``verify factorization`` refuses --lambda1 and --beta by hand
+without --profile-form.  JSON documents (--domain, --domain-json, --config)
 must hold only numbers that are finite as floats.
 
 Exit status: 0 success/pass, 1 verification or fit failure, 2
@@ -16,6 +19,7 @@ printed with 9 significant digits, locale-independent.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -71,29 +75,6 @@ def _read_json(what: str, path=None, text=None):
         raise ValueError(f"cannot read {what}: {exc}") from exc
 
 
-def _load_domain(args, expect_dim=None) -> dom.Domain:
-    if args.domain:
-        doc = _read_json(f"domain document {args.domain!r}", path=args.domain)
-    elif args.domain_json:
-        doc = _read_json("inline domain document", text=args.domain_json)
-    else:
-        raise ValueError("a domain is required (--domain FILE or --domain-json JSON)")
-    return dom.domain_from_dict(doc, expect_dim=expect_dim)
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("STABLEHEAT_WORKERS") or "1"
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"STABLEHEAT_WORKERS must be a positive integer, got {env!r}")
-    return workers
-
-
 def _positive(convert):
     """argparse ``type=`` that accepts only finite values above zero."""
     def parse(s: str):
@@ -110,14 +91,30 @@ def _params(args) -> StableParams:
     return StableParams(args.d, args.alpha)
 
 
-def _profile(args, domain, params, wanted: bool) -> Optional[kernels.SurvivalProfile]:
-    """The profile built from --lambda1 and --beta if ``wanted``, else None."""
-    if wanted:
-        return kernels.survival_profile(domain, params, beta=args.beta, lambda1=args.lambda1)
-    given = " or ".join(f"--{k}" for k in ("lambda1", "beta") if getattr(args, k) is not None)
-    if given:
-        raise ValueError(f"this command uses no closed survival profile, so it takes no {given}")
-    return None
+def _params_domain(args) -> tuple:
+    """The parameters, and the domain in R^d of --domain or --domain-json."""
+    params = _params(args)
+    if args.domain:
+        doc = _read_json(f"domain document {args.domain!r}", path=args.domain)
+    elif args.domain_json:
+        doc = _read_json("inline domain document", text=args.domain_json)
+    else:
+        raise ValueError("a domain is required (--domain FILE or --domain-json JSON)")
+    return params, dom.domain_from_dict(doc, expect_dim=params.d)
+
+
+def _profile(args, domain, params) -> kernels.SurvivalProfile:
+    """The profile of ``domain`` built from --lambda1 and --beta."""
+    return kernels.survival_profile(domain, params, beta=args.beta, lambda1=args.lambda1)
+
+
+@contextlib.contextmanager
+def _radius_overflow(args):
+    """Turn an OverflowError of the block into an error that names --r."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ValueError(f"the value overflows a float at --r {args.r!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -141,82 +138,92 @@ def _finite_point(args, name: str, d: int) -> tuple:
     return v
 
 
-def _cmd_ball(args) -> int:
+def _ball(args, *names) -> tuple:
+    """The parameters, --center (the origin if not given) and the points of
+    the options ``names`` of a ball command, each with d finite coordinates."""
     params = _params(args)
-    d = params.d
-    center = _finite_point(args, "center", d) if args.center else (0.0,) * d
-    x = _finite_point(args, "x", d)
-    try:
-        if args.query == "green":
-            v = _finite_point(args, "v", d)
-            print(_fmt(kernels.ball_green(params, center, args.r, x, v)))
-        elif args.query == "poisson":
-            y = _finite_point(args, "y", d)
-            print(_fmt(kernels.ball_poisson(params, center, args.r, x, y)))
-        elif args.query == "exit-time":
-            print(_fmt(kernels.expected_exit_time_ball(params, center, args.r, x)))
-        else:
-            # the tail is scale-free: answer for the unit ball at (x - c)/r, R/r
-            xs = (np.asarray(x) - np.asarray(center)) / args.r
-            R = args.R / args.r
-            if not float(np.linalg.norm(xs)) < 1.0:
-                raise ValueError(f"--x must lie in the open ball B(--center, --r), got {args.x!r}")
-            if not R >= 2.0:
-                raise ValueError(
-                    f"--R, the tail threshold, must be at least 2 --r, got {args.R!r}"
-                )
-            exact = kernels.ball_exit_tail_exact(params, xs, R)
-            br = kernels.ball_exit_tail(params, xs, R)
-            print(f"{_fmt(exact)} bracket {_fmt(br.lower)} {_fmt(br.upper)}")
-    except OverflowError as exc:
-        raise ValueError(f"the value overflows a float at --r {args.r!r}") from exc
+    center = _finite_point(args, "center", params.d) if args.center else (0.0,) * params.d
+    return (params, center, *(_finite_point(args, name, params.d) for name in names))
+
+
+def _print_ball(args, kernel, *names) -> int:
+    """Print ``kernel(params, center, --r, *points)`` for the points of ``names``."""
+    params, center, *points = _ball(args, *names)
+    with _radius_overflow(args):
+        print(_fmt(kernel(params, center, args.r, *points)))
     return 0
 
 
-def _cmd_survival(args) -> int:
-    params = _params(args)
-    domain = _load_domain(args, expect_dim=params.d)
+def _cmd_ball_green(args) -> int:
+    return _print_ball(args, kernels.ball_green, "x", "v")
+
+
+def _cmd_ball_poisson(args) -> int:
+    return _print_ball(args, kernels.ball_poisson, "x", "y")
+
+
+def _cmd_ball_exit_time(args) -> int:
+    return _print_ball(args, kernels.expected_exit_time_ball, "x")
+
+
+def _cmd_ball_tail(args) -> int:
+    params, center, x = _ball(args, "x")
+    # the tail is scale-free: answer for the unit ball at (x - c)/r, R/r
+    xs = (np.asarray(x) - np.asarray(center)) / args.r
+    R = args.R / args.r
+    if not float(np.linalg.norm(xs)) < 1.0:
+        raise ValueError(f"--x must lie in the open ball B(--center, --r), got {args.x!r}")
+    if not R >= 2.0:
+        raise ValueError(f"--R, the tail threshold, must be at least 2 --r, got {args.R!r}")
+    with _radius_overflow(args):
+        exact = kernels.ball_exit_tail_exact(params, xs, R)
+        br = kernels.ball_exit_tail(params, xs, R)
+    print(f"{_fmt(exact)} bracket {_fmt(br.lower)} {_fmt(br.upper)}")
+    return 0
+
+
+def _print_estimate(est: mc.MCEstimate) -> int:
+    print(f"mean {_fmt(est.mean)} stderr {_fmt(est.stderr)} n {est.n} "
+          f"seed {est.seed} h {_fmt(est.step)}")
+    return 0
+
+
+def _cmd_survival_mc(args) -> int:
+    params, domain = _params_domain(args)
     x = _parse_vec(args.x)
-    prof = _profile(args, domain, params, args.profile)
-    if prof:
-        print(_fmt(prof.evaluate(args.t, x)))
-    else:
-        est = mc.survival_curve(
-            domain, params, x, (args.t,), args.n, args.h, args.seed, _workers(args)
-        )[0]
-        print(
-            f"mean {_fmt(est.mean)} stderr {_fmt(est.stderr)} n {est.n} "
-            f"seed {est.seed} h {_fmt(est.step)}"
-        )
+    return _print_estimate(mc.survival_curve(domain, params, x, (args.t,), args.n, args.h,
+                                             args.seed, args.workers)[0])
+
+
+def _cmd_survival_profile(args) -> int:
+    params, domain = _params_domain(args)
+    x = _parse_vec(args.x)
+    print(_fmt(_profile(args, domain, params).evaluate(args.t, x)))
     return 0
 
 
-def _cmd_heatkernel(args) -> int:
-    params = _params(args)
-    domain = _load_domain(args, expect_dim=params.d)
+def _cmd_heatkernel_mc(args) -> int:
+    params, domain = _params_domain(args)
     x, y = _parse_vec(args.x), _parse_vec(args.y)
-    prof = _profile(args, domain, params, args.profile_bracket)
-    if prof:
-        br = kernels.heat_kernel_profile(prof, args.t, x, y)
-        print(f"lower {_fmt(br.lower)} upper {_fmt(br.upper)}")
-    else:
-        est = mc.estimate_heat_kernel(
-            domain, params, x, y, args.t, args.n, args.h, args.seed, _workers(args)
-        )
-        print(
-            f"mean {_fmt(est.mean)} stderr {_fmt(est.stderr)} n {est.n} "
-            f"seed {est.seed} h {_fmt(est.step)}"
-        )
+    return _print_estimate(mc.estimate_heat_kernel(domain, params, x, y, args.t, args.n,
+                                                   args.h, args.seed, args.workers))
+
+
+def _cmd_heatkernel_profile(args) -> int:
+    params, domain = _params_domain(args)
+    x, y = _parse_vec(args.x), _parse_vec(args.y)
+    br = kernels.heat_kernel_profile(_profile(args, domain, params), args.t, x, y)
+    print(f"lower {_fmt(br.lower)} upper {_fmt(br.upper)}")
     return 0
 
 
 def _default_points(domain: dom.Domain) -> list:
     """Probe points per variant, respecting the near-boundary cap."""
-    d = dom.dim(domain)
-    if isinstance(domain, dom.Ball):
+    if isinstance(domain, (dom.Ball, dom.ExteriorBall)):
+        inside = isinstance(domain, dom.Ball)
         c = np.asarray(domain.center)
         out = []
-        for f in (-0.95, -0.5, 0.0, 0.5, 0.95):
+        for f in (-0.95, -0.5, 0.0, 0.5, 0.95) if inside else (1.05, 1.5, 2.0, 4.0, 8.0):
             p = c.copy()
             p[0] += f * domain.radius
             out.append(tuple(p))
@@ -225,24 +232,12 @@ def _default_points(domain: dom.Domain) -> list:
         n = np.asarray(domain.normal)
         base = domain.offset * n
         return [tuple(base + hgt * n) for hgt in (0.05, 0.25, 1.0, 4.0, 16.0)]
-    if isinstance(domain, dom.ExteriorBall):
-        c = np.asarray(domain.center)
-        out = []
-        for f in (1.05, 1.5, 2.0, 4.0, 8.0):
-            p = c.copy()
-            p[0] += f * domain.radius
-            out.append(tuple(p))
-        return out
     if isinstance(domain, dom.CircularCone):
         u = np.asarray(domain.axis)
         return [tuple(s * u) for s in (0.5, 1.0, 2.0, 4.0)]
     if isinstance(domain, dom.HyperplaneComplement):
-        out = []
-        for s in (0.5, 1.0, 2.0):
-            p = np.zeros(d)
-            p[-1] = s
-            out.append(tuple(p))
-        return out
+        u = np.eye(dom.dim(domain))[-1]
+        return [tuple(s * u) for s in (0.5, 1.0, 2.0)]
     if isinstance(domain, dom.IntervalComplement):
         lo = domain.intervals[0][0]
         hi = domain.intervals[-1][1]
@@ -281,8 +276,7 @@ def _cmd_identities(args) -> int:
 def _sweep_grid(args) -> tuple:
     """The parameters, domain, horizons and probe points of a factorization or
     profile sweep."""
-    params = _params(args)
-    domain = _load_domain(args, expect_dim=params.d)
+    params, domain = _params_domain(args)
     t_set = _parse_vec(args.t) if args.t else _default_times(domain, params.alpha, args.h)
     if not all(0 < t < math.inf for t in t_set):
         raise ValueError(f"--t must list positive finite horizons, got {args.t!r}")
@@ -304,18 +298,21 @@ def _write_sweep(args, rep, suite: str) -> int:
 
 def _cmd_factorization(args) -> int:
     params, domain, t_set, pts = _sweep_grid(args)
-    prof = _profile(args, domain, params, args.profile_form)
+    given = " or ".join(f"--{k}" for k in ("lambda1", "beta") if getattr(args, k) is not None)
+    if given and not args.profile_form:
+        raise ValueError(f"this command uses no closed survival profile, so it takes no {given}")
+    prof = _profile(args, domain, params) if args.profile_form else None
     pairs = [(p, q) for p in pts for q in pts]
     rep = harness.factorization_sweep(
-        domain, params, t_set, pairs, args.n, args.h, args.seed, _workers(args), prof
+        domain, params, t_set, pairs, args.n, args.h, args.seed, args.workers, prof
     )
     return _write_sweep(args, rep, "factorization")
 
 
 def _cmd_profiles(args) -> int:
     params, domain, t_set, pts = _sweep_grid(args)
-    prof = _profile(args, domain, params, True)
-    rep = harness.profile_sweep(prof, t_set, pts, args.n, args.h, args.seed, _workers(args))
+    prof = _profile(args, domain, params)
+    rep = harness.profile_sweep(prof, t_set, pts, args.n, args.h, args.seed, args.workers)
     return _write_sweep(args, rep, "profiles")
 
 
@@ -330,7 +327,7 @@ def _cmd_bhp(args) -> int:
         raise ValueError(f"bhp config is missing the key {exc}") from None
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed bhp config: {exc}") from None
-    rep = harness.bhp_sweep(configs, params, args.n, args.seed, _workers(args))
+    rep = harness.bhp_sweep(configs, params, args.n, args.seed, args.workers)
     jpath, _ = harness.write_report(rep, args.out, "bhp")
     print(f"empirical_C {_fmt(rep.empirical_C)}")
     print(f"report {jpath}")
@@ -372,40 +369,39 @@ def _parse_bhp_config(doc: dict, d: Optional[int] = None) -> harness.BHPConfig:
     )
 
 
-def _cmd_calibrate(args) -> int:
-    params = _params(args)
+def _window(args) -> Optional[tuple]:
+    """--window, which must satisfy T1 < T2, or None if it is not given."""
     if args.window and not args.window[0] < args.window[1]:
         raise ValueError(f"--window must satisfy T1 < T2, got {' '.join(map(repr, args.window))}")
-    if args.quantity == "lambda1":
-        try:
-            ra = args.r ** params.alpha
-        except OverflowError:
-            raise ValueError(f"the value overflows a float at --r {args.r!r}") from None
-        default = tuple(f * ra for f in mc.LAMBDA1_FIT_WINDOW)
-        window = tuple(args.window) if args.window else default
-        est = mc.estimate_lambda1(
-            params, args.r, fit_window=window, n=args.n, h=args.h,
-            rng_seed=args.seed, workers=_workers(args),
-        )
-        desc = {"type": "ball", "radius": args.r}
-        entry = calibration.append_entry(
-            args.calibration_file, "lambda1", params.d, params.alpha, desc, est, window,
-        )
-    else:
-        domain = _load_domain(args, expect_dim=params.d)
-        window = tuple(args.window) if args.window else mc.BETA_FIT_WINDOW
-        est = mc.estimate_beta(
-            params, domain, _parse_vec(args.x), fit_window=window, n=args.n,
-            h=args.h, rng_seed=args.seed, workers=_workers(args), thin=args.thin,
-        )
-        entry = calibration.append_entry(
-            args.calibration_file, "beta", params.d, params.alpha,
-            dom.domain_to_dict(domain), est, window,
-        )
-    print(f"{args.quantity} {_fmt(entry['value'])} stderr {_fmt(entry['stderr'])} "
+    return tuple(args.window) if args.window else None
+
+
+def _record(args, quantity: str, params, desc: dict, est, window) -> int:
+    entry = calibration.append_entry(args.calibration_file, quantity, params.d, params.alpha,
+                                     desc, est, window)
+    print(f"{quantity} {_fmt(entry['value'])} stderr {_fmt(entry['stderr'])} "
           f"seed {entry['seed']} n {entry['n']}")
     print(f"recorded in {args.calibration_file}")
     return 0
+
+
+def _cmd_calibrate_lambda1(args) -> int:
+    params = _params(args)
+    window = _window(args)
+    with _radius_overflow(args):
+        ra = args.r ** params.alpha
+    window = window or tuple(f * ra for f in mc.LAMBDA1_FIT_WINDOW)
+    est = mc.estimate_lambda1(params, args.r, fit_window=window, n=args.n, h=args.h,
+                              rng_seed=args.seed, workers=args.workers)
+    return _record(args, "lambda1", params, {"type": "ball", "radius": args.r}, est, window)
+
+
+def _cmd_calibrate_beta(args) -> int:
+    params, domain = _params_domain(args)
+    window = _window(args) or mc.BETA_FIT_WINDOW
+    est = mc.estimate_beta(params, domain, _parse_vec(args.x), fit_window=window, n=args.n,
+                           h=args.h, rng_seed=args.seed, workers=args.workers, thin=args.thin)
+    return _record(args, "beta", params, dom.domain_to_dict(domain), est, window)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     paths = _options(
         ("--n", dict(type=_positive(int), default=100_000, help="sample paths")),
         ("--seed", dict(type=int, default=1, help="64-bit stream seed")),
-        ("--workers", dict(type=_positive(int), help="worker processes "
-                           "(default: STABLEHEAT_WORKERS or 1)")),
+        ("--workers", dict(type=_positive(int), default=1, help="worker processes")),
     )
     step = _options(("--h", dict(type=_positive(float), default=1.0 / 64, help="time step")))
     domain = _options(("--domain", dict(help="path to a domain document (JSON)")),
@@ -450,39 +445,37 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(required=True)
+
     ap = argparse.ArgumentParser(prog="stableheat", description="killed stable processes: "
                                  "kernels, estimators, verification")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(required=True)
 
     p = leaf(sub, "density", _cmd_density, help="free transition density p(t, x, y)")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
 
-    qsub = sub.add_parser("ball", help="closed-form ball kernels").add_subparsers(
-        dest="query", required=True)
-    leaf(qsub, "green", _cmd_ball, ball).add_argument(
+    qsub = group("ball", "closed-form ball kernels")
+    leaf(qsub, "green", _cmd_ball_green, ball).add_argument(
         "--v", required=True, help="second interior point")
-    leaf(qsub, "poisson", _cmd_ball, ball).add_argument("--y", required=True, help="exterior point")
-    leaf(qsub, "exit-time", _cmd_ball, ball)
-    leaf(qsub, "tail", _cmd_ball, ball).add_argument(
+    leaf(qsub, "poisson", _cmd_ball_poisson, ball).add_argument(
+        "--y", required=True, help="exterior point")
+    leaf(qsub, "exit-time", _cmd_ball_exit_time, ball)
+    leaf(qsub, "tail", _cmd_ball_tail, ball).add_argument(
         "--R", type=float, required=True, help="tail threshold: P^x(|exit - center| > R)")
 
-    p = leaf(sub, "survival", _cmd_survival, paths, step, domain, profile, probe,
-             help="survival probability")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--mc", action="store_true")
-    g.add_argument("--profile", action="store_true")
+    ssub = group("survival", "survival probability: Monte Carlo or closed profile")
+    leaf(ssub, "mc", _cmd_survival_mc, paths, step, domain, probe)
+    leaf(ssub, "profile", _cmd_survival_profile, domain, profile, probe)
 
-    p = leaf(sub, "heatkernel", _cmd_heatkernel, paths, step, domain, profile, probe,
-             help="killed transition density")
-    p.add_argument("--y", required=True)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--mc", action="store_true")
-    g.add_argument("--profile-bracket", action="store_true")
+    y = _options(("--y", dict(required=True)))
+    hsub = group("heatkernel", "killed transition density: Monte Carlo or profile bracket")
+    leaf(hsub, "mc", _cmd_heatkernel_mc, paths, step, domain, probe, y)
+    leaf(hsub, "profile", _cmd_heatkernel_profile, domain, profile, probe, y)
 
-    vsub = sub.add_parser("verify", help="identity suite and comparability sweeps"
-                          ).add_subparsers(dest="suite", required=True)
+    vsub = group("verify", "identity suite and comparability sweeps")
     leaf(vsub, "identities", _cmd_identities, out).add_argument("--tol", type=float, default=1e-6)
     p = leaf(vsub, "factorization", _cmd_factorization, paths, step, domain, profile, sweep, out)
     p.add_argument("--profile-form", action="store_true",
@@ -491,11 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(vsub, "bhp", _cmd_bhp, paths, out).add_argument(
         "--config", required=True, help="configuration file")
 
-    csub = sub.add_parser("calibrate", help="estimate and store decay constants"
-                          ).add_subparsers(dest="quantity", required=True)
-    leaf(csub, "lambda1", _cmd_calibrate, paths, step, fit).add_argument(
+    csub = group("calibrate", "estimate and store decay constants")
+    leaf(csub, "lambda1", _cmd_calibrate_lambda1, paths, step, fit).add_argument(
         "--r", type=_positive(float), default=1.0, help="ball radius")
-    p = leaf(csub, "beta", _cmd_calibrate, paths, step, domain, fit)
+    p = leaf(csub, "beta", _cmd_calibrate_beta, paths, step, domain, fit)
     p.add_argument("--x", default="1", help="probe point")
     p.add_argument("--thin", type=_positive(float),
                    help="slab half-width for measure-zero boundaries")

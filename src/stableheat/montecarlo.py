@@ -544,6 +544,16 @@ def _supremum_counts(alpha, delta, t_grid, seed, index, m):
     return np.array([(sup < b).sum() for b in levels], dtype=np.int64)
 
 
+def _start_point(domain, x) -> np.ndarray:
+    """``x`` as an array, checked to have finite coordinates and to lie in ``domain``."""
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(xa)):
+        raise ValueError(f"start point must have finite coordinates, got {xa.tolist()}")
+    if not dom.contains(domain, xa):
+        raise ValueError("start point must lie in the domain")
+    return xa
+
+
 def survival_curve(
     domain: dom.Domain,
     params: StableParams,
@@ -569,11 +579,7 @@ def survival_curve(
     either way, and the start point must have finite coordinates.  ``thin``
     applies only to a ``HyperplaneComplement``.
     """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(xa)):
-        raise ValueError(f"start point must have finite coordinates, got {xa.tolist()}")
-    if not dom.contains(domain, xa):
-        raise ValueError("start point must lie in the domain")
+    xa = _start_point(domain, x)
     t_grid = tuple(float(t) for t in t_grid)
     _check_horizons(t_grid, h)
     if thin is not None and not isinstance(domain, dom.HyperplaneComplement):
@@ -638,12 +644,13 @@ def heat_kernel_grid(
     """Killed-kernel estimates for all (t, y) pairs from one path batch.
 
     Uses the defining subtraction p_D = p - E[tau < t; p(t - tau, X_tau, y)];
-    returns a dict {(t, y-index): MCEstimate}.
+    returns a dict {(t, y-index): MCEstimate}.  x must be finite, and each y a finite point of R^d.
     """
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if not dom.contains(domain, xa):
-        raise ValueError("start point must lie in the domain")
+    xa = _start_point(domain, x)
     y_list = tuple(tuple(np.atleast_1d(np.asarray(y, dtype=float))) for y in y_list)
+    bad = [list(map(float, y)) for y in y_list if len(y) != params.d or not np.isfinite(y).all()]
+    if bad:
+        raise ValueError(f"end point must have {params.d} finite coordinates (d), got {bad[0]}")
     t_grid = tuple(float(t) for t in t_grid)
     _check_horizons(t_grid, h)
     _check_step_budget(t_grid, h)

@@ -30,7 +30,7 @@ BALL_1D = '{"type": "ball", "center": [0], "radius": 1}'
 
 
 def _survival(*extra):
-    return ["survival", "--mc", "--t", "1", "--x", "0", "--domain-json", BALL_1D, *extra]
+    return ["survival", "mc", "--t", "1", "--x", "0", "--domain-json", BALL_1D, *extra]
 
 
 @pytest.mark.parametrize(
@@ -42,7 +42,7 @@ def _survival(*extra):
     ],
 )
 def test_malformed_domain_document_exits_2(capsys, doc, d, x):
-    argv = ["survival", "--profile", "--t", "1", "--x", x, "--d", str(d), "--domain-json", doc]
+    argv = ["survival", "profile", "--t", "1", "--x", x, "--d", str(d), "--domain-json", doc]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -73,11 +73,11 @@ BALL_ARGS = ["--d", "1", "--alpha", "1", "--domain-json", BALL_1D, "--n", "512"]
 @pytest.mark.parametrize(
     "argv, text",
     [
-        (["survival", "--mc", "--x", "0", "--t", "inf", *BALL_ARGS], "argument --t"),
-        (["heatkernel", "--mc", "--x", "0", "--y", "0.3", "--t", "inf", *BALL_ARGS],
+        (["survival", "mc", "--x", "0", "--t", "inf", *BALL_ARGS], "argument --t"),
+        (["heatkernel", "mc", "--x", "0", "--y", "0.3", "--t", "inf", *BALL_ARGS],
          "argument --t"),
         (["verify", "factorization", "--t", "inf", "--h", "0.25", *BALL_ARGS], "--t"),
-        (["survival", "--mc", "--x", "0", "--t", "1e300", "--h", "1e-300", *BALL_ARGS],
+        (["survival", "mc", "--x", "0", "--t", "1e300", "--h", "1e-300", *BALL_ARGS],
          "finite number of steps"),
         (["verify", "profiles", "--t", "nan", *BALL_ARGS], "--t"),
         (["calibrate", "lambda1", "--r", "0", "--n", "512"], "argument --r"),
@@ -129,21 +129,8 @@ def test_ball_at_a_radius_whose_square_overflows(capsys):
     assert "error: the value overflows a float at --r" in capsys.readouterr().err
 
 
-def test_non_positive_worker_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("STABLEHEAT_WORKERS", "0")
-    assert cli.main(_survival("--n", "64")) == 2
-    assert "error: STABLEHEAT_WORKERS must be a positive integer" in capsys.readouterr().err
-
-
-def test_non_integer_worker_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("STABLEHEAT_WORKERS", "abc")
-    assert cli.main(_survival("--n", "64")) == 2
-    err = capsys.readouterr().err
-    assert "error: STABLEHEAT_WORKERS must be a positive integer, got 'abc'" in err
-
-
 def test_heat_kernel_start_point_outside_the_domain_exits_2(capsys):
-    argv = ["heatkernel", "--mc", "--domain-json", BALL_1D, "--x", "5", "--y", "0.3",
+    argv = ["heatkernel", "mc", "--domain-json", BALL_1D, "--x", "5", "--y", "0.3",
             "--t", "0.25", "--n", "4096"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == "error: start point must lie in the domain\n"
@@ -183,7 +170,7 @@ PROFILES = ["verify", "profiles", "--domain-json", BALL_1D, "--n", "64", "--h", 
         ([*PROFILES, "--t", ","], ","),
         ([*PROFILES, "--t", " "], " "),
         ([*PROFILES, "--points", "0.5;,"], ","),
-        (["survival", "--mc", "--t", "1", "--x", ",", "--domain-json", BALL_1D], ","),
+        (["survival", "mc", "--t", "1", "--x", ",", "--domain-json", BALL_1D], ","),
     ],
     ids=["t_comma", "t_blank", "points_entry", "x"],
 )
@@ -193,8 +180,8 @@ def test_option_without_numbers_exits_2(capsys, argv, text):
 
 
 CONE_2D = '{"type": "cone", "angle": 1, "axis": [0, 1]}'
-BALL_PROFILE = ["survival", "--profile", "--t", "2", "--x", "0", "--domain-json", BALL_1D]
-CONE_PROFILE = ["survival", "--profile", "--t", "2", "--x", "0,1", "--d", "2",
+BALL_PROFILE = ["survival", "profile", "--t", "2", "--x", "0", "--domain-json", BALL_1D]
+CONE_PROFILE = ["survival", "profile", "--t", "2", "--x", "0,1", "--d", "2",
                 "--domain-json", CONE_2D]
 
 
@@ -212,7 +199,7 @@ CONE_PROFILE = ["survival", "--profile", "--t", "2", "--x", "0,1", "--d", "2",
         ([*CONE_PROFILE, "--beta", "nan"], "beta must lie in [0, alpha)"),
         ([*CONE_PROFILE, "--beta", "-1"], "beta must lie in [0, alpha)"),
         ([*CONE_PROFILE, "--beta", "5"], "beta must lie in [0, alpha)"),
-        (["heatkernel", "--profile-bracket", "--lambda1", "nan", "--t", "2", "--x", "0",
+        (["heatkernel", "profile", "--lambda1", "nan", "--t", "2", "--x", "0",
           "--y", "0.3", "--domain-json", BALL_1D], "lambda1 must be positive and finite"),
         (["verify", "factorization", "--profile-form", "--t", "0.1,0.25", "--h", "0.015625",
           "--n", "64", "--domain-json", BALL_1D], "integer multiple of the step"),
@@ -231,7 +218,7 @@ def test_missing_option_bad_decay_rate_exponent_or_off_grid_horizon_exits_2(
 
 def test_beta_on_a_domain_that_is_not_a_cone_exits_2(capsys):
     # the ball profile never read it, and this printed 1 and exited 0
-    argv = ["survival", "--profile", "--d", "1", "--alpha", "1", "--domain-json", BALL_1D,
+    argv = ["survival", "profile", "--d", "1", "--alpha", "1", "--domain-json", BALL_1D,
             "--x", "0", "--t", "0.5", "--beta", "7"]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == (
@@ -325,19 +312,19 @@ def test_cli_leaves_no_pool_behind(no_pool, capsys):
 
 
 def test_survival_on_a_halfspace_reports_that_no_time_grid_was_used(capsys):
-    argv = ["survival", "--mc", "--t", "1", "--x", "0 0.3", "--d", "2", "--alpha", "1.5",
+    argv = ["survival", "mc", "--t", "1", "--x", "0 0.3", "--d", "2", "--alpha", "1.5",
             "--domain-json", '{"type": "halfspace", "axis": [0, 1]}', "--n", "4096"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.rstrip().endswith(" h 0")
 
 
-@pytest.mark.parametrize("mode, field", [("--mc", 1), ("--profile", 0)])
+@pytest.mark.parametrize("mode, field", [(["mc", "--h", "1e-100", "--n", "1000"], 1),
+                                         (["profile"], 0)], ids=["--mc-1", "--profile-0"])
 def test_survival_on_a_halfspace_at_a_horizon_whose_scaling_overflows(capsys, mode, field):
     # t^{-1/alpha} overflowed the Monte Carlo survival level (OverflowError)
     # and t^{1/alpha} underflowed the profile's scale (ZeroDivisionError)
-    argv = ["survival", mode, "--d", "1", "--alpha", "0.3", "--domain-json",
-            '{"type": "halfspace", "axis": [1]}', "--x", "1", "--t", "1e-100",
-            "--h", "1e-100", "--n", "1000"]
+    argv = ["survival", *mode, "--d", "1", "--alpha", "0.3", "--domain-json",
+            '{"type": "halfspace", "axis": [1]}', "--x", "1", "--t", "1e-100"]
     assert cli.main(argv) == 0
     assert float(capsys.readouterr().out.split()[field]) == 1.0
 
@@ -349,12 +336,12 @@ D2 = ["--d", "2", "--alpha", "1.5"]
 @pytest.mark.parametrize(
     "argv, text",
     [
-        (["survival", "--mc", "--domain-json", HALFSPACE_2D, "--x", "0,inf", "--t", "1"],
+        (["survival", "mc", "--domain-json", HALFSPACE_2D, "--x", "0,inf", "--t", "1"],
          "start point must have finite coordinates"),
-        (["survival", "--mc", "--domain-json",
+        (["survival", "mc", "--domain-json",
           '{"type": "exterior_ball", "center": [0, 0], "radius": 1}', "--x", "0,inf",
           "--t", "1"], "start point must have finite coordinates"),
-        (["survival", "--profile", "--domain-json", HALFSPACE_2D, "--x", "0,inf", "--t", "1"],
+        (["survival", "profile", "--domain-json", HALFSPACE_2D, "--x", "0,inf", "--t", "1"],
          "point must have finite coordinates"),
         (["verify", "profiles", "--domain-json", HALFSPACE_2D, "--points", "0,inf;0,1",
           "--n", "512"], "start point must have finite coordinates"),
@@ -642,8 +629,9 @@ def test_estimators_reject_a_bad_fit_window(window):
         mc.estimate_lambda1(StableParams(1, 1.0), 0.5, fit_window=window, n=64)
 
 
-#: the hand check of a command that declares --lambda1 and --beta for its
-#: profile mode, and the parser's refusal where a command declares neither
+#: the hand check of verify factorization, which declares --lambda1 and
+#: --beta for --profile-form, and the parser's refusal where a leaf declares
+#: neither
 NO_PROFILE = "error: this command uses no closed survival profile, so it takes no {0}\n"
 UNRECOGNIZED = "error: unrecognized arguments: {0} {1}\n"
 
@@ -652,8 +640,8 @@ UNRECOGNIZED = "error: unrecognized arguments: {0} {1}\n"
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (_survival("--n", "64"), NO_PROFILE),
-        (["heatkernel", "--mc", "--t", "1", "--x", "0", "--y", "0.3", *BALL_ARGS], NO_PROFILE),
+        (_survival("--n", "64"), UNRECOGNIZED),
+        (["heatkernel", "mc", "--t", "1", "--x", "0", "--y", "0.3", *BALL_ARGS], UNRECOGNIZED),
         (["verify", "factorization", "--t", "0.25", "--h", "0.25", *BALL_ARGS], NO_PROFILE),
         (["verify", "identities"], UNRECOGNIZED),
         (["verify", "bhp", "--d", "2", "--alpha", "1.5", "--n", "64", "--config", "bhp.json"],
@@ -663,12 +651,51 @@ UNRECOGNIZED = "error: unrecognized arguments: {0} {1}\n"
 )
 def test_profile_options_without_a_profile_exit_2(capsys, monkeypatch, tmp_path, argv, message,
                                                   option):
-    # each of these ran and exited 0, leaving the option unread
+    # each of these ran and exited 0, leaving the option unread; the
+    # Monte Carlo modes of survival and heatkernel refused them by hand
     monkeypatch.chdir(tmp_path)  # the default report directory
     (tmp_path / "bhp.json").write_text(json.dumps({"configs": [BHP_CELL]}))
     assert cli.main([*argv, *option]) == 2
     assert capsys.readouterr().err.endswith(message.format(*option))
     assert os.listdir(tmp_path) == ["bhp.json"]  # no report
+
+
+@pytest.mark.parametrize("option", [["--n", "5"], ["--h", "0.25"], ["--seed", "9"],
+                                    ["--workers", "2"]], ids=lambda o: o[0][2:])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survival", "profile", "--t", "1", "--x", "0", "--domain-json", BALL_1D],
+        ["heatkernel", "profile", "--t", "1", "--x", "0", "--y", "0.3", "--domain-json", BALL_1D],
+    ],
+    ids=["survival", "heatkernel"],
+)
+def test_path_options_of_a_profile_exit_2(capsys, argv, option):
+    # survival --profile and heatkernel --profile-bracket took each of these
+    # and printed the profile with exit 0, leaving the option unread
+    assert cli.main([*argv, *option]) == 2
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {' '.join(option)}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["--x", "0,inf", "--y", "0,1"], "start point must have finite coordinates"),
+        (["--x", "0,1", "--y", "0,nan"], "end point must have 2 finite coordinates (d)"),
+        (["--x", "0,1", "--y", "0,1,2"], "end point must have 2 finite coordinates (d)"),
+    ],
+    ids=["x_inf", "y_nan", "y_of_3"],
+)
+def test_heat_kernel_checks_its_points_before_it_walks(capsys, monkeypatch, argv, text):
+    # these walked for seconds before the density refused the point, or
+    # ended in a numpy broadcast error
+    def walk(*args, **kwargs):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(mc, "_walk_batch", walk)
+    assert cli.main(["heatkernel", "mc", "--domain-json", HALFSPACE_2D, *D2, "--t", "8",
+                     "--n", "100000", *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {text}")
 
 
 @pytest.mark.parametrize(
@@ -715,7 +742,7 @@ def test_calibrate_lambda1_beyond_the_step_budget_exits_2_at_once(capsys, tmp_pa
 
 def test_heatkernel_with_a_diagnostic_estimate_is_inconclusive(capsys):
     # the estimate -0.00544 lies below -3 stderr; this ended in a traceback
-    argv = ["heatkernel", "--mc", "--d", "1", "--alpha", "1.5", "--domain-json", BALL_1D,
+    argv = ["heatkernel", "mc", "--d", "1", "--alpha", "1.5", "--domain-json", BALL_1D,
             "--x", "0.9", "--y", "-0.9", "--t", "8", "--n", "64", "--h", "0.5", "--seed", "550"]
     assert cli.main(argv) == 3
     assert capsys.readouterr().err.startswith(
@@ -776,7 +803,7 @@ def test_bhp_target_inside_the_localization_ball_or_of_another_dimension_exits_2
 def test_a_json_number_that_no_finite_float_holds_exits_2(capsys, monkeypatch, tmp_path,
                                                          option, number):
     # a ball of radius Infinity ended verify profiles in an OverflowError
-    # traceback and made survival --profile print 1 with exit 0; a 400-digit
+    # traceback and made survival profile print 1 with exit 0; a 400-digit
     # radius raised "int too large to convert to float"
     monkeypatch.chdir(tmp_path)  # the default report directory
     ball = f'{{"type": "ball", "center": [0], "radius": {number}}}'
@@ -784,7 +811,7 @@ def test_a_json_number_that_no_finite_float_holds_exits_2(capsys, monkeypatch, t
     (tmp_path / "doc.json").write_text(cell if option == "--config" else ball)
     argv = {
         "--domain": ["verify", "profiles", "--domain", "doc.json", "--n", "64", "--h", "0.25"],
-        "--domain-json": ["survival", "--profile", "--t", "1", "--x", "0", "--domain-json", ball],
+        "--domain-json": ["survival", "profile", "--t", "1", "--x", "0", "--domain-json", ball],
         "--config": ["verify", "bhp", "--d", "2", "--alpha", "1.5", "--n", "64",
                      "--config", "doc.json"],
     }[option]
@@ -810,17 +837,23 @@ def _options(parser) -> dict:
 
 LEAVES = dict(_leaves(cli.build_parser()))
 EVERY_OPTION = {s: a for leaf in LEAVES.values() for s, a in _options(leaf).items()}
-#: the variants of ball, verify and calibrate (survival and heatkernel keep
-#: --mc and the profile options that their Monte Carlo mode refuses by hand)
-VARIANTS = [p for p in LEAVES if p[0] in ("ball", "verify", "calibrate")]
+VARIANTS = list(LEAVES)
+
+
+def test_every_leaf_has_a_function_of_its_own():
+    # ball, calibrate, survival and heatkernel each served all their leaves
+    # from one function that branched on the leaf
+    fns = [leaf.get_default("fn") for leaf in LEAVES.values()]
+    assert len(LEAVES) == 15 and len(set(fns)) == len(fns)
 
 
 @pytest.mark.parametrize("path", VARIANTS, ids=" ".join)
 def test_a_leaf_refuses_every_option_that_it_does_not_declare(capsys, monkeypatch, tmp_path,
                                                               path):
     # verify identities took --n, --h, --domain-json, --points, --t and
-    # --config, calibrate lambda1 took --x, --thin and --domain-json, and
-    # ball green took --y and --R, each with exit 0 and the option unread
+    # --config, calibrate lambda1 took --x, --thin and --domain-json, ball
+    # green took --y and --R, and survival --profile took --n and --seed,
+    # each with exit 0 and the option unread
     monkeypatch.chdir(tmp_path)  # the default report and calibration paths
     own = _options(LEAVES[path])
     base = [*path, *(w for s, a in own.items() if a.required for w in (s, "1"))]

@@ -425,15 +425,15 @@ HALFSPACE_2D = '{"type": "halfspace", "axis": [0, 1]}'
 #: case -> command line; a calibrate case pins only its first line, since
 #: the second names the store file
 PRINTED = {
-    "survival/mc": ["survival", "--mc", "--d", "1", "--alpha", "1.5", "--domain-json", BALL_1D,
+    "survival/mc": ["survival", "mc", "--d", "1", "--alpha", "1.5", "--domain-json", BALL_1D,
                     "--x", "0.5", "--t", "0.5", "--n", "4096", "--h", "0.0625", "--seed", "3"],
-    "survival/profile": ["survival", "--profile", "--d", "1", "--alpha", "1.5",
+    "survival/profile": ["survival", "profile", "--d", "1", "--alpha", "1.5",
                          "--domain-json", BALL_1D, "--x", "0.5", "--t", "2",
                          "--lambda1", "1.6"],
-    "heatkernel/mc": ["heatkernel", "--mc", "--d", "2", "--alpha", "1.5",
+    "heatkernel/mc": ["heatkernel", "mc", "--d", "2", "--alpha", "1.5",
                       "--domain-json", HALFSPACE_2D, "--x", "0,0.5", "--y", "0.3,1",
                       "--t", "1", "--n", "4096", "--h", "0.0625", "--seed", "3"],
-    "heatkernel/profile": ["heatkernel", "--profile-bracket", "--d", "1", "--alpha", "1",
+    "heatkernel/profile": ["heatkernel", "profile", "--d", "1", "--alpha", "1",
                            "--domain-json", BALL_1D, "--x", "0.5", "--y", "-0.25",
                            "--t", "2", "--lambda1", "1.2"],
     "ball/green": ["ball", "green", "--d", "2", "--alpha", "1.5", "--x", "0.2,0.1",
