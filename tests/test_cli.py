@@ -837,7 +837,6 @@ def _options(parser) -> dict:
 
 LEAVES = dict(_leaves(cli.build_parser()))
 EVERY_OPTION = {s: a for leaf in LEAVES.values() for s, a in _options(leaf).items()}
-VARIANTS = list(LEAVES)
 
 
 def test_every_leaf_has_a_function_of_its_own():
@@ -847,7 +846,7 @@ def test_every_leaf_has_a_function_of_its_own():
     assert len(LEAVES) == 15 and len(set(fns)) == len(fns)
 
 
-@pytest.mark.parametrize("path", VARIANTS, ids=" ".join)
+@pytest.mark.parametrize("path", LEAVES, ids=" ".join)
 def test_a_leaf_refuses_every_option_that_it_does_not_declare(capsys, monkeypatch, tmp_path,
                                                               path):
     # verify identities took --n, --h, --domain-json, --points, --t and
@@ -897,7 +896,7 @@ def _reads() -> dict:
     return reads
 
 
-@pytest.mark.parametrize("path", VARIANTS, ids=" ".join)
+@pytest.mark.parametrize("path", LEAVES, ids=" ".join)
 def test_a_leaf_declares_only_options_that_its_function_reads(path):
     leaf = LEAVES[path]
     declared = {a.dest for a in _options(leaf).values()}
