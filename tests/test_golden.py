@@ -281,8 +281,8 @@ def _table(d, alpha):
 
 
 # ---------------------------------------------------------------------------
-# the survival-profile catalog: every shape, with and without lambda1 and
-# as the tangent-ball (c11) bracket
+# the survival-profile catalog: every native shape, with and without
+# lambda1, and apart from it the tangent-ball (c11) bracket
 
 PROFILE_KINDS = {
     "ball": lambda d: dom.Ball((0.25,) * d, 2.0),
@@ -295,9 +295,8 @@ PROFILE_KINDS = {
     "special_lipschitz": lambda d: dom.SpecialLipschitz(((-1.0, 0.0), (1.0, 0.5)), 0.5),
     "ball_union_exterior_ball": lambda d: dom.BallUnionExteriorBall((0.0,) * d, 1.0, 2.5),
 }
-PROFILE_VARIANTS = (
-    {}, {"lambda1": 1.3}, {"c11": True}, {"c11": True, "lambda1": 1.3},
-)
+PROFILE_VARIANTS = ({}, {"lambda1": 1.3})
+PROFILE_C11_VARIANTS = ({"c11": True}, {"c11": True, "lambda1": 1.3})
 PROFILE_TIMES = np.geomspace(1e-4, 1e4, 17)
 
 
@@ -309,12 +308,19 @@ def _profile_points(d):
     return [*pts, np.zeros(d + 1)]
 
 
-def _profile_catalog(kind):
+def _native_value(prof, t, x):
+    """The value of a native profile, whose bracket has equal ends."""
+    br = prof.evaluate_bracket(t, x)
+    assert br.lower == br.upper
+    return prof.evaluate(t, x)
+
+
+def _profile_catalog(kind, variants=PROFILE_VARIANTS, value=_native_value):
     out = []
     for d in (1, 2, 3):
         domain = PROFILE_KINDS[kind](d)
         for alpha in (0.5, 1.0, 1.5, 1.9):
-            for kw in PROFILE_VARIANTS:
+            for kw in variants:
                 try:
                     prof = kernels.survival_profile(domain, StableParams(d, alpha), **kw)
                 except ValueError as exc:
@@ -323,7 +329,7 @@ def _profile_catalog(kind):
                 for t in PROFILE_TIMES:
                     for x in _profile_points(d):
                         try:
-                            out.append(prof.evaluate_bracket(float(t), x))
+                            out.append(value(prof, float(t), x))
                         except ValueError as exc:
                             out.append(f"{type(exc).__name__}: {exc}")
     return _sha(repr(out))
@@ -501,6 +507,8 @@ CASES["factorization/ball_d1/profile"] = (_factorization, "profile", 1)
 CASES["profile_sweep/halfspace_d2"] = (_profile_sweep,)
 for _kind in PROFILE_KINDS:
     CASES[f"profile/{_kind}"] = (_profile_catalog, _kind)
+    CASES[f"profile_c11/{_kind}"] = (_profile_catalog, _kind, PROFILE_C11_VARIANTS,
+                                     kernels.SurvivalProfile.evaluate_bracket)
 for _suite in WRITTEN:
     CASES[f"written/{_suite}"] = (_written, _suite)
 for _case in PRINTED:
@@ -570,15 +578,24 @@ EXPECTED = {
     'printed/heatkernel/profile': 'lower 0.00775150663 upper 0.00775150663\n',
     'printed/survival/mc': 'mean 0.509765625 stderr 0.00781100974 n 4096 seed 3 h 0.0625\n',
     'printed/survival/profile': '0.120048388\n',
-    'profile/ball': 'b19965c842d735375f3f',
-    'profile/ball_union_exterior_ball': 'e968eec795c3abc3e317',
-    'profile/cone': 'ccbe81a1736ad2eca904',
-    'profile/exterior_ball': 'a8fcac02a3f0f1927170',
-    'profile/halfspace': 'b7b53dd76abf803d2986',
-    'profile/hyperplane_complement': '9dc54cb658ae809e0f0e',
-    'profile/interval_complement': '47f2393d6cc1c83b68cb',
-    'profile/right_cone': '1ae3bdd4d58db2a6bbcc',
-    'profile/special_lipschitz': 'd483061595431c5313eb',
+    'profile/ball': '4c0021c210c71c625e6a',
+    'profile/ball_union_exterior_ball': '5c5da468c0cd57aa5c4a',
+    'profile/cone': '5b37d5852c606b6f5ad1',
+    'profile/exterior_ball': '0fb60888f8b9ac2a8104',
+    'profile/halfspace': '4b08eddfb1b0a2fe76b7',
+    'profile/hyperplane_complement': 'dc0cecf8c31478d4cbfa',
+    'profile/interval_complement': '9126e4066b4b894c83e5',
+    'profile/right_cone': '94e12a51ffe93190b38e',
+    'profile/special_lipschitz': '6fab029df47bb669176c',
+    'profile_c11/ball': '5ce726d3cd9f2551f0e4',
+    'profile_c11/ball_union_exterior_ball': '53aa6531eda229394dd6',
+    'profile_c11/cone': 'e3deb788a2177f4228a3',
+    'profile_c11/exterior_ball': 'cb0cd4f7785cdd4c822a',
+    'profile_c11/halfspace': 'bacf0268540389358377',
+    'profile_c11/hyperplane_complement': 'af9be74d9eccd4bac462',
+    'profile_c11/interval_complement': '8d2cd4f19a35d2fe2d30',
+    'profile_c11/right_cone': '08396e37aa5fdc957108',
+    'profile_c11/special_lipschitz': 'd7095997492938776e0f',
     'profile_sweep/halfspace_d2': '497e121ecfe7c55a0713',
     'supremum/0.7': '2d9bc71398ad565e8559',
     'supremum/1.0': '4d44986b28db303e10e2',
