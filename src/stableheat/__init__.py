@@ -13,7 +13,6 @@ from .domains import (
     Intersection,
     IntervalComplement,
     SpecialLipschitz,
-    c11_scale,
     contains,
     dist_to_complement,
     domain_from_dict,

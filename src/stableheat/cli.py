@@ -212,8 +212,7 @@ def _cmd_heatkernel_mc(args) -> int:
 def _cmd_heatkernel_profile(args) -> int:
     params, domain = _params_domain(args)
     x, y = _parse_vec(args.x), _parse_vec(args.y)
-    br = kernels.heat_kernel_profile(_profile(args, domain, params), args.t, x, y)
-    print(f"lower {_fmt(br.lower)} upper {_fmt(br.upper)}")
+    print(_fmt(kernels.heat_kernel_profile(_profile(args, domain, params), args.t, x, y)))
     return 0
 
 
@@ -471,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(ssub, "profile", _cmd_survival_profile, domain, profile, probe)
 
     y = _options(("--y", dict(required=True)))
-    hsub = group("heatkernel", "killed transition density: Monte Carlo or profile bracket")
+    hsub = group("heatkernel", "killed transition density: Monte Carlo or closed profile")
     leaf(hsub, "mc", _cmd_heatkernel_mc, paths, step, domain, probe, y)
     leaf(hsub, "profile", _cmd_heatkernel_profile, domain, profile, probe, y)
 

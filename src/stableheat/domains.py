@@ -1,5 +1,5 @@
-"""Domain catalog: membership, distance to the complement, fat-ball
-witness points and tangent-ball scale.
+"""Domain catalog: membership, distance to the complement and fat-ball
+witness points.
 
 Every variant is a frozen dataclass; all queries are pure.  Points are
 accepted as scalars (d = 1) or sequences and normalized internally.
@@ -584,31 +584,14 @@ def _annular_witness(domain, xa, r, dx) -> Optional[FatWitness]:
 
 
 # ---------------------------------------------------------------------------
-# tangent-ball scale
+# shape queries
 
 
-def c11_scale(domain: Domain) -> Optional[float]:
-    """Largest scale at which inner and outer tangent balls exist at every
-    boundary point; None for variants with corners or flat complements."""
-    if isinstance(domain, Ball):
-        return domain.radius
-    if isinstance(domain, ExteriorBall):
-        return domain.radius
-    if isinstance(domain, HalfSpace):
-        return math.inf
+def is_half_space(domain: Domain) -> bool:
+    """True for a ``HalfSpace`` and for a cone of aperture pi/2."""
     if isinstance(domain, CircularCone):
-        return math.inf if abs(domain.angle - math.pi / 2) < 1e-12 else None
-    if isinstance(domain, (HyperplaneComplement, SpecialLipschitz)):
-        return None
-    if isinstance(domain, IntervalComplement):
-        iv = domain.intervals
-        min_len = min(b - a for a, b in iv)
-        gaps = [a1 - b0 for (_, b0), (a1, _) in zip(iv[:-1], iv[1:])]
-        min_gap = min(gaps) if gaps else math.inf
-        return 0.5 * min(min_len, min_gap)
-    if isinstance(domain, BallUnionExteriorBall):
-        return min(domain.inner_radius, 0.5 * (domain.outer_radius - domain.inner_radius))
-    return None
+        return abs(domain.angle - math.pi / 2) < 1e-12
+    return isinstance(domain, HalfSpace)
 
 
 def complement_diameter(domain: Domain) -> float:

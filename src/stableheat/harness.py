@@ -348,11 +348,7 @@ def profile_sweep(
     seed: int,
     workers: int = 1,
 ) -> RatioReport:
-    """Ratio of survival estimates to the built ``profile`` per (t, x) cell.
-
-    For bracket-valued profiles the reported number is the smallest C with
-    lower/C <= estimate <= C upper (1 when the estimate is contained).
-    """
+    """Ratio of survival estimates to the built ``profile`` per (t, x) cell."""
     domain, params = profile.domain, profile.params
     t_set = sorted(float(t) for t in t_set)
     cells = []
@@ -360,12 +356,7 @@ def profile_sweep(
         xa = tuple(np.atleast_1d(np.asarray(x, float)))
         curve = mc.survival_curve(domain, params, xa, t_set, n, h, seed + 31 * i, workers)
         for t, est in zip(t_set, curve):
-            br = profile.evaluate_bracket(t, xa)
-            cell = _cell(t, xa, None, est, br.upper)
-            if cell.ratio is not None and br.lower != br.upper:
-                ratio = max(1.0, br.lower / est.mean, est.mean / br.upper)
-                cell = replace(cell, ratio=ratio)
-            cells.append(cell)
+            cells.append(_cell(t, xa, None, est, profile.evaluate(t, xa)))
     return _assemble_report(domain, params, t_set, cells, n)
 
 

@@ -198,32 +198,25 @@ def ball_exit_tail(params: StableParams, x, R: float) -> Bracket:
 class SurvivalProfile:
     """Comparability shape S(t, x) for the survival probability.
 
-    ``evaluate`` returns a single value clamped to [0, 1]; the two-sided
-    tangent-ball form (``c11``) is a genuine bracket, for which
-    ``evaluate`` returns the upper envelope and ``evaluate_bracket`` both
-    sides.  Values are comparators, not probabilities: the missing
-    constants are measured by the sweep harness.  The shape follows the
-    type of ``domain``; ``beta`` is the cone exponent.  A point with a
-    non-finite coordinate raises ``ValueError``.
+    ``evaluate`` returns one value clamped to [0, 1].  Values are
+    comparators, not probabilities: the missing constants are measured by
+    the sweep harness.  The shape follows the type of ``domain``; ``beta``
+    is the cone exponent.  A point with a non-finite coordinate raises
+    ``ValueError``.
 
     ``lambda1`` is the unit-ball decay rate; a ball of radius r decays at
     lambda1 / r^alpha, which is how ``estimate_lambda1`` reports it.  The
-    ball shape and the lower envelope of the ``c11`` bracket carry the
-    factor exp(-lambda1 (t - s)_+ / s) for s = rho^alpha, rho =
-    max(r, delta(x)) with r = ``domains.c11_scale``: they equal the
-    short-time shape up to s and decay at lambda1 / s after it.
+    ball shape carries the factor exp(-lambda1 (t - s)_+ / s) for s =
+    rho^alpha, rho = max(r, delta(x)): it equals the short-time shape up
+    to s and decays at lambda1 / s after it.
     """
 
     domain: dom.Domain
     params: StableParams
     beta: Optional[float] = None
     lambda1: Optional[float] = None
-    c11: bool = False
 
     def evaluate(self, t: float, x) -> float:
-        return self.evaluate_bracket(t, x).upper
-
-    def evaluate_bracket(self, t: float, x) -> Bracket:
         if not 0 < t < math.inf:
             raise ValueError(f"time must be positive and finite, got {t!r}")
         D = self.domain
@@ -234,25 +227,19 @@ class SurvivalProfile:
         if not np.all(np.isfinite(xa)):
             raise ValueError(f"point must have finite coordinates, got {xa.tolist()}")
         if not dom.contains(D, xa):
-            return Bracket(0.0, 0.0)
+            return 0.0
         delta = dom.dist_to_complement(D, xa)
         a = self.params.alpha
         ts = t ** (1.0 / a)
 
-        if self.c11 or isinstance(D, (dom.Ball, dom.HalfSpace)):
-            r = dom.c11_scale(D)  # the ball's radius; inf for the half-space
-            hi = _unit_ratio(delta, min(r, ts)) ** (a / 2)
-            lo = hi
+        if isinstance(D, dom.Ball):
+            r = D.radius
+            v = _unit_ratio(delta, min(r, ts)) ** (a / 2)
             if self.lambda1 is not None:
-                lo *= _late_decay(self.lambda1, t, max(r, delta) ** a)
-            if not self.c11:
-                return _clamp_pair(lo, lo)
-            diam = dom.complement_diameter(D)
-            if math.isfinite(diam) and self.params.d > a:
-                lo = max(lo, (min(r, diam) / diam) ** a * hi)
-            return _clamp_pair(lo, hi)
-
-        if isinstance(D, dom.ExteriorBall):
+                v *= _late_decay(self.lambda1, t, max(r, delta) ** a)
+        elif isinstance(D, dom.HalfSpace):
+            v = _unit_ratio(delta, ts) ** (a / 2)
+        elif isinstance(D, dom.ExteriorBall):
             # in units of the radius; StableParams makes d > alpha unless d = 1 <= alpha
             R = D.radius
             dl, tl = delta / R, t / R ** a
@@ -277,7 +264,7 @@ class SurvivalProfile:
                 v = min(1.0, math.log1p(delta ** 0.5) / math.log1p(t ** 0.5))
         else:
             raise UnsupportedRegimeError(f"no closed survival profile for {type(D).__name__}")
-        return _clamp_pair(v, v)
+        return min(max(v, 0.0), 1.0)
 
 
 def _unit_ratio(length: float, scale: float) -> float:
@@ -291,59 +278,36 @@ def _late_decay(lambda1: float, t: float, scale_a: float) -> float:
     return exp(-lambda1 * max(t - scale_a, 0.0) / scale_a)
 
 
-def _clamp_pair(lo: float, hi: float) -> Bracket:
-    lo = min(max(lo, 0.0), 1.0)
-    hi = min(max(hi, 0.0), 1.0)
-    return Bracket(min(lo, hi), hi)
-
-
 def survival_profile(
     domain: dom.Domain,
     params: StableParams,
     *,
     beta: Optional[float] = None,
     lambda1: Optional[float] = None,
-    c11: bool = False,
 ) -> SurvivalProfile:
     """Build the comparability profile for a catalog domain.
 
     Cones need an exponent ``beta`` in [0, alpha) unless the aperture is
     pi/2 (half-space, beta = alpha/2) or one is stored on the domain; no
-    other profile reads ``beta``, so giving it elsewhere, or with ``c11``,
-    raises ``ValueError``.
+    other profile reads ``beta``, so giving it elsewhere raises
+    ``ValueError``.  ``lambda1``, if given, must be positive and finite:
+    the unit-ball value (the rate for radius r is lambda1 / r^alpha, as
+    ``estimate_lambda1`` reports it).
     Hyperplane complements need alpha > 1, interval complements alpha >= 1.
-    ``c11=True`` requests the two-sided tangent-ball bracket instead of the
-    variant's native shape; it needs a tangent-ball scale and, when that
-    scale is finite, ``lambda1``: positive and finite, the unit-ball value
-    (the rate for radius r is lambda1 / r^alpha, as ``estimate_lambda1``
-    reports it).
     """
     a = params.alpha
     if dom.dim(domain) != params.d:
         raise ValueError("domain dimension does not match the parameters")
     if lambda1 is not None and not 0 < lambda1 < math.inf:
         raise ValueError(f"lambda1 must be positive and finite, got {lambda1!r}")
-    if beta is not None and (c11 or not isinstance(domain, dom.CircularCone)):
+    if beta is not None and not isinstance(domain, dom.CircularCone):
         raise ValueError(
-            "beta applies only to the native profile of a cone, not to "
-            + ("the tangent-ball bracket" if c11 else type(domain).__name__)
+            f"beta applies only to the native profile of a cone, not to {type(domain).__name__}"
         )
-
-    if c11:
-        r = dom.c11_scale(domain)
-        if r is None:
-            raise UnsupportedRegimeError(
-                f"{type(domain).__name__} has no tangent-ball scale"
-            )
-        if lambda1 is None and math.isfinite(r):
-            raise MissingParameterError(
-                "the two-sided tangent-ball bracket needs a calibrated lambda1"
-            )
-        return SurvivalProfile(domain, params, lambda1=lambda1, c11=True)
 
     if isinstance(domain, dom.CircularCone):
         b = beta if beta is not None else domain.beta
-        if b is None and dom.c11_scale(domain) == math.inf:  # a half-space
+        if b is None and dom.is_half_space(domain):
             b = a / 2
         if b is None:
             raise MissingParameterError(
@@ -366,15 +330,13 @@ def survival_profile(
     return SurvivalProfile(domain, params, lambda1=lambda1)
 
 
-def heat_kernel_profile(profile: SurvivalProfile, t: float, x, y) -> Bracket:
-    """Factorized comparator S(t,x) p(t,x,y) S(t,y) as a bracket, with S
-    the given ``profile`` (built once by ``survival_profile``).
+def heat_kernel_profile(profile: SurvivalProfile, t: float, x, y) -> float:
+    """Factorized comparator S(t,x) p(t,x,y) S(t,y), with S the given
+    ``profile`` (built once by ``survival_profile``).
 
-    Lower and upper coincide except for bracket-valued profiles.  The true
-    killed kernel is comparable to this within constants that the sweep
-    harness measures; nothing here asserts their value.
+    The true killed kernel is comparable to this within constants that the
+    sweep harness measures; nothing here asserts their value.
     """
-    bx = profile.evaluate_bracket(t, x)
-    by = profile.evaluate_bracket(t, y)
-    p = free_density(profile.params, t, x, y).value
-    return Bracket(bx.lower * p * by.lower, bx.upper * p * by.upper)
+    sx = profile.evaluate(t, x)
+    sy = profile.evaluate(t, y)
+    return sx * free_density(profile.params, t, x, y).value * sy

@@ -587,8 +587,7 @@ def survival_curve(
                          f"{type(domain).__name__}")
     _thin_width(thin)
     t0 = time.perf_counter()
-    # only a half-space has tangent balls of every size at its boundary
-    if dom.c11_scale(domain) == math.inf:
+    if dom.is_half_space(domain):
         delta = dom.dist_to_complement(domain, xa)
         job = partial(_supremum_counts, params.alpha, delta, t_grid, rng_seed)
         step = 0.0

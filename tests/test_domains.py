@@ -151,31 +151,15 @@ class TestFatWitness:
         assert da >= c * max(r, dx) - 1e-12
 
 
-class TestTangentScale:
-    def test_ball(self):
-        assert dom.c11_scale(dom.Ball((0.0,), 2.0)) == 2.0
-
-    def test_single_interval(self):
-        assert dom.c11_scale(dom.IntervalComplement(((0.0, 4.0),))) == 2.0
-
-    def test_interval_with_gap(self):
-        assert dom.c11_scale(IC) == 0.5  # gap (1, 2) limits the outer ball
-
-    def test_cone_corner(self):
-        assert dom.c11_scale(CONE) is None
-
-    def test_halfspace_flat(self):
-        assert dom.c11_scale(HS) == math.inf
-
-    def test_hyperplane_and_graph_absent(self):
-        assert dom.c11_scale(HYP) is None
-        assert dom.c11_scale(SLIP) is None
-
-    def test_annulus(self):
-        assert dom.c11_scale(ANN) == 1.0
-
-    def test_exterior_ball(self):
-        assert dom.c11_scale(EXT) == 1.0
+@pytest.mark.parametrize(
+    "domain, expected",
+    [(HS, True), (HALF_CONE, True), (dom.CircularCone(math.pi / 3, (0.0, 1.0)), False),
+     (BALL, False), (EXT, False), (IC, False)],
+    ids=["halfspace", "right_cone", "cone_pi_3", "ball", "exterior_ball",
+         "interval_complement"],
+)
+def test_is_half_space(domain, expected):
+    assert dom.is_half_space(domain) is expected
 
 
 class TestComplementDiameter:

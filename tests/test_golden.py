@@ -281,8 +281,7 @@ def _table(d, alpha):
 
 
 # ---------------------------------------------------------------------------
-# the survival-profile catalog: every native shape, with and without
-# lambda1, and apart from it the tangent-ball (c11) bracket
+# the survival-profile catalog: every shape, with and without lambda1
 
 PROFILE_KINDS = {
     "ball": lambda d: dom.Ball((0.25,) * d, 2.0),
@@ -296,7 +295,6 @@ PROFILE_KINDS = {
     "ball_union_exterior_ball": lambda d: dom.BallUnionExteriorBall((0.0,) * d, 1.0, 2.5),
 }
 PROFILE_VARIANTS = ({}, {"lambda1": 1.3})
-PROFILE_C11_VARIANTS = ({"c11": True}, {"c11": True, "lambda1": 1.3})
 PROFILE_TIMES = np.geomspace(1e-4, 1e4, 17)
 
 
@@ -308,19 +306,12 @@ def _profile_points(d):
     return [*pts, np.zeros(d + 1)]
 
 
-def _native_value(prof, t, x):
-    """The value of a native profile, whose bracket has equal ends."""
-    br = prof.evaluate_bracket(t, x)
-    assert br.lower == br.upper
-    return prof.evaluate(t, x)
-
-
-def _profile_catalog(kind, variants=PROFILE_VARIANTS, value=_native_value):
+def _profile_catalog(kind):
     out = []
     for d in (1, 2, 3):
         domain = PROFILE_KINDS[kind](d)
         for alpha in (0.5, 1.0, 1.5, 1.9):
-            for kw in variants:
+            for kw in PROFILE_VARIANTS:
                 try:
                     prof = kernels.survival_profile(domain, StableParams(d, alpha), **kw)
                 except ValueError as exc:
@@ -329,7 +320,7 @@ def _profile_catalog(kind, variants=PROFILE_VARIANTS, value=_native_value):
                 for t in PROFILE_TIMES:
                     for x in _profile_points(d):
                         try:
-                            out.append(value(prof, float(t), x))
+                            out.append(prof.evaluate(float(t), x))
                         except ValueError as exc:
                             out.append(f"{type(exc).__name__}: {exc}")
     return _sha(repr(out))
@@ -507,8 +498,6 @@ CASES["factorization/ball_d1/profile"] = (_factorization, "profile", 1)
 CASES["profile_sweep/halfspace_d2"] = (_profile_sweep,)
 for _kind in PROFILE_KINDS:
     CASES[f"profile/{_kind}"] = (_profile_catalog, _kind)
-    CASES[f"profile_c11/{_kind}"] = (_profile_catalog, _kind, PROFILE_C11_VARIANTS,
-                                     kernels.SurvivalProfile.evaluate_bracket)
 for _suite in WRITTEN:
     CASES[f"written/{_suite}"] = (_written, _suite)
 for _case in PRINTED:
@@ -575,7 +564,7 @@ EXPECTED = {
     'printed/calibrate/beta': 'beta 1.15030236 stderr 0.0348171863 seed 3 n 4096\n',
     'printed/calibrate/lambda1': 'lambda1 1.327862 stderr 0.0286242214 seed 3 n 4096\n',
     'printed/heatkernel/mc': 'mean 0.0608402056 stderr 0.000417473278 n 4096 seed 3 h 0.0625\n',
-    'printed/heatkernel/profile': 'lower 0.00775150663 upper 0.00775150663\n',
+    'printed/heatkernel/profile': '0.00775150663\n',
     'printed/survival/mc': 'mean 0.509765625 stderr 0.00781100974 n 4096 seed 3 h 0.0625\n',
     'printed/survival/profile': '0.120048388\n',
     'profile/ball': '4c0021c210c71c625e6a',
@@ -587,15 +576,6 @@ EXPECTED = {
     'profile/interval_complement': '9126e4066b4b894c83e5',
     'profile/right_cone': '94e12a51ffe93190b38e',
     'profile/special_lipschitz': '6fab029df47bb669176c',
-    'profile_c11/ball': '5ce726d3cd9f2551f0e4',
-    'profile_c11/ball_union_exterior_ball': '53aa6531eda229394dd6',
-    'profile_c11/cone': 'e3deb788a2177f4228a3',
-    'profile_c11/exterior_ball': 'cb0cd4f7785cdd4c822a',
-    'profile_c11/halfspace': 'bacf0268540389358377',
-    'profile_c11/hyperplane_complement': 'af9be74d9eccd4bac462',
-    'profile_c11/interval_complement': '8d2cd4f19a35d2fe2d30',
-    'profile_c11/right_cone': '08396e37aa5fdc957108',
-    'profile_c11/special_lipschitz': 'd7095997492938776e0f',
     'profile_sweep/halfspace_d2': '497e121ecfe7c55a0713',
     'supremum/0.7': '2d9bc71398ad565e8559',
     'supremum/1.0': '4d44986b28db303e10e2',

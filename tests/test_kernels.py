@@ -8,7 +8,6 @@ from scipy import integrate
 
 from stableheat import (
     Ball,
-    Bracket,
     CircularCone,
     ExteriorBall,
     HalfSpace,
@@ -322,9 +321,6 @@ class TestSurvivalProfile:
     def test_rejects_a_lambda1_that_is_not_positive_and_finite(self, p11, lambda1):
         with pytest.raises(ValueError, match="lambda1 must be positive and finite"):
             survival_profile(Ball((0.0,), 1.0), p11, lambda1=lambda1)
-        with pytest.raises(ValueError, match="lambda1 must be positive and finite"):
-            survival_profile(ExteriorBall((0.0, 0.0), 1.0), StableParams(2, 1.0),
-                             lambda1=lambda1, c11=True)
 
     @pytest.mark.parametrize("beta", [math.nan, -1.0, 1.0, 5.0])
     def test_rejects_a_cone_beta_outside_zero_to_alpha(self, p21, beta):
@@ -340,9 +336,6 @@ class TestSurvivalProfile:
             survival_profile(Ball((0.0,), 1.0), p11, beta=0.5)
         with pytest.raises(ValueError, match="not to HalfSpace"):
             survival_profile(HalfSpace((1.0,)), p11, beta=0.5)
-        with pytest.raises(ValueError, match="not to the tangent-ball bracket"):
-            survival_profile(ExteriorBall((0.0, 0.0), 1.0), p21, beta=0.5,
-                             lambda1=1.0, c11=True)
 
     def test_exterior_regime_selection(self):
         # at delta = R/4 and t = 2 R^alpha the three exterior-ball regimes
@@ -370,21 +363,17 @@ class TestSurvivalProfile:
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_a_time_that_is_not_positive_and_finite(self, p11, t):
-        for kw in ({}, {"lambda1": 1.1, "c11": True}):
-            prof = survival_profile(HalfSpace((1.0,)), p11, **kw)
-            with pytest.raises(ValueError, match="time must be positive and finite"):
-                prof.evaluate_bracket(t, (0.5,))
+        prof = survival_profile(HalfSpace((1.0,)), p11)
+        with pytest.raises(ValueError, match="time must be positive and finite"):
+            prof.evaluate(t, (0.5,))
 
     def test_a_horizon_whose_scale_underflows_gives_one(self):
         # t^{1/alpha} = 1e-100^{10/3} is 0, and delta / 0 raised ZeroDivisionError
         p = StableParams(1, 0.3)
-        cases = [(HalfSpace((1.0,)), {}), (Ball((0.0,), 1.0), {}),
-                 (Ball((0.0,), 1.0), {"lambda1": 1.1, "c11": True})]
-        for domain, kw in cases:
-            br = survival_profile(domain, p, **kw).evaluate_bracket(1e-100, (0.5,))
-            assert br == Bracket(1.0, 1.0), domain
+        for domain in (HalfSpace((1.0,)), Ball((0.0,), 1.0)):
+            assert survival_profile(domain, p).evaluate(1e-100, (0.5,)) == 1.0, domain
         cone = survival_profile(CircularCone(1.0, (0.0, 1.0)), StableParams(2, 0.3), beta=0.1)
-        assert cone.evaluate_bracket(1e-100, (0.1, 1.0)) == Bracket(1.0, 1.0)
+        assert cone.evaluate(1e-100, (0.1, 1.0)) == 1.0
 
     @pytest.mark.parametrize("x", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
     def test_rejects_a_point_that_is_not_finite(self, x):
@@ -392,7 +381,7 @@ class TestSurvivalProfile:
         for domain in (HalfSpace((0.0, 1.0)), ExteriorBall((0.0, 0.0), 1.0)):
             prof = survival_profile(domain, StableParams(2, 1.5))
             with pytest.raises(ValueError, match="point must have finite coordinates"):
-                prof.evaluate_bracket(1.0, x)
+                prof.evaluate(1.0, x)
 
     def test_cone_needs_beta(self, p21):
         with pytest.raises(MissingParameterError):
@@ -415,58 +404,29 @@ class TestSurvivalProfile:
         # built without survival_profile, which would have refused it
         prof = SurvivalProfile(SpecialLipschitz(((-1.0, 0.0), (1.0, 0.0)), 0.5), p21)
         with pytest.raises(UnsupportedRegimeError, match="no closed survival profile"):
-            prof.evaluate_bracket(1.0, (0.0, 1.0))
-
-
-class TestTangentBallBracket:
-    def test_lower_below_upper_and_unit_limit(self, p21):
-        domain = ExteriorBall((0.0, 0.0), 1.0)
-        prof = survival_profile(domain, p21, lambda1=1.1, c11=True)
-        for t in np.geomspace(1e-3, 1e3, 13):
-            br = prof.evaluate_bracket(t, (3.0, 0.0))
-            assert br.lower <= br.upper
-        early = prof.evaluate_bracket(1e-8, (3.0, 0.0))
-        assert early.lower == pytest.approx(1.0, abs=1e-3)
-        assert early.upper == pytest.approx(1.0, abs=1e-6)
-
-    def test_diam_improvement_bounds_long_time(self, p21):
-        # with a bounded complement the lower envelope stays proportional
-        # to the plain shape instead of decaying exponentially
-        domain = ExteriorBall((0.0, 0.0), 1.0)
-        prof = survival_profile(domain, p21, lambda1=1.1, c11=True)
-        br = prof.evaluate_bracket(1e6, (3.0, 0.0))
-        assert br.lower > 0.0
-        assert br.lower >= (1.0 / 2.0) ** p21.alpha * br.upper * 0.2
-
-    def test_needs_lambda1(self, p11):
-        with pytest.raises(MissingParameterError):
-            survival_profile(Ball((0.0,), 1.0), p11, c11=True)
-
-    def test_needs_tangent_scale(self, p21):
-        with pytest.raises(UnsupportedRegimeError):
-            survival_profile(HyperplaneComplement(2), StableParams(2, 1.5), c11=True)
+            prof.evaluate(1.0, (0.0, 1.0))
 
 
 class TestHeatKernelProfile:
     def test_diagonal_dominated_by_peak(self, p11):
-        br = heat_kernel_profile(survival_profile(Ball((0.0,), 1.0), p11), 0.3, 0.2, 0.2)
-        assert br.upper <= free_density(p11, 0.3, 0.0, 0.0).value * (1 + 1e-12)
+        v = heat_kernel_profile(survival_profile(Ball((0.0,), 1.0), p11), 0.3, 0.2, 0.2)
+        assert v <= free_density(p11, 0.3, 0.0, 0.0).value * (1 + 1e-12)
 
     def test_ball_composition_at_origin(self, p11):
-        br = heat_kernel_profile(survival_profile(Ball((0.0,), 1.0), p11), 1.0, 0.0, 0.0)
-        assert br.lower == br.upper == pytest.approx(1.0 / math.pi, rel=1e-9)
+        v = heat_kernel_profile(survival_profile(Ball((0.0,), 1.0), p11), 1.0, 0.0, 0.0)
+        assert v == pytest.approx(1.0 / math.pi, rel=1e-9)
 
     def test_halfspace_long_time_decay_scan(self, p11):
         dom_h = HalfSpace((1.0,))
         values = [
-            heat_kernel_profile(survival_profile(dom_h, p11), t, 1.0, 2.0).upper
+            heat_kernel_profile(survival_profile(dom_h, p11), t, 1.0, 2.0)
             for t in np.geomspace(1.0, 1e4, 12)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_bracket_type(self, p11):
-        br = heat_kernel_profile(survival_profile(Ball((0.0,), 1.0), p11), 0.5, 0.1, -0.3)
-        assert isinstance(br, Bracket)
+        v = heat_kernel_profile(survival_profile(Ball((0.0,), 1.0), p11), 0.5, 0.1, -0.3)
+        assert isinstance(v, float)
 
 
 @settings(max_examples=30, deadline=None)
