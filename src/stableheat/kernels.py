@@ -290,9 +290,9 @@ def survival_profile(
     Cones need an exponent ``beta`` in [0, alpha) unless the aperture is
     pi/2 (half-space, beta = alpha/2) or one is stored on the domain; no
     other profile reads ``beta``, so giving it elsewhere raises
-    ``ValueError``.  ``lambda1``, if given, must be positive and finite:
-    the unit-ball value (the rate for radius r is lambda1 / r^alpha, as
-    ``estimate_lambda1`` reports it).
+    ``ValueError``.  Likewise only a ball's profile reads ``lambda1``, which
+    must be positive and finite: the unit-ball value (the rate for radius r
+    is lambda1 / r^alpha, as ``estimate_lambda1`` reports it).
     Hyperplane complements need alpha > 1, interval complements alpha >= 1.
     """
     a = params.alpha
@@ -303,6 +303,10 @@ def survival_profile(
     if beta is not None and not isinstance(domain, dom.CircularCone):
         raise ValueError(
             f"beta applies only to the native profile of a cone, not to {type(domain).__name__}"
+        )
+    if lambda1 is not None and not isinstance(domain, dom.Ball):
+        raise ValueError(
+            f"lambda1 applies only to the profile of a ball, not to {type(domain).__name__}"
         )
 
     if isinstance(domain, dom.CircularCone):

@@ -226,6 +226,34 @@ def test_beta_on_a_domain_that_is_not_a_cone_exits_2(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "doc, name",
+    [('{"type": "halfspace", "axis": [1]}', "HalfSpace"),
+     ('{"type": "exterior_ball", "center": [0], "radius": 0.25}', "ExteriorBall")],
+    ids=["halfspace", "exterior_ball"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survival", "profile", "--x", "0.5", "--t", "100"],
+        ["heatkernel", "profile", "--x", "0.5", "--y", "1", "--t", "1"],
+        ["verify", "profiles", "--t", "0.25", "--h", "0.25", "--n", "64"],
+        ["verify", "factorization", "--profile-form", "--t", "0.25", "--h", "0.25",
+         "--n", "64"],
+    ],
+    ids=["survival_profile", "heatkernel_profile", "verify_profiles", "verify_factorization"],
+)
+def test_lambda1_on_a_domain_that_is_not_a_ball_exits_2(capsys, monkeypatch, tmp_path, argv,
+                                                        doc, name):
+    # only the ball profile reads lambda1; each of these ignored it and exited 0
+    monkeypatch.chdir(tmp_path)  # the default report directory
+    assert cli.main([*argv, "--domain-json", doc, "--lambda1", "5"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: lambda1 applies only to the profile of a ball, not to {name}\n"
+    )
+    assert os.listdir(tmp_path) == []  # no report
+
+
 def test_run_batches_rejects_empty_runs():
     with pytest.raises(ValueError, match="path count must be positive"):
         mc._run_batches(0, lambda i, m: m)

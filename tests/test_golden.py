@@ -281,7 +281,8 @@ def _table(d, alpha):
 
 
 # ---------------------------------------------------------------------------
-# the survival-profile catalog: every shape, with and without lambda1
+# the survival-profile catalog: every shape, with and without lambda1 (which
+# only the ball reads)
 
 PROFILE_KINDS = {
     "ball": lambda d: dom.Ball((0.25,) * d, 2.0),

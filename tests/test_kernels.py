@@ -337,6 +337,14 @@ class TestSurvivalProfile:
         with pytest.raises(ValueError, match="not to HalfSpace"):
             survival_profile(HalfSpace((1.0,)), p11, beta=0.5)
 
+    def test_rejects_a_lambda1_that_no_profile_reads(self, p11, p21):
+        # only a ball's profile reads lambda1; the others ignored it
+        for domain, params in ((HalfSpace((1.0,)), p11), (ExteriorBall((0.0, 0.0), 1.0), p21),
+                               (CircularCone(math.pi / 2, (0.0, 1.0)), p21)):
+            with pytest.raises(ValueError, match=f"lambda1 applies only to the profile of a "
+                                                 f"ball, not to {type(domain).__name__}$"):
+                survival_profile(domain, params, lambda1=1.1)
+
     def test_exterior_regime_selection(self):
         # at delta = R/4 and t = 2 R^alpha the three exterior-ball regimes
         # give different values, except that the d > alpha and the
