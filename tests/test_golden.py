@@ -569,14 +569,14 @@ EXPECTED = {
     'printed/survival/mc': 'mean 0.509765625 stderr 0.00781100974 n 4096 seed 3 h 0.0625\n',
     'printed/survival/profile': '0.120048388\n',
     'profile/ball': '4c0021c210c71c625e6a',
-    'profile/ball_union_exterior_ball': '5c5da468c0cd57aa5c4a',
-    'profile/cone': '5b37d5852c606b6f5ad1',
-    'profile/exterior_ball': '0fb60888f8b9ac2a8104',
-    'profile/halfspace': '4b08eddfb1b0a2fe76b7',
-    'profile/hyperplane_complement': 'dc0cecf8c31478d4cbfa',
-    'profile/interval_complement': '9126e4066b4b894c83e5',
-    'profile/right_cone': '94e12a51ffe93190b38e',
-    'profile/special_lipschitz': '6fab029df47bb669176c',
+    'profile/ball_union_exterior_ball': '6e0e7c21f65b01826bd7',
+    'profile/cone': '58e9e0bfe0f7ff81623b',
+    'profile/exterior_ball': '801eff6c8d9f5dc09157',
+    'profile/halfspace': '600a762d10c6a19b5ba0',
+    'profile/hyperplane_complement': '071f9bef604d6d463d6d',
+    'profile/interval_complement': '95692f0d81593518e4b8',
+    'profile/right_cone': 'd2fa6451ed317d889de0',
+    'profile/special_lipschitz': 'd4687892c5f441c6501f',
     'profile_sweep/halfspace_d2': '497e121ecfe7c55a0713',
     'supremum/0.7': '2d9bc71398ad565e8559',
     'supremum/1.0': '4d44986b28db303e10e2',
