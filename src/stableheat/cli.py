@@ -109,12 +109,12 @@ def _profile(args, domain, params) -> kernels.SurvivalProfile:
 
 
 @contextlib.contextmanager
-def _radius_overflow(args):
-    """Turn an OverflowError of the block into an error that names --r."""
+def _overflow(option: str, value: float):
+    """Turn an OverflowError of the block into an error that names ``option``."""
     try:
         yield
     except OverflowError as exc:
-        raise ValueError(f"the value overflows a float at --r {args.r!r}") from exc
+        raise ValueError(f"the value overflows a float at {option} {value!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def _ball(args, *names) -> tuple:
 def _print_ball(args, kernel, *names) -> int:
     """Print ``kernel(params, center, --r, *points)`` for the points of ``names``."""
     params, center, *points = _ball(args, *names)
-    with _radius_overflow(args):
+    with _overflow("--r", args.r):
         print(_fmt(kernel(params, center, args.r, *points)))
     return 0
 
@@ -175,7 +175,7 @@ def _cmd_ball_tail(args) -> int:
         raise ValueError(f"--x must lie in the open ball B(--center, --r), got {args.x!r}")
     if not R >= 2.0:
         raise ValueError(f"--R, the tail threshold, must be at least 2 --r, got {args.R!r}")
-    with _radius_overflow(args):
+    with _overflow("--R", args.R):
         exact = kernels.ball_exit_tail_exact(params, xs, R)
         br = kernels.ball_exit_tail(params, xs, R)
     print(f"{_fmt(exact)} bracket {_fmt(br.lower)} {_fmt(br.upper)}")
@@ -387,7 +387,7 @@ def _record(args, quantity: str, params, desc: dict, est, window) -> int:
 def _cmd_calibrate_lambda1(args) -> int:
     params = _params(args)
     window = _window(args)
-    with _radius_overflow(args):
+    with _overflow("--r", args.r):
         ra = args.r ** params.alpha
     window = window or tuple(f * ra for f in mc.LAMBDA1_FIT_WINDOW)
     est = mc.estimate_lambda1(params, args.r, fit_window=window, n=args.n, h=args.h,

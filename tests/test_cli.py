@@ -129,6 +129,13 @@ def test_ball_at_a_radius_whose_square_overflows(capsys):
     assert "error: the value overflows a float at --r" in capsys.readouterr().err
 
 
+def test_ball_tail_at_a_threshold_whose_power_overflows(capsys):
+    # the overflow of R ** alpha was blamed on --r
+    assert cli.main(["ball", "tail", "--d", "2", "--alpha", "1.5", "--x", "0,0",
+                     "--R", "1e300"]) == 2
+    assert capsys.readouterr().err == "error: the value overflows a float at --R 1e+300\n"
+
+
 def test_heat_kernel_start_point_outside_the_domain_exits_2(capsys):
     argv = ["heatkernel", "mc", "--domain-json", BALL_1D, "--x", "5", "--y", "0.3",
             "--t", "0.25", "--n", "4096"]
