@@ -218,7 +218,7 @@ class TestFreeDensity:
     # the table sums its tail by Horner's rule from the terms at its switch
     # radius; summed one by one from the shared coefficients, out to
     # 1e8 zstar, the two agree to 1e-10
-    @pytest.mark.parametrize("d,alpha", [(1, 1.0), (2, 1.5), (3, 0.7), (3, 0.85), (1, 0.5)])
+    @pytest.mark.parametrize("d,alpha", [(1, 1.1), (2, 1.5), (3, 0.7), (3, 0.85), (1, 0.5)])
     def test_table_tail_matches_its_terms_summed_one_by_one(self, d, alpha):
         fast = _p1_fast(d, alpha)
         lead = -(0.5 * d + 1) * math.log(math.pi)
@@ -242,7 +242,7 @@ class TestFreeDensity:
     # between them; the nodes must decrease, and a node 16x too large
     # rises 16x over its neighbour, which puts max_rel_err at sqrt(16) - 1
     def test_a_bad_node_between_the_probes_is_flagged(self, monkeypatch):
-        node = np.linspace(0.0, _p1_fast(1, 1.0).zstar, stable.TABLE_NODES)[11]
+        node = np.linspace(0.0, _p1_fast(1, 1.1).zstar, stable.TABLE_NODES)[11]
         point = stable._p1_point
 
         def bad_at_node(d, alpha, r, *args):
@@ -251,7 +251,7 @@ class TestFreeDensity:
 
         monkeypatch.setattr(stable, "_p1_point", bad_at_node)
         with pytest.warns(RuntimeWarning, match="relative accuracy"):
-            table = stable._P1Fast(1, 1.0)
+            table = stable._P1Fast(1, 1.1)
         assert table.max_rel_err >= 1.0
 
     # a factorization sweep asks for each (t, |y - x|) in its kernel
