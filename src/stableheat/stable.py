@@ -26,6 +26,12 @@ not one minus the stability index (a misprint that circulates in the
 literature).  The constant is rederived by radial integration of the
 Fourier inversion formula and double-checked by quadrature in the test
 suite; for d=1 and d=2 with alpha=1 it reproduces the Cauchy closed forms.
+
+The vectorized evaluator behind ``free_density_radial`` is a spline and
+tail table calibrated against the three routes, except at alpha = 1: there
+it is the Cauchy closed form p_1(0) (1 + r^2)^{-(d+1)/2} in every d, with
+p_1(0) from the peak formula, and the three routes remain its independent
+check.
 """
 
 from __future__ import annotations
@@ -387,7 +393,8 @@ TABLE_NODES = 900
 
 
 class _P1Fast:
-    """Vectorized unit-time profile: log-spline on [0, zstar], tail beyond.
+    """Vectorized unit-time profile: log-spline on [0, zstar], tail beyond;
+    at alpha = 1 the Cauchy closed form p_1(0) (1 + r^2)^{-(d+1)/2}.
 
     ``zstar`` is calibrated at construction as the smallest radius where
     the tail expansion, and the table's own truncation of it, agree with
@@ -407,6 +414,9 @@ class _P1Fast:
 
     ``_p1_fast`` builds one table per (d, alpha) and process; the build
     makes about a thousand point evaluations, mostly by the two series.
+    At alpha = 1 it builds nothing: it stores p_1(0) from the peak formula,
+    makes no point evaluation, and ``max_rel_err`` is the closed form's
+    rounding bound, below 2e-15 for d <= 3.
     A call evaluates each radius on its own, so one call on a concatenated
     array gives, radius for radius, the floats of one call per part, and
     one call serves many cells at once.
@@ -414,6 +424,14 @@ class _P1Fast:
 
     def __init__(self, d: int, alpha: float):
         self.d, self.alpha = d, alpha
+        if alpha == 1.0:
+            # the Cauchy profile p_1(0) (1 + r^2)^{-(d+1)/2}: p_1(0) carries the
+            # error of the peak formula, and the closed form adds at most 2 u
+            # at 1 + r*r (scaled by the power (d+1)/2), 2 u at the power and
+            # u at the product, u = 2^-53
+            self._peak, peak_err = _p1_ascending(d, 1.0, 0.0, 1e-9)
+            self.max_rel_err = peak_err + (d + 4) * 2.0 ** -53
+            return
         self._calibrate_zstar()
         grid = np.linspace(0.0, self.zstar, TABLE_NODES)
         vals = np.array([_p1_point(d, alpha, float(r))[0] for r in grid])
@@ -478,6 +496,8 @@ class _P1Fast:
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
+        if self.alpha == 1.0:
+            return self._peak * (1.0 + r * r) ** (-0.5 * (self.d + 1))
         out = np.empty_like(r)
         head = r <= self.zstar
         if head.any():
@@ -547,10 +567,11 @@ def free_density_radial(params: StableParams, t, radii) -> np.ndarray:
     on its own (t, r) pair only, so the pairs of several evaluations may
     be concatenated into one call, which runs the table's tail sum once.
 
-    Backed by the calibrated spline/tail evaluator.  Its measured error
-    bound is the table's ``max_rel_err`` (see ``_P1Fast``), and a
-    ``RuntimeWarning`` fires when the table is built if that exceeds 1e-6:
-    about 1e-8 or better for alpha >= 0.5, but up to 3e-2 (d = 3) at
+    Backed by the calibrated spline/tail evaluator, or at alpha = 1 by the
+    Cauchy closed form.  Its error bound is the table's ``max_rel_err``
+    (see ``_P1Fast``), and a ``RuntimeWarning`` fires when the table is
+    built if that exceeds 1e-6: the closed form's rounding at alpha = 1,
+    about 1e-8 or better for other alpha >= 0.5, but up to 3e-2 (d = 3) at
     alpha = 0.3, where the head spline is coarse.
     """
     if not np.all(np.asarray(t) > 0):

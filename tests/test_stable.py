@@ -1,4 +1,6 @@
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -202,13 +204,12 @@ class TestFreeDensity:
         with pytest.raises(ValueError, match="time must be positive"):
             free_density_radial(p15, np.array([1.0, math.nan]), np.array([1.0, 1.0]))
 
-    # alpha < 1, and alpha = 1 in d >= 2: the tail terms at the table's
-    # switch radius grow before they fall, which once cut the table's tail
-    # to its leading term nu(r).  The closed-form test below holds alpha = 1
-    # to 1e-8 since the switch radius is checked against the table's own
-    # 79-term tail.
+    # alpha < 1: the tail terms at the table's switch radius grow before
+    # they fall, which once cut the table's tail to its leading term nu(r).
+    # At alpha = 1 the table is the Cauchy closed form, and the reference
+    # is the point evaluator's 1e-9.
     @pytest.mark.parametrize("d,alpha,tol", [(1, 0.7, 1e-8), (2, 0.7, 1e-8), (3, 0.7, 1e-8),
-                                             (1, 0.9, 1e-8), (2, 1.0, 2e-6), (3, 1.0, 2e-6)])
+                                             (1, 0.9, 1e-8), (2, 1.0, 1e-9), (3, 1.0, 1e-9)])
     def test_fast_table_matches_scalar_head_and_tail(self, d, alpha, tol):
         radii = np.concatenate([np.linspace(0.0, 5.0, 41), np.geomspace(5.0, 200.0, 30)])
         fast = free_density_radial(StableParams(d, alpha), 1.0, radii)
@@ -265,8 +266,10 @@ class TestFreeDensity:
         assert again == first
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
-    # the Cauchy densities; just past the table's switch radius its
-    # truncated tail once read 4.8e-6 (d = 1) to 3.4e-4 (d = 3) off them
+    # the Cauchy densities; just past the spline and tail table's switch
+    # radius its truncated tail once read 4.8e-6 (d = 1) to 3.4e-4 (d = 3)
+    # off them, and the table read up to 4.5e-10 off them before alpha = 1
+    # became the closed form
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_fast_cauchy_table_matches_the_closed_forms(self, d):
         radii = np.concatenate([np.linspace(0.0, 5.0, 2001), np.geomspace(5.0, 1e6, 400)[1:]])
@@ -274,7 +277,51 @@ class TestFreeDensity:
         exact = {1: 1.0 / (math.pi * q), 2: 1.0 / (2.0 * math.pi * q ** 1.5),
                  3: 1.0 / (math.pi ** 2 * q * q)}[d]
         fast = free_density_radial(StableParams(d, 1.0), 1.0, radii)
-        assert np.max(np.abs(fast / exact - 1.0)) <= 1e-8
+        assert np.max(np.abs(fast / exact - 1.0)) <= 1e-14
+
+    # at alpha = 1 the table is the closed form: it builds no spline and
+    # no tail, so its construction evaluates no point
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_cauchy_table_makes_no_point_evaluation(self, d, monkeypatch):
+        calls = []
+        point = stable._p1_point
+
+        def counted(*args):
+            calls.append(args)
+            return point(*args)
+
+        monkeypatch.setattr(stable, "_p1_point", counted)
+        stable._P1Fast(d, 1.0)
+        assert calls == []
+
+    # the point evaluator is the independent oracle: series and tail, and
+    # quadrature on the window r in [1, 1.38] where neither series reaches 1e-9
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_cauchy_table_matches_the_point_evaluator(self, d):
+        radii = np.concatenate([np.linspace(0.0, 5.0, 201), np.linspace(1.0, 1.38, 96),
+                                np.geomspace(5.0, 1e6, 120)[1:]])
+        fast = stable._P1Fast(d, 1.0)(radii)
+        ref = np.array([_p1_point(d, 1.0, float(r))[0] for r in radii])
+        assert np.max(np.abs(fast / ref - 1.0)) <= 1e-9
+
+    # max_rel_err at alpha = 1 is the closed form's rounding bound: it holds
+    # against the closed form in 50-digit decimal arithmetic, and the build
+    # warns of nothing
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_cauchy_table_states_its_rounding_bound(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = stable._P1Fast(d, 1.0)
+        assert 0.0 < table.max_rel_err <= 1e-14
+        radii = np.concatenate([np.linspace(0.0, 5.0, 401), np.geomspace(5.0, 1e60, 200)[1:]])
+        with localcontext() as ctx:
+            ctx.prec = 50
+            pi = Decimal("3.14159265358979323846264338327950288419716939937510")
+            peak = {1: 1 / pi, 2: 1 / (2 * pi), 3: 1 / (pi * pi)}[d]
+            power = Decimal(-(d + 1)) / 2
+            for r, v in zip(radii, table(radii)):
+                exact = peak * (1 + Decimal(float(r)) ** 2) ** power
+                assert abs(Decimal(float(v)) / exact - 1) <= table.max_rel_err
 
 
 class TestFreeDensityBound:
