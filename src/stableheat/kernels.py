@@ -230,7 +230,7 @@ class SurvivalProfile:
             return 0.0
         delta = dom.dist_to_complement(D, xa)
         a = self.params.alpha
-        ts = t ** (1.0 / a)
+        ts = _scale(t, a)
 
         if isinstance(D, dom.Ball):
             r = D.radius
@@ -252,7 +252,14 @@ class SurvivalProfile:
                 v = g(dl) / g(max(tl ** (1.0 / a), dl))
         elif isinstance(D, dom.CircularCone):
             nx = float(np.linalg.norm(xa))
-            v = _unit_ratio(delta, ts) ** (a / 2) * _unit_ratio(nx, ts) ** (self.beta - a / 2)
+            rx = _unit_ratio(nx, ts)
+            if rx > 0:
+                v = _unit_ratio(delta, ts) ** (a / 2) * rx ** (self.beta - a / 2)
+            else:
+                # nx / ts underflows, or ts is inf: the same shape, written as
+                # (delta / nx)^(a/2) (nx / ts)^beta with the second factor in logarithms
+                decay = exp(self.beta * (math.log(nx) - math.log(ts))) if self.beta else 1.0
+                v = (delta / nx) ** (a / 2) * decay
         elif isinstance(D, dom.HyperplaneComplement):
             v = _unit_ratio(delta, ts) ** (a - 1.0)
         elif isinstance(D, dom.IntervalComplement):
@@ -265,6 +272,15 @@ class SurvivalProfile:
         else:
             raise UnsupportedRegimeError(f"no closed survival profile for {type(D).__name__}")
         return min(max(v, 0.0), 1.0)
+
+
+def _scale(t: float, alpha: float) -> float:
+    """t^{1/alpha}, the length scale of horizon t; inf where the power
+    overflows a float, so that a profile takes its t -> inf limit."""
+    try:
+        return t ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf
 
 
 def _unit_ratio(length: float, scale: float) -> float:

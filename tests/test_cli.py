@@ -364,6 +364,23 @@ def test_survival_on_a_halfspace_at_a_horizon_whose_scaling_overflows(capsys, mo
     assert float(capsys.readouterr().out.split()[field]) == 1.0
 
 
+@pytest.mark.parametrize("leaf", [["survival", "profile"], ["heatkernel", "profile", "--y", "{x}"]],
+                         ids=["survival", "heatkernel"])
+@pytest.mark.parametrize("d, doc, x", [
+    (1, '{"type": "halfspace", "axis": [1]}', "0.5"),
+    (1, '{"type": "ball", "center": [0], "radius": 1}', "0.5"),
+    (3, '{"type": "cone", "angle": 1.0, "axis": [0, 0, 1], "beta": 0.1}', "0 0 0.5"),
+], ids=["halfspace", "ball", "cone"])
+def test_profile_at_a_horizon_whose_scale_overflows(capsys, leaf, d, doc, x):
+    # t^{1/alpha} overflowed (OverflowError) before the shape was chosen;
+    # each shape now takes its t -> inf limit, 0 here (the ball decays at lambda1)
+    extra = ["--lambda1", "1.3"] if '"ball"' in doc else []
+    argv = [*(a.format(x=x) for a in leaf), "--d", str(d), "--alpha", "0.5", "--domain-json",
+            doc, "--x", x, "--t", "1e300", *extra]
+    assert cli.main(argv) == 0
+    assert float(capsys.readouterr().out) == 0.0
+
+
 HALFSPACE_2D = '{"type": "halfspace", "axis": [0, 1]}'
 D2 = ["--d", "2", "--alpha", "1.5"]
 

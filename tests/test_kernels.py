@@ -383,6 +383,21 @@ class TestSurvivalProfile:
         cone = survival_profile(CircularCone(1.0, (0.0, 1.0)), StableParams(2, 0.3), beta=0.1)
         assert cone.evaluate(1e-100, (0.1, 1.0)) == 1.0
 
+    def test_a_cone_at_a_horizon_whose_scale_overflows_takes_the_limit(self):
+        # t^{1/alpha} = 1e300^2 overflows, and |x| / t^{1/alpha} underflows to 0
+        # at t = 1e150 near the vertex; past t^{1/alpha} = |x| the shape is
+        # (delta/|x|)^(alpha/2) (|x|/t^{1/alpha})^beta, constant when beta = 0
+        p, near = StableParams(2, 0.5), (1e-31, 1e-30)
+        flat = survival_profile(CircularCone(1.0, (0.0, 1.0)), p, beta=0.0)
+        for x in [(0.1, 1.0), near]:
+            limit = flat.evaluate(1e10, x)
+            assert 0.0 < limit < 1.0
+            for t in (1e150, 1e300):
+                assert flat.evaluate(t, x) == pytest.approx(limit, rel=1e-12)
+        cone = survival_profile(CircularCone(1.0, (0.0, 1.0)), p, beta=0.1)
+        assert 0.0 < cone.evaluate(1e150, near) < cone.evaluate(1e10, near)
+        assert cone.evaluate(1e300, near) == cone.evaluate(1e300, (0.1, 1.0)) == 0.0
+
     @pytest.mark.parametrize("x", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
     def test_rejects_a_point_that_is_not_finite(self, x):
         # (0, inf) lies in the half-space and once evaluated to 1
