@@ -497,7 +497,10 @@ class _P1Fast:
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if self.alpha == 1.0:
-            return self._peak * (1.0 + r * r) ** (-0.5 * (self.d + 1))
+            # r * r overflows only where p_1(r) < 2e-309 has left the normal
+            # range, and the value is then 0
+            with np.errstate(over="ignore"):
+                return self._peak * (1.0 + r * r) ** (-0.5 * (self.d + 1))
         out = np.empty_like(r)
         head = r <= self.zstar
         if head.any():

@@ -323,6 +323,14 @@ class TestFreeDensity:
                 exact = peak * (1 + Decimal(float(r)) ** 2) ** power
                 assert abs(Decimal(float(v)) / exact - 1) <= table.max_rel_err
 
+    # past r = 1.34e154, r * r overflows where p_1(r) is below the normal range
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_cauchy_table_is_zero_where_the_square_overflows(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = stable._P1Fast(d, 1.0)(np.array([1.4e154, 1e300, math.inf]))
+        assert values.tolist() == [0.0, 0.0, 0.0]
+
 
 class TestFreeDensityBound:
     @pytest.mark.parametrize("d,alpha", [(1, 1.0), (2, 1.5), (1, 0.5)])
