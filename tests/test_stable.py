@@ -129,7 +129,7 @@ class TestFreeDensity:
         t = 1e-200
         ev = free_density(StableParams(d, 1.0), t, (0.0,) * d, (1.0,) + (0.0,) * (d - 1))
         exact = {1: cauchy_1d, 2: cauchy_2d}[d](t, 1.0)
-        assert ev.value == pytest.approx(exact, rel=1e-9)
+        assert ev.value == pytest.approx(exact, rel=1e-9, abs=0)
         assert ev.rel_err <= 1e-9
 
     @pytest.mark.parametrize("d, t, z", [(1, 1e-200, 1.0), (2, 1e-250, 3.0), (3, 1e-280, 0.5)])
@@ -137,13 +137,14 @@ class TestFreeDensity:
         # p_t(z) = t nu(z) (1 + O(t)) with nu(z) = A z^{-d-alpha}
         params = StableParams(d, 1.5)
         ev = free_density(params, t, (0.0,) * d, (z,) + (0.0,) * (d - 1))
-        assert ev.value == pytest.approx(t * levy_constant(params) * z ** (-d - 1.5), rel=1e-9)
+        assert ev.value == pytest.approx(t * levy_constant(params) * z ** (-d - 1.5), rel=1e-9,
+                                         abs=0)
 
     def test_tiny_time_whose_scaling_overflows(self):
         # t^{-1/alpha} = 1e600 overflows; p_t(1) ~ t nu(1) does not, p_t(0) does
         params = StableParams(1, 0.5)
         ev = free_density(params, 1e-300, 0.0, 1.0)
-        assert ev.value == pytest.approx(1e-300 * levy_constant(params), rel=1e-9)
+        assert ev.value == pytest.approx(1e-300 * levy_constant(params), rel=1e-9, abs=0)
         with pytest.raises(UnsupportedRegimeError, match="out of the float range"):
             free_density(params, 1e-300, 0.0, 0.0)
 
