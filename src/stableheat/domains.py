@@ -261,15 +261,33 @@ def _sq_dist(P: np.ndarray, c) -> np.ndarray:
     """Squared distances of the rows of P from the point c (or 0).
 
     Summed column by column from the left, in place: the same floats as
-    ``np.sum((P - c) ** 2, axis=1)``, without its (m, d) temporaries.
+    ``np.sum((P - c) ** 2, axis=1)``, without its (m, d) temporaries.  A
+    square that overflows is inf without a warning: it compares correctly
+    with a squared radius, and ``_norm`` takes such rows again.
     """
     if np.isscalar(c):
         c = (c,) * P.shape[1]
     q = np.zeros(P.shape[0])
-    for j in range(P.shape[1]):
-        t = P[:, j] - c[j]
-        t *= t
-        q += t
+    with np.errstate(over="ignore"):
+        for j in range(P.shape[1]):
+            t = P[:, j] - c[j]
+            t *= t
+            q += t
+    return q
+
+
+def _norm(P: np.ndarray, c) -> np.ndarray:
+    """Distances of the rows of P from the point c (or 0): the square root
+    of ``_sq_dist``, except at finite rows whose squared distance overflows,
+    which are summed again scaled by their largest coordinate difference."""
+    q = np.sqrt(_sq_dist(P, c))
+    if q.size and not np.max(q) < math.inf:
+        rows = np.flatnonzero(q == math.inf)
+        D = P[rows] - c
+        s = np.max(np.abs(D), axis=1)
+        finite = s < math.inf
+        rows, D, s = rows[finite], D[finite], s[finite, None]
+        q[rows] = s[:, 0] * np.sqrt(_sq_dist(D / s, 0.0))
     return q
 
 
@@ -287,7 +305,7 @@ def _contains(domain: Domain, P: np.ndarray) -> np.ndarray:
         return _sq_dist(P, domain.center) > domain.radius ** 2
     if isinstance(domain, CircularCone):
         u = np.asarray(domain.axis)
-        nrm = np.sqrt(_sq_dist(P, 0.0))
+        nrm = _norm(P, 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
             cosphi = (P @ u) / nrm
         ok = (nrm > 0) & (cosphi > math.cos(domain.angle))
@@ -324,14 +342,14 @@ def dist_many(domain: Domain, pts) -> np.ndarray:
 
 def _dist(domain: Domain, P: np.ndarray) -> np.ndarray:
     if isinstance(domain, Ball):
-        return np.maximum(domain.radius - np.sqrt(_sq_dist(P, domain.center)), 0.0)
+        return np.maximum(domain.radius - _norm(P, domain.center), 0.0)
     if isinstance(domain, HalfSpace):
         return np.maximum(P @ np.asarray(domain.normal) - domain.offset, 0.0)
     if isinstance(domain, ExteriorBall):
-        return np.maximum(np.sqrt(_sq_dist(P, domain.center)) - domain.radius, 0.0)
+        return np.maximum(_norm(P, domain.center) - domain.radius, 0.0)
     if isinstance(domain, CircularCone):
         u = np.asarray(domain.axis)
-        nrm = np.sqrt(_sq_dist(P, 0.0))
+        nrm = _norm(P, 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
             cosphi = np.clip((P @ u) / np.where(nrm > 0, nrm, 1.0), -1.0, 1.0)
         phi = np.arccos(cosphi)
@@ -350,7 +368,7 @@ def _dist(domain: Domain, P: np.ndarray) -> np.ndarray:
         out[~_contains(domain, P)] = 0.0
         return out
     if isinstance(domain, BallUnionExteriorBall):
-        q = np.sqrt(_sq_dist(P, domain.center))
+        q = _norm(P, domain.center)
         inner = np.maximum(domain.inner_radius - q, 0.0)
         outer = np.maximum(q - domain.outer_radius, 0.0)
         return np.maximum(inner, outer)
@@ -387,7 +405,7 @@ def _dist_above_polyline(domain: SpecialLipschitz, P: np.ndarray) -> np.ndarray:
         denom = float(ab @ ab)
         t = np.clip(((P - a) @ ab) / denom, 0.0, 1.0)
         proj = a + t[:, None] * ab
-        best = np.minimum(best, np.sqrt(_sq_dist(P - proj, 0.0)))
+        best = np.minimum(best, _norm(P - proj, 0.0))
     above = P[:, 1] > domain.graph(P[:, 0])
     return np.where(above, best, 0.0)
 

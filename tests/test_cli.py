@@ -14,6 +14,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -379,6 +380,18 @@ def test_profile_at_a_horizon_whose_scale_overflows(capsys, leaf, d, doc, x):
             doc, "--x", x, "--t", "1e300", *extra]
     assert cli.main(argv) == 0
     assert float(capsys.readouterr().out) == 0.0
+
+
+def test_profile_at_a_point_whose_squared_distance_overflows(capsys):
+    # |x - c|^2 overflowed, so the distance to the complement read inf and
+    # the exterior-ball shape divided inf by inf: nan, exit 0, and a warning
+    argv = ["survival", "profile", "--d", "1", "--alpha", "1.5", "--domain-json",
+            '{"type": "exterior_ball", "center": [0.5], "radius": 1.25}', "--x", "1e200",
+            "--t", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 0
+    assert float(capsys.readouterr().out) == 1.0
 
 
 HALFSPACE_2D = '{"type": "halfspace", "axis": [0, 1]}'
