@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from . import domains as dom
 from . import kernels
@@ -255,6 +254,8 @@ def verify_identities(params: StableParams, tol: float = 1e-6) -> IdentityReport
 
 
 def _green_mass_center(params: StableParams) -> float:
+    from scipy import integrate
+
     d = params.d
     sd = 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
     f = lambda r: kernels.ball_green(params, (0.0,) * d, 1.0, (0.0,) * d, _axis_pt(r, d)) * r ** (

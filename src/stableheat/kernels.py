@@ -16,7 +16,6 @@ from math import exp, lgamma, pi, sin
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from . import domains as dom
 from .errors import MissingParameterError, UnsupportedRegimeError
@@ -112,6 +111,8 @@ def ball_exit_tail_exact(params: StableParams, x, R: float) -> float:
     endpoint singularity on [1, 2] is then handled with an algebraic-weight
     rule, and the tail beyond 2 is regular.
     """
+    from scipy import integrate
+
     d, a = params.d, params.alpha
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     nx = float(np.linalg.norm(xa))

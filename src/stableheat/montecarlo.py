@@ -56,6 +56,10 @@ from typing import Optional
 
 import numpy as np
 
+# np.unique and np.quantile import numpy.ma on first use (about 15 ms):
+# import it with the package, not inside the first estimate
+import numpy.ma  # noqa: F401
+
 from . import domains as dom
 from .errors import EstimateDiagnostic, FitError, UnsupportedRegimeError
 from .stable import StableParams, free_density, free_density_radial

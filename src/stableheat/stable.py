@@ -17,6 +17,13 @@ so only ``p_1`` needs numerical work.  Three routes are combined:
 * oscillatory quadrature of the radial Fourier inversion integral for the
   window where neither series reaches the requested accuracy.
 
+At alpha = 1 the density is the Cauchy kernel
+
+    p_t(r) = p_1(0) t (t^2 + r^2)^{-(d+1)/2},
+
+and ``free_density`` and ``free_density_radial`` both evaluate that
+closed form; the three routes remain its independent check.
+
 The peak value is
 
     p_1(0) = 2^{1-d} pi^{-d/2} Gamma(d/alpha) / (alpha Gamma(d/2)).
@@ -28,10 +35,10 @@ Fourier inversion formula and double-checked by quadrature in the test
 suite; for d=1 and d=2 with alpha=1 it reproduces the Cauchy closed forms.
 
 The vectorized evaluator behind ``free_density_radial`` is a spline and
-tail table calibrated against the three routes, except at alpha = 1: there
-it is the Cauchy closed form p_1(0) (1 + r^2)^{-(d+1)/2} in every d, with
-p_1(0) from the peak formula, and the three routes remain its independent
-check.
+tail table calibrated against the three routes, except at alpha = 1.
+
+scipy is imported inside the functions that integrate, interpolate or
+call a Bessel function, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ from functools import lru_cache
 from math import exp, lgamma, log, pi, sin
 
 import numpy as np
-from scipy import integrate, interpolate, special
 
 from .errors import UnsupportedRegimeError
 
@@ -130,6 +136,8 @@ def incomplete_kernel_integral(a: float, b: float, w: float) -> float:
         if b > a:
             return exp(lgamma(a) + lgamma(b - a) - lgamma(b))
         return math.inf
+    from scipy import integrate
+
     w1 = min(w, 1.0)
     v1, _ = integrate.quad(
         lambda s: (1.0 + s) ** (-b),
@@ -283,11 +291,15 @@ def _p1_tail(d: int, alpha: float, r: float, tol_rel: float, ln_t: float = 0.0):
 
 @lru_cache(maxsize=64)
 def _j0_zeros(n: int) -> np.ndarray:
+    from scipy import special
+
     return special.jn_zeros(0, n)
 
 
 def _p1_quadrature(d: int, alpha: float, r: float):
     """Radial Fourier inversion by oscillatory quadrature (d <= 3)."""
+    from scipy import integrate, special
+
     if d == 1:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
@@ -385,6 +397,58 @@ def _usable(res) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the Cauchy density (alpha = 1)
+
+
+#: smallest normal float
+_DBL_MIN = 2.0 ** -1022
+
+
+@lru_cache(maxsize=16)
+def _cauchy_peak(d: int) -> tuple:
+    """p_1(0) at alpha = 1 from the peak formula, and the relative error
+    bound of the nonzero finite values of ``_cauchy``.
+
+    The bound adds the closed form's rounding to the peak's error: with
+    u = 2^-53, 1 + s*s carries at most 2.5 u (s <= 1), the power scales
+    that by (d + 1)/2 and adds 2 u, and the d + 3 other operations add u
+    each, (9 d + 25)/4 u in all, below (3 d + 7) u.
+    """
+    peak, err = _p1_ascending(d, 1.0, 0.0, 1e-9)
+    return peak, err + (3 * d + 7) * 2.0 ** -53
+
+
+def _cauchy(d: int, t, r):
+    """p_t(r) = p_1(0) t (t^2 + r^2)^{-(d+1)/2} at times t and radii r
+    (floats or arrays that broadcast).
+
+    With m = max(t, r) and s = min(t, r)/m <= 1 it is evaluated as
+
+        p_1(0) (1 + s^2)^{-(d+1)/2} (t/m) / m / ... / m   (d divisions),
+
+    whose partial products run monotonically from the first, at most
+    p_1(0), to the value: none over- or underflows where p_t is in the
+    normal float range.  Below that range the value is 0, since its
+    relative error is unbounded there, and above it inf.  Computed in
+    place, in two arrays of the broadcast shape.
+    """
+    shape = np.broadcast(t, r).shape
+    m = np.maximum(t, r, out=np.empty(shape))
+    p = np.minimum(t, r, out=np.empty(shape))
+    p /= m
+    p *= p
+    p += 1.0
+    np.power(p, -0.5 * (d + 1), out=p)
+    p *= _cauchy_peak(d)[0]
+    with np.errstate(over="ignore"):
+        p *= t / m
+        for _ in range(d):
+            p /= m
+    p[p < _DBL_MIN] = 0.0
+    return p
+
+
+# ---------------------------------------------------------------------------
 # fast vectorized evaluator (spline head + tail expansion)
 
 
@@ -393,8 +457,9 @@ TABLE_NODES = 900
 
 
 class _P1Fast:
-    """Vectorized unit-time profile: log-spline on [0, zstar], tail beyond;
-    at alpha = 1 the Cauchy closed form p_1(0) (1 + r^2)^{-(d+1)/2}.
+    """Vectorized density p_t(r) = t^{-d/alpha} p_1(t^{-1/alpha} r) from a
+    unit-time profile table: log-spline on [0, zstar], tail beyond; at
+    alpha = 1 the Cauchy closed form ``_cauchy`` of p_t itself.
 
     ``zstar`` is calibrated at construction as the smallest radius where
     the tail expansion, and the table's own truncation of it, agree with
@@ -414,24 +479,21 @@ class _P1Fast:
 
     ``_p1_fast`` builds one table per (d, alpha) and process; the build
     makes about a thousand point evaluations, mostly by the two series.
-    At alpha = 1 it builds nothing: it stores p_1(0) from the peak formula,
-    makes no point evaluation, and ``max_rel_err`` is the closed form's
-    rounding bound, below 2e-15 for d <= 3.
-    A call evaluates each radius on its own, so one call on a concatenated
-    array gives, radius for radius, the floats of one call per part, and
-    one call serves many cells at once.
+    At alpha = 1 it builds nothing and makes no point evaluation, and
+    ``max_rel_err`` is the closed form's rounding bound, below 4e-15 for
+    d <= 3.
+    A call evaluates each (t, r) pair on its own, so one call on
+    concatenated arrays gives, pair for pair, the floats of one call per
+    part, and one call serves many cells at once.
     """
 
     def __init__(self, d: int, alpha: float):
         self.d, self.alpha = d, alpha
         if alpha == 1.0:
-            # the Cauchy profile p_1(0) (1 + r^2)^{-(d+1)/2}: p_1(0) carries the
-            # error of the peak formula, and the closed form adds at most 2 u
-            # at 1 + r*r (scaled by the power (d+1)/2), 2 u at the power and
-            # u at the product, u = 2^-53
-            self._peak, peak_err = _p1_ascending(d, 1.0, 0.0, 1e-9)
-            self.max_rel_err = peak_err + (d + 4) * 2.0 ** -53
+            self.max_rel_err = _cauchy_peak(d)[1]
             return
+        from scipy import interpolate
+
         self._calibrate_zstar()
         grid = np.linspace(0.0, self.zstar, TABLE_NODES)
         vals = np.array([_p1_point(d, alpha, float(r))[0] for r in grid])
@@ -494,20 +556,19 @@ class _P1Fast:
             lns.append(ln_at_z)
         return np.array(signs) * np.exp(lns)
 
-    def __call__(self, r) -> np.ndarray:
+    def __call__(self, r, t=1.0) -> np.ndarray:
+        """p_t at the radii r; ``t`` is one time or an array paired with r."""
         r = np.asarray(r, dtype=float)
         if self.alpha == 1.0:
-            # r * r overflows only where p_1(r) < 2e-309 has left the normal
-            # range, and the value is then 0
-            with np.errstate(over="ignore"):
-                return self._peak * (1.0 + r * r) ** (-0.5 * (self.d + 1))
+            return _cauchy(self.d, t, r)
+        r = r * t ** (-1.0 / self.alpha)
         out = np.empty_like(r)
         head = r <= self.zstar
         if head.any():
             out[head] = np.exp(self._spline(r[head]))
         if (~head).any():
             out[~head] = self._tail(r[~head])
-        return out
+        return t ** (-self.d / self.alpha) * out
 
     def _tail(self, rr: np.ndarray) -> np.ndarray:
         q = self.zstar / rr
@@ -531,10 +592,14 @@ def _p1_fast(d: int, alpha: float) -> _P1Fast:
 def free_density(params: StableParams, t: float, x, y) -> DensityEval:
     """Transition density p(t, x, y) = p_t(y - x).
 
-    Symmetric in (x, y) by construction (only |y - x| enters), reduced to
-    unit time by self-similarity, then evaluated by series or quadrature.
-    The returned ``rel_err`` is the internal error estimate; the target
-    1e-9 is reliably met for d <= 3.  Non-finite input raises ``ValueError``.
+    Symmetric in (x, y) by construction (only |y - x| enters).  At
+    alpha = 1 it is the Cauchy closed form; at every other alpha it is
+    reduced to unit time by self-similarity and evaluated by series or
+    quadrature, or by the tail series of p_t itself where p_1 or the
+    scaling leaves the float range.  The returned ``rel_err`` is the
+    internal error estimate; the target 1e-9 is reliably met for d <= 3.
+    Non-finite input raises ``ValueError``, and a density outside the
+    normal float range ``UnsupportedRegimeError``.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t!r}")
@@ -546,6 +611,11 @@ def free_density(params: StableParams, t: float, x, y) -> DensityEval:
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
         raise ValueError("points must have finite coordinates")
     z = math.hypot(*(ya - xa))
+    if a == 1.0:
+        v = float(_cauchy(d, t, z))
+        if not 0.0 < v < math.inf:
+            raise _out_of_range(params, t, z)
+        return DensityEval(value=v, rel_err=_cauchy_peak(d)[1])
     try:
         scale = t ** (-1.0 / a)
         v, rel = _p1_point(d, a, scale * z, 1e-9)
@@ -557,11 +627,15 @@ def free_density(params: StableParams, t: float, x, y) -> DensityEval:
         if res is not None and _usable(res):
             return DensityEval(*res)
         if isinstance(exc, OverflowError):
-            raise UnsupportedRegimeError(
-                f"the density at d={d}, alpha={a}, t={t!r}, |y - x|={z!r} "
-                "is out of the float range"
-            ) from None
+            raise _out_of_range(params, t, z) from None
         raise
+
+
+def _out_of_range(params: StableParams, t: float, z: float) -> UnsupportedRegimeError:
+    return UnsupportedRegimeError(
+        f"the density at d={params.d}, alpha={params.alpha}, t={t!r}, |y - x|={z!r} "
+        "is out of the float range"
+    )
 
 
 def free_density_radial(params: StableParams, t, radii) -> np.ndarray:
@@ -571,18 +645,16 @@ def free_density_radial(params: StableParams, t, radii) -> np.ndarray:
     be concatenated into one call, which runs the table's tail sum once.
 
     Backed by the calibrated spline/tail evaluator, or at alpha = 1 by the
-    Cauchy closed form.  Its error bound is the table's ``max_rel_err``
-    (see ``_P1Fast``), and a ``RuntimeWarning`` fires when the table is
-    built if that exceeds 1e-6: the closed form's rounding at alpha = 1,
-    about 1e-8 or better for other alpha >= 0.5, but up to 3e-2 (d = 3) at
-    alpha = 0.3, where the head spline is coarse.
+    Cauchy closed form of p_t, which is 0 only below the normal float range.
+    Its error bound is the table's ``max_rel_err`` (see ``_P1Fast``), and a
+    ``RuntimeWarning`` fires when the table is built if that exceeds 1e-6:
+    the closed form's rounding at alpha = 1, about 1e-8 or better for
+    other alpha >= 0.5, but up to 3e-2 (d = 3) at alpha = 0.3, where the
+    head spline is coarse.
     """
     if not np.all(np.asarray(t) > 0):
         raise ValueError("time must be positive")
-    d, a = params.d, params.alpha
-    fast = _p1_fast(d, a)
-    r = np.asarray(radii, dtype=float) * t ** (-1.0 / a)
-    return t ** (-d / a) * fast(r)
+    return _p1_fast(params.d, params.alpha)(radii, t)
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +675,8 @@ def levy_symbol_quadrature(params: StableParams, xi: float) -> float:
         return 0.0
     if d > 3:
         raise UnsupportedRegimeError("symbol quadrature implemented for d <= 3")
+    from scipy import integrate, special
+
     A = levy_constant(params)
     cd = 2.0 * pi ** (d / 2) / math.gamma(d / 2)
 

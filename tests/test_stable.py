@@ -324,13 +324,67 @@ class TestFreeDensity:
                 exact = peak * (1 + Decimal(float(r)) ** 2) ** power
                 assert abs(Decimal(float(v)) / exact - 1) <= table.max_rel_err
 
-    # past r = 1.34e154, r * r overflows where p_1(r) is below the normal range
+    # past r = 1.34e154, where r * r overflows, p_1(r) is below the normal range
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_the_cauchy_table_is_zero_where_the_square_overflows(self, d):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = stable._P1Fast(d, 1.0)(np.array([1.4e154, 1e300, math.inf]))
         assert values.tolist() == [0.0, 0.0, 0.0]
+
+    # p_1 at the scaled radius 1e160 is below the normal range, so scaling
+    # it back by t^{-d} lost every digit: the table gave 0
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_fast_density_at_a_tiny_time_against_the_cauchy_closed_forms(self, d):
+        t = 1e-160
+        exact = {1: cauchy_1d(t, 1.0), 2: cauchy_2d(t, 1.0), 3: t / math.pi ** 2}[d]
+        fast = free_density_radial(StableParams(d, 1.0), t, [1.0])
+        assert fast[0] == pytest.approx(exact, rel=1e-14, abs=0)
+
+    # the scalar and the vectorized density share one closed form at alpha = 1
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_scalar_and_fast_cauchy_densities_agree_bit_for_bit(self, d):
+        params = StableParams(d, 1.0)
+        times = np.geomspace(1e-200, 1e200, 41)
+        radii = np.concatenate([[0.0], np.geomspace(1e-200, 1e200, 41)])
+        t, r = (a.ravel() for a in np.meshgrid(times, radii))
+        fast = free_density_radial(params, t, r)
+        for ti, ri, fi in zip(t, r, fast):
+            try:
+                v = free_density(params, float(ti), (0.0,) * d, (float(ri),) + (0.0,) * (d - 1))
+            except UnsupportedRegimeError:
+                assert fi == 0.0 or fi == math.inf
+            else:
+                assert v.value == fi
+                assert v.rel_err == stable._P1Fast(d, 1.0).max_rel_err
+
+    # the closed form keeps its rounding bound at every (t, r) where p_t is
+    # in the normal range, in 50-digit decimal arithmetic; below that range
+    # it is 0 and above it inf
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_cauchy_density_keeps_its_rounding_bound_at_every_scale(self, d):
+        bound = stable._P1Fast(d, 1.0).max_rel_err
+        times = np.geomspace(1e-300, 1e300, 61) * 1.37
+        radii = np.concatenate([[0.0], np.geomspace(1e-300, 1e300, 61) * 0.73])
+        t, r = (a.ravel() for a in np.meshgrid(times, radii))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = stable._cauchy(d, t, r)
+        tiny, huge = Decimal(2.0 ** -1022), Decimal(np.finfo(float).max)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            pi = Decimal("3.14159265358979323846264338327950288419716939937510")
+            peak = {1: 1 / pi, 2: 1 / (2 * pi), 3: 1 / (pi * pi)}[d]
+            power = Decimal(-(d + 1)) / 2
+            for ti, ri, v in zip(t, r, values):
+                ti, ri = Decimal(float(ti)), Decimal(float(ri))
+                exact = peak * ti * (ti * ti + ri * ri) ** power
+                if exact < tiny * (1 - Decimal(bound)):
+                    assert v == 0.0
+                elif exact > huge * (1 + Decimal(bound)):
+                    assert v == math.inf
+                elif tiny * (1 + Decimal(bound)) < exact < huge * (1 - Decimal(bound)):
+                    assert abs(Decimal(float(v)) / exact - 1) <= bound
 
 
 class TestFreeDensityBound:
