@@ -527,12 +527,12 @@ EXPECTED = {
     'document/interval_complement': "{'type': 'interval_complement', 'intervals': [[-1.0, 0.0], [1.0, 2.5]]} -> IntervalComplement(intervals=((-1.0, 0.0), (1.0, 2.5)))",
     'document/special_lipschitz': "{'type': 'special_lipschitz', 'breakpoints': [[-1.0, 0.0], [0.0, 0.5], [1.0, 0.0]], 'lipschitz_constant': 0.5} -> SpecialLipschitz(breakpoints=((-1.0, 0.0), (0.0, 0.5), (1.0, 0.0)), lipschitz_constant=0.5)",
     'estimate/beta_hyperplane_complement_thin': '39f8f6128b77c4ca66bd',
-    'estimate/heat_kernel': '88a595806ad66eb2ff6d',
+    'estimate/heat_kernel': '6255910a300a863d057a',
     'estimate/lambda1': 'c480ab83b044431b9a13',
-    'factorization/ball_d1/profile': '6a39ba7c88ad07dd124e',
-    'factorization/ball_d1/workers1': '5561299193931065c3c0',
-    'factorization/ball_d1/workers2': '5561299193931065c3c0',
-    'free_density_radial': '976251ed5d6fad756cdc',
+    'factorization/ball_d1/profile': '6147990ab1bdc07308cc',
+    'factorization/ball_d1/workers1': '56010e5a8994e126e012',
+    'factorization/ball_d1/workers2': '56010e5a8994e126e012',
+    'free_density_radial': 'ea4e376739d798bfa857',
     'geometry/ball': '600ce111d72673668fc2',
     'geometry/ball_union_exterior_ball': 'ec077829e1c83a1ff1cf',
     'geometry/cone': 'f248b4e9392508f3d722',
@@ -611,8 +611,8 @@ EXPECTED = {
     'wos/intersection_d2_tilted': '486ac63995e537a7e191',
     'wos/intersection_d3': 'cc1ab5f0d7b742779dba',
     'written/bhp': '7feb25be1ad5596c2140 435b91491280c6da018e',
-    'written/factorization': '7dba25c69c07b1f199ef 41728ec150ed8a527d60',
-    'written/identities': '75f546991ba55b9bcdc1',
+    'written/factorization': 'fe8e5f255ed429c49b96 cbc5a6067fc725771b1b',
+    'written/identities': '64bc9bf0b1163fe7c4df',
     'written/profiles': '6756b7bc341ba85bc55b c2ba7edb72d412c041fb',
 }
 
