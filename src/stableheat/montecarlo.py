@@ -56,9 +56,11 @@ from typing import Optional
 
 import numpy as np
 
-# np.unique and np.quantile import numpy.ma on first use (about 15 ms):
-# import it with the package, not inside the first estimate
+# numpy loads numpy.random on first use, and np.unique and np.quantile
+# import numpy.ma (about 10 and 15 ms): import both with the package, not
+# inside the first estimate
 import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from . import domains as dom
 from .errors import EstimateDiagnostic, FitError, UnsupportedRegimeError
