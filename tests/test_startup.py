@@ -1,4 +1,4 @@
-"""scipy stays off the start-up path of the command-line driver.
+"""scipy stays off the start-up path of the command-line interface.
 
 Each check runs in a fresh interpreter, because the test modules import
 scipy themselves.  Importing ``stableheat.cli`` loads no scipy module, and
@@ -24,7 +24,7 @@ _spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "wo
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
-#: import the driver, run the argv given as JSON (if any), and print the
+#: import the CLI module, run the argv given as JSON (if any), and print the
 #: exit code with the scipy modules loaded before and after the call
 PROBE = """
 import json, sys
@@ -46,7 +46,7 @@ def _probe(argv=None):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_importing_the_driver_loads_no_scipy_module():
+def test_importing_the_cli_loads_no_scipy_module():
     assert _probe() == [None, [], []]
 
 
