@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from stableheat import domains as dom
 from stableheat import kernels
@@ -40,7 +40,9 @@ GATE_PARAMS = ((1, 1.0), (2, 1.5), (3, 0.7))
 GATE_N = 32768
 
 
-@pytest.mark.parametrize("d,alpha", GATE_PARAMS)
+#: GATE_PARAMS plus the ends of the alpha range, where the powers 2/alpha
+#: and 2/(2 - alpha) of the radial draw are largest
+@pytest.mark.parametrize("d,alpha", GATE_PARAMS + ((2, 0.3), (1, 1.9)))
 @pytest.mark.parametrize("sampler,rho", [("ball_exit", 0.0), ("ball_exit", 0.3),
                                          ("ball_exit", 0.99), ("wos", 0.5)])
 def test_exit_positions_match_the_exact_exit_tail(d, alpha, sampler, rho):
@@ -56,6 +58,20 @@ def test_exit_positions_match_the_exact_exit_tail(d, alpha, sampler, rho):
         pos = mc.sample_ball_exit_positions(params, np.zeros(d), 1.0, x, rng, GATE_N)
     exact = kernels.ball_exit_tail_exact(params, x, 2.0)
     assert abs(_z_prob(np.linalg.norm(pos, axis=1) > 2.0, exact)) <= Z_GATE
+
+
+@pytest.mark.parametrize("d,alpha", [(1, 0.1), (2, 0.7), (3, 1.0), (2, 1.5), (1, 1.95)])
+def test_exit_radius_from_the_center_matches_the_beta_law(d, alpha):
+    # |Y - c| = r / sqrt(B) with B ~ Beta(alpha/2, 1 - alpha/2), so
+    # P(|Y - c| > rho r) = P(B < 1/rho^2) = I_{1/rho^2}(alpha/2, 1 - alpha/2)
+    center, radius = np.linspace(-0.3, 0.2, d), 0.5
+    pos = mc._exit_from_center(StableParams(d, alpha), center, radius,
+                               _rng(43, int(100 * alpha)), 4 * GATE_N)
+    dist = np.linalg.norm(pos - center, axis=1)
+    assert np.all(dist >= radius * (1.0 - 1e-15))
+    for rho in (1.05, 1.5, 3.0, 10.0):
+        exact = special.betainc(alpha / 2.0, 1.0 - alpha / 2.0, rho ** -2)
+        assert abs(_z_prob(dist > rho * radius, exact)) <= Z_GATE, rho
 
 
 # ---------------------------------------------------------------------------
