@@ -9,14 +9,16 @@ Kanter's trigonometric method, except at alpha = 1, where it is the Levy
 law 1/(2 Z^2) of one standard normal Z and the increment is the Cauchy
 law dt N/|Z|.
 Ball exit positions are exact: the radial law from the center reduces to
-a Beta variable, and general starting points use rejection against the
-center law (falling back to an exact composition of center draws when the
-acceptance bound degrades).  Exit positions from any other catalog domain
-with a complement of positive measure are exact by walk-on-spheres: each
-live walker jumps to the exact exit point of its largest inscribed ball,
-a point is in the domain when its distance to the complement is
-positive (a non-positive or NaN distance is an exit), and one distance
-evaluation per jump serves both as the exit test and as the next radii.
+a Beta(alpha/2, 1 - alpha/2) variable B, whose inverse 1/B is drawn by
+Johnk's rejection on whole arrays of uniform pairs, and general starting
+points use rejection against the center law (falling back to an exact
+composition of center draws when the acceptance bound degrades).  Exit
+positions from any other catalog domain with a complement of positive
+measure are exact by walk-on-spheres: each live walker jumps to the exact
+exit point of its largest inscribed ball, a point is in the domain when
+its distance to the complement is positive (a non-positive or NaN
+distance is an exit), and one distance evaluation per jump serves both
+as the exit test and as the next radii.
 Both walks keep their live walkers contiguous and in path order: each
 step turns its exit mask into index lists of the walkers that stay and
 of those that leave, gathers the first with ``take`` and scatters the
@@ -194,20 +196,49 @@ def sample_stable_increments(
     return np.sqrt(2.0 * s)[:, None] * z
 
 
+def _inverse_beta(a: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n exact draws of 1/B with B ~ Beta(a, 1 - a), 0 < a < 1.
+
+    Johnk's rejection (Metrika 8 (1964)): for X = U^{1/a} and
+    Y = V^{1/(1-a)}, X/(X + Y) given X + Y <= 1 is Beta(a, 1 - a), so
+    1/B = (X + Y)/X.  The acceptance is Gamma(1 + a) Gamma(2 - a) =
+    a (1 - a) pi / sin(pi a) >= pi/4, so each round draws
+    need/acceptance + 3 sqrt(need) pairs at once, keeps the accepted ones
+    in draw order and tops up only when it falls short.  A pair with X = 0
+    (U = 0, or U^{1/a} below the float range) is rejected too, so
+    U = V = 0 never gives 0/0.
+    """
+    accept = a * (1.0 - a) * pi / math.sin(pi * a)
+    draws = np.empty(0)
+    while draws.size < n:
+        need = n - draws.size
+        m = int(need / accept + 3.0 * math.sqrt(need)) + 1
+        x, s = rng.random((2, m))
+        x **= 1.0 / a
+        s **= 1.0 / (1.0 - a)
+        s += x
+        keep = s <= 1.0
+        keep &= x > 0.0
+        s = s[keep][:need]
+        s /= x[keep][:need]
+        draws = np.concatenate((draws, s)) if draws.size else s
+    return draws
+
+
 def _jump(params: StableParams, p, radius, rng: np.random.Generator, n: int) -> np.ndarray:
     """Exact exit positions from balls of the given radii centred at p
     (one point, or one row per draw), for walkers starting at the centres.
 
-    The radial law is |Y - c| = r / sqrt(U) with U ~ Beta(a/2, 1 - a/2)
-    (inverting the radial variable of the exit density); the direction is
-    uniform by isotropy.  The jump-size clamp guards float overflow on
-    astronomically long excursions (critical recurrent case); bounded
-    targets are unaffected.
+    The radial law is |Y - c| = r / sqrt(B) with B ~ Beta(a/2, 1 - a/2)
+    (inverting the radial variable of the exit density), and 1/B comes
+    from ``_inverse_beta``'s vectorized Johnk rejection, so no division
+    by B is needed; the direction is uniform by isotropy.  The jump-size
+    clamp guards float overflow on astronomically long excursions
+    (critical recurrent case); bounded targets are unaffected.
     """
     a, d = params.alpha, params.d
-    u = rng.beta(a / 2.0, 1.0 - a / 2.0, n)
-    np.maximum(u, 1e-300, out=u)
-    rad = radius / np.sqrt(u, out=u)
+    rad = np.sqrt(_inverse_beta(a / 2.0, rng, n))
+    rad *= radius
     np.minimum(rad, 1e150, out=rad)
     if d == 1:
         sgn = rng.integers(0, 2, n) * 2.0 - 1.0

@@ -139,6 +139,40 @@ def test_increments_at_the_ends_of_the_uniform_are_finite(alpha):
     assert np.all(np.isfinite(x)) and np.all(x[::2] < 0) and np.all(x[1::2] > 0)
 
 
+class _EdgeUniforms:
+    """Uniforms that are each 0 or the largest double below 1, picked by a
+    fixed stream, so that every pair of edge values turns up; every other
+    draw comes from that stream."""
+
+    def __init__(self):
+        self._rng = _rng(47, 0)
+
+    def random(self, n):
+        return np.where(self._rng.random(n) < 0.5, 0.0, 1.0 - 2.0 ** -53)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("alpha", [0.1, 1.0, 1.5, 1.99])
+def test_ball_jumps_at_the_ends_of_the_uniform_are_finite(d, alpha):
+    # U = V = 0 must not give 0/0 in 1/B = (X + Y)/X; the direction's
+    # norm may round 1 ulp below 1
+    radius = 0.7
+    pos = mc._jump(StableParams(d, alpha), np.zeros(d), radius, _EdgeUniforms(), 256)
+    dist = np.linalg.norm(pos, axis=1)
+    assert np.all(np.isfinite(pos)) and np.all(dist >= radius * (1.0 - 1e-15))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_no_ball_exit_draws_is_an_empty_array(d):
+    params = StableParams(d, 1.5)
+    assert mc._jump(params, np.zeros(d), 1.0, _rng(48, d), 0).shape == (0, d)
+    assert mc.sample_ball_exit_positions(params, np.zeros(d), 1.0, np.zeros(d),
+                                         _rng(48, d), 0).shape == (0, d)
+
+
 #: P(|X_1| > q) for the unit Cauchy law in d = 2 and d = 3
 CAUCHY_RADIAL_TAILS = {
     2: lambda q: (1.0 + q * q) ** -0.5,
