@@ -505,17 +505,17 @@ for _case in PRINTED:
     CASES[f"printed/{_case}"] = (_printed, _case)
 
 EXPECTED = {
-    'ball_exit/0/0.0': '56c0121fc1dc32b3502e',
-    'ball_exit/0/0.3': 'f93f4c492b0d56132824',
-    'ball_exit/0/0.99': '87128f39938dcbe4504a',
-    'ball_exit/1/0.0': '45f7e32196675608c270',
-    'ball_exit/1/0.3': '44fabbca28a9b085df0b',
-    'ball_exit/1/0.99': 'ca6fab9c040bae573a30',
-    'ball_exit/2/0.0': '2ef64824758a96241719',
-    'ball_exit/2/0.3': '8aec36961e3487acaabf',
-    'ball_exit/2/0.99': '63704ee85bc11ad32a8d',
-    'bhp_sweep': '9695d59fead4201f31ec',
-    'bhp_sweep/workers2': '9695d59fead4201f31ec',
+    'ball_exit/0/0.0': 'da7fc9667b733f3d88f7',
+    'ball_exit/0/0.3': 'af5ad777b920fec17c1d',
+    'ball_exit/0/0.99': '9810e904e11e43754830',
+    'ball_exit/1/0.0': 'd9d550ddb33a0848f4e2',
+    'ball_exit/1/0.3': '30dccd7f383a2bbd769d',
+    'ball_exit/1/0.99': 'c89bfc23ce085f176575',
+    'ball_exit/2/0.0': 'b69cda63920abe310a64',
+    'ball_exit/2/0.3': '1676d751e96cb9e2781a',
+    'ball_exit/2/0.99': '95cae28e13a140a504f7',
+    'bhp_sweep': '70d29d6d8da42844333c',
+    'bhp_sweep/workers2': '70d29d6d8da42844333c',
     'document/ball': "{'type': 'ball', 'center': [0.5, -0.25], 'radius': 1.5} -> Ball(center=(0.5, -0.25), radius=1.5)",
     'document/ball_union_exterior_ball': "{'type': 'ball_union_exterior_ball', 'center': [0.0, 0.0], 'inner_radius': 1.0, 'outer_radius': 2.5} -> BallUnionExteriorBall(center=(0.0, 0.0), inner_radius=1.0, outer_radius=2.5)",
     'document/cone': "{'type': 'cone', 'angle': 1.0, 'axis': [np.float64(0.0), np.float64(0.0), np.float64(1.0)]} -> CircularCone(angle=1.0, axis=(np.float64(0.0), np.float64(0.0), np.float64(1.0)), beta=None)",
@@ -606,11 +606,11 @@ EXPECTED = {
     'witness/intersection': '90d67a514b580d2703f0',
     'witness/interval_complement': 'f8d4d4da673161136d48',
     'witness/special_lipschitz': 'e666899af4466d5caee6',
-    'wos/ball_d1': 'bb407d6ca1807c6424a6',
-    'wos/halfspace_d2': 'c4e107577a7da3328179',
-    'wos/intersection_d2_tilted': '486ac63995e537a7e191',
-    'wos/intersection_d3': 'cc1ab5f0d7b742779dba',
-    'written/bhp': '7feb25be1ad5596c2140 435b91491280c6da018e',
+    'wos/ball_d1': '04ddb755c619f48203fd',
+    'wos/halfspace_d2': 'd4b17c95e5cf5156645b',
+    'wos/intersection_d2_tilted': '088d7fbd46599228b33f',
+    'wos/intersection_d3': 'fd52a83550fbf382a538',
+    'written/bhp': 'eaeb0c185572a439a303 83d48b879e81ae74d24c',
     'written/factorization': 'fe8e5f255ed429c49b96 cbc5a6067fc725771b1b',
     'written/identities': '64bc9bf0b1163fe7c4df',
     'written/profiles': '6756b7bc341ba85bc55b c2ba7edb72d412c041fb',
