@@ -333,15 +333,34 @@ def _cmd_bhp(args) -> int:
     return 0
 
 
+def _finite_floats(values, what: str) -> tuple:
+    """``values`` as a tuple of finite floats, or a ValueError that names ``what``."""
+    out = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{what} must be finite, got {values!r}")
+    return out
+
+
 def _parse_region(doc: dict, name: str, d: int):
-    """The target region ``name`` in R^d; an interval [a, b] is the 1-D box."""
+    """The target region ``name`` in R^d; an interval [a, b] is the 1-D box.
+
+    A ball's radius must be positive and finite, and a box's corners finite
+    with lo <= hi in every coordinate.
+    """
     t = doc.get("type")
     if t == "ball":
-        region = mc.BallRegion(tuple(doc["center"]), float(doc["radius"]))
-    elif t == "box":
-        region = mc.BoxRegion(tuple(doc["lo"]), tuple(doc["hi"]))
-    elif t == "interval":
-        region = mc.BoxRegion((float(doc["a"]),), (float(doc["b"]),))
+        radius = float(doc["radius"])
+        if not 0 < radius < math.inf:
+            raise ValueError(f"{name} radius must be positive and finite, got {doc['radius']!r}")
+        region = mc.BallRegion(_finite_floats(doc["center"], f"{name} center"), radius)
+    elif t in ("box", "interval"):
+        keys = ("lo", "hi") if t == "box" else ("a", "b")
+        lo, hi = (_finite_floats(doc[k] if t == "box" else [doc[k]], f"{name} {k}")
+                  for k in keys)
+        if not all(a <= b for a, b in zip(lo, hi)):
+            raise ValueError(f"{name} needs {keys[0]} <= {keys[1]}, got "
+                             f"{doc[keys[0]]!r} and {doc[keys[1]]!r}")
+        region = mc.BoxRegion(lo, hi)
     else:
         raise ValueError(f"unknown region type {t!r}")
     corners = [region.center] if t == "ball" else [region.lo, region.hi]
@@ -355,12 +374,15 @@ def _parse_bhp_config(doc: dict, d: Optional[int] = None) -> harness.BHPConfig:
     d = dom.dim(ambient)
     x0 = tuple(doc["x0"])
     r = float(doc["r"])
+    p = float(doc.get("p", 0.5))
+    if not 0 < p < 1:
+        raise ValueError(f"p must lie in (0, 1), got {doc['p']!r}")
     u = dom.Intersection((ambient, dom.Ball(x0, r)))
     return harness.BHPConfig(
         u_domain=u,
         x0=x0,
         r=r,
-        p=float(doc.get("p", 0.5)),
+        p=p,
         x1=tuple(doc["x1"]),
         x2=tuple(doc["x2"]),
         target1=_parse_region(doc["target1"], "target1", d),

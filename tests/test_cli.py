@@ -563,6 +563,53 @@ def test_malformed_bhp_config_exits_2(tmp_path, capsys, text, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ({"target1": {"type": "ball", "center": [-2, 2], "radius": -1.5}},
+         "error: target1 radius must be positive and finite, got -1.5"),
+        ({"target1": {"type": "ball", "center": [-2, 2], "radius": 0}},
+         "error: target1 radius must be positive and finite, got 0"),
+        ({"target1": {"type": "ball", "center": [-2, 2], "radius": "nan"}},
+         "error: target1 radius must be positive and finite, got 'nan'"),
+        ({"target1": {"type": "ball", "center": [-2, "nan"], "radius": 1}},
+         "error: target1 center must be finite"),
+        ({"target2": {"type": "box", "lo": [4, 1.2], "hi": [0, 4]}},
+         "error: target2 needs lo <= hi, got [4, 1.2] and [0, 4]"),
+        ({"target2": {"type": "box", "lo": [0, 1.2], "hi": [4, "nan"]}},
+         "error: target2 hi must be finite"),
+        ({"p": 7}, "error: p must lie in (0, 1), got 7"),
+        ({"p": 0}, "error: p must lie in (0, 1), got 0"),
+    ],
+    ids=["negative_radius", "zero_radius", "nan_radius", "nan_center", "box_lo_above_hi",
+         "nan_box_corner", "p_7", "p_0"],
+)
+def test_bhp_target_or_p_out_of_range_exits_2(tmp_path, capsys, cell, message):
+    # a radius of -1.5 was read as 1.5 and exited 0; zero or NaN radii, a box
+    # with lo > hi and p = 7 exited 3, and a NaN box corner ended in a
+    # UFuncNoLoopError traceback
+    config = tmp_path / "bhp.json"
+    config.write_text(json.dumps({"configs": [{**BHP_CELL, **cell}]}))
+    argv = ["verify", "bhp", "--d", "2", "--alpha", "1.5", "--config", str(config),
+            "--n", "64", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
+def test_interval_target_with_a_above_b_exits_2(tmp_path, capsys):
+    cell = {"domain": {"type": "halfspace", "axis": [1]}, "x0": [1], "r": 1, "p": 0.5,
+            "x1": [0.8], "x2": [1.2], "target1": {"type": "interval", "a": 0, "b": -4},
+            "target2": {"type": "interval", "a": 2, "b": 6}}
+    config = tmp_path / "bhp.json"
+    config.write_text(json.dumps({"configs": [cell]}))
+    argv = ["verify", "bhp", "--d", "1", "--alpha", "1.5", "--config", str(config),
+            "--n", "64", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: target1 needs a <= b, got 0 and -4")
+
+
 def test_ball_tail_answers_for_the_ball_it_is_given(capsys):
     # P^x(|exit - c| > R) from B(c, r) is the unit-ball answer at (x - c)/r, R/r
     def tail(*argv):
