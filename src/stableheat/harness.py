@@ -305,35 +305,31 @@ def factorization_sweep(
 
     # one path batch per distinct x gives the kernel for every (t, y);
     # survival factors come from separate seeds to keep numerator and
-    # denominator independent
-    kern = {}
-    surv = {}
-    for p in xs:
-        kern[p] = mc.heat_kernel_grid(
-            domain, params, p, xs, t_set, n, h, seed + 7919 * x_index[p], workers
-        )
-        if profile is None:
-            curve = mc.survival_curve(
-                domain, params, p, t_set, n, h, seed + 104729 + 7919 * x_index[p], workers
-            )
-            surv[p] = dict(zip(t_set, curve))
+    # denominator independent.  Every estimate comes from one pooled run.
+    jobs = {("kernel", p): mc._kernel_job(domain, params, p, xs, t_set, n, h,
+                                          seed + 7919 * x_index[p]) for p in xs}
+    if profile is None:
+        jobs.update({("survival", p): mc._survival_job(domain, params, p, t_set, n, h,
+                                                       seed + 104729 + 7919 * x_index[p])
+                     for p in xs})
+    est = dict(zip(jobs, mc._run_jobs(list(jobs.values()), workers)))
 
     diam = dom.complement_diameter(domain)
     guard_t = diam ** params.alpha if math.isfinite(diam) and diam > 0 else 0.0
 
     cells = []
-    for t in t_set:
+    for k, t in enumerate(t_set):
         for x, y in pairs:
-            est = kern[x][(t, x_index[y])]
+            kern = est["kernel", x][(t, x_index[y])]
             if profile is None:
-                sx, sy = surv[x][t], surv[y][t]
+                sx, sy = est["survival", x][k], est["survival", y][k]
                 s_val = sx.mean * sy.mean
                 s_rel2 = _rel2(sx) + _rel2(sy)
             else:
                 s_val = profile.evaluate(t, x) * profile.evaluate(t, y)
                 s_rel2 = 0.0
             p_free = free_density(params, t, np.asarray(x), np.asarray(y)).value
-            cell = _cell(t, x, y, est, s_val * p_free, s_rel2)
+            cell = _cell(t, x, y, kern, s_val * p_free, s_rel2)
             if cell.flag == "ok" and t <= guard_t:
                 cell = replace(cell, flag="outside_guarantee")
             cells.append(cell)
@@ -352,10 +348,11 @@ def profile_sweep(
     """Ratio of survival estimates to the built ``profile`` per (t, x) cell."""
     domain, params = profile.domain, profile.params
     t_set = sorted(float(t) for t in t_set)
+    points = [tuple(np.atleast_1d(np.asarray(x, float))) for x in x_set]
+    built = [mc._survival_job(domain, params, xa, t_set, n, h, seed + 31 * i)
+             for i, xa in enumerate(points)]
     cells = []
-    for i, x in enumerate(x_set):
-        xa = tuple(np.atleast_1d(np.asarray(x, float)))
-        curve = mc.survival_curve(domain, params, xa, t_set, n, h, seed + 31 * i, workers)
+    for xa, curve in zip(points, mc._run_jobs(built, workers)):
         for t, est in zip(t_set, curve):
             cells.append(_cell(t, xa, None, est, profile.evaluate(t, xa)))
     return _assemble_report(domain, params, t_set, cells, n)

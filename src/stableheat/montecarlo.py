@@ -42,6 +42,8 @@ merged in batch order.  Results are therefore bit-identical for any
 worker count.  Pooled runs share one process pool, kept from the first
 pooled call until ``shutdown_pool``, so repeated calls do not pay for
 worker start-up and table building again; reuse does not change a result.
+A sweep submits the batches of all its estimates in one call, so that no
+estimate waits for the slowest batch of another before its own start.
 """
 
 from __future__ import annotations
@@ -96,7 +98,9 @@ THIN_BOUNDARY_HALF_WIDTH = 0.02
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Monte Carlo result with provenance."""
+    """Monte Carlo result with provenance.  ``wall_time`` is the wall time of
+    the one ``_run_batches`` call that made the estimate, shared by every
+    estimate of that call (a sweep makes all of its estimates in one call)."""
 
     mean: float
     stderr: float
@@ -440,35 +444,43 @@ def shutdown_pool() -> None:
         ex.shutdown()
 
 
-def _run_batches(n: int, worker, workers: int = 1):
-    """Split n paths into fixed batches, run ``worker(batch_index, m)`` and
-    return partial results merged in batch order.
+def _run_batches(jobs, workers: int = 1):
+    """Run every job of ``jobs``, a list of ``(n, worker)`` pairs: split each
+    job's n paths into fixed batches, run ``worker(batch_index, m)`` on each
+    and return, per job, the list of its batch results in batch order.
 
-    With more than one worker the batches run on a process pool that is
-    started on first use and kept for later calls with the same worker
-    count, until ``shutdown_pool``; a worker's tables and caches therefore
-    outlive one call, and the merged results stay bit-identical for any
-    worker count.  If a batch raises, the batches not yet started are
-    cancelled and the error propagates; a broken pool is dropped, so the
-    next call starts a fresh one.
+    Every path count is checked before any batch runs.  With more than one
+    worker, all the batches of all the jobs are submitted before any result
+    is gathered, so no job waits for the slowest batch of the one before.
+    They run on a process pool that is started on first use and kept for
+    later calls with the same worker count, until ``shutdown_pool``, so a
+    worker's tables and caches outlive one call.  With one worker the same
+    batches run in the same order in this process, and every result is
+    bit-identical for any worker count.  If a batch raises, the batches not
+    yet started are cancelled and the error propagates; a broken pool is
+    dropped, so the next call starts a fresh one.  The ``wall_time`` of an
+    estimate is the wall time of the one call that made it, shared by every
+    job of that call.
     """
     global _pool
-    if n < 1:
-        raise ValueError(f"path count must be positive, got {n}")
-    sizes = [BATCH] * (n // BATCH)
-    if n % BATCH:
-        sizes.append(n % BATCH)
-    if workers <= 1:
-        return [worker(i, m) for i, m in enumerate(sizes)]
+    for n, _ in jobs:
+        if n < 1:
+            raise ValueError(f"path count must be positive, got {n}")
+    batches = [[(worker, i, min(BATCH, n - start)) for i, start in enumerate(range(0, n, BATCH))]
+               for n, worker in jobs]
+    if workers <= 1 or not batches:
+        return [[worker(i, m) for worker, i, m in job] for job in batches]
     if _pool is None or _pool[0] != workers:
         shutdown_pool()
         _pool = (workers, ProcessPoolExecutor(max_workers=workers))
     ex = _pool[1]
     futs = []
     try:
-        for i, m in enumerate(sizes):
-            futs.append(ex.submit(worker, i, m))
-        return [f.result() for f in futs]
+        for job in batches:
+            for batch in job:
+                futs.append(ex.submit(*batch))
+        results = iter([f.result() for f in futs])
+        return [[next(results) for _ in job] for job in batches]
     except BrokenProcessPool:
         shutdown_pool()
         raise
@@ -476,6 +488,16 @@ def _run_batches(n: int, worker, workers: int = 1):
         for f in futs:
             f.cancel()
         raise
+
+
+def _run_jobs(built, workers: int = 1) -> list:
+    """Run the ``(job, finish)`` pairs of ``built`` in one ``_run_batches``
+    call and return what each ``finish(parts, wall)`` makes of its job's
+    batch results, in order; ``wall`` is the wall time of the call."""
+    t0 = time.perf_counter()
+    parts = _run_batches([job for job, _ in built], workers)
+    wall = time.perf_counter() - t0
+    return [finish(part, wall) for (_, finish), part in zip(built, parts)]
 
 
 # Batch jobs: module-level functions bound with functools.partial, so that
@@ -616,6 +638,14 @@ def survival_curve(
     either way, and the start point must have finite coordinates.  ``thin``
     applies only to a ``HyperplaneComplement``.
     """
+    (out,) = _run_jobs([_survival_job(domain, params, x, t_grid, n, h, rng_seed, thin)], workers)
+    return out
+
+
+def _survival_job(domain, params, x, t_grid, n, h, rng_seed, thin=None) -> tuple:
+    """Check the inputs of ``survival_curve`` and return its ``(n, worker)``
+    job for ``_run_batches`` and ``finish(parts, wall)``, which turns the
+    job's batch results into the list of estimates."""
     xa = _start_point(domain, x)
     t_grid = tuple(float(t) for t in t_grid)
     _check_horizons(t_grid, h)
@@ -623,18 +653,19 @@ def survival_curve(
         raise ValueError(f"thin applies only to a hyperplane complement, not to "
                          f"{type(domain).__name__}")
     _thin_width(thin)
-    t0 = time.perf_counter()
     if dom.is_half_space(domain):
         delta = dom.dist_to_complement(domain, xa)
-        job = partial(_supremum_counts, params.alpha, delta, t_grid, rng_seed)
+        worker = partial(_supremum_counts, params.alpha, delta, t_grid, rng_seed)
         step = 0.0
     else:
         _check_step_budget(t_grid, h)
-        job = partial(_survival_counts, domain, params, xa, t_grid, h, thin, rng_seed)
+        worker = partial(_survival_counts, domain, params, xa, t_grid, h, thin, rng_seed)
         step = h
-    parts = _run_batches(n, job, workers)
+    return (n, worker), partial(_survival_estimates, t_grid, n, rng_seed, step)
+
+
+def _survival_estimates(t_grid, n, rng_seed, step, parts, wall) -> list:
     counts = np.sum(parts, axis=0)
-    wall = time.perf_counter() - t0
     out = []
     for t, c in zip(t_grid, counts):
         p = c / n
@@ -682,6 +713,14 @@ def heat_kernel_grid(
     Uses the defining subtraction p_D = p - E[tau < t; p(t - tau, X_tau, y)];
     returns a dict {(t, y-index): MCEstimate}.  x must be finite, and each y a finite point of R^d.
     """
+    (out,) = _run_jobs([_kernel_job(domain, params, x, y_list, t_grid, n, h, rng_seed)], workers)
+    return out
+
+
+def _kernel_job(domain, params, x, y_list, t_grid, n, h, rng_seed) -> tuple:
+    """Check the inputs of ``heat_kernel_grid`` and return its ``(n, worker)``
+    job for ``_run_batches`` and ``finish(parts, wall)``, which turns the
+    job's batch results into the dict of estimates."""
     xa = _start_point(domain, x)
     y_list = tuple(tuple(np.atleast_1d(np.asarray(y, dtype=float))) for y in y_list)
     bad = [list(map(float, y)) for y in y_list if len(y) != params.d or not np.isfinite(y).all()]
@@ -690,12 +729,13 @@ def heat_kernel_grid(
     t_grid = tuple(float(t) for t in t_grid)
     _check_horizons(t_grid, h)
     _check_step_budget(t_grid, h)
-    t0 = time.perf_counter()
-    job = partial(_kernel_sums, domain, params, xa, y_list, t_grid, h, rng_seed)
-    parts = _run_batches(n, job, workers)
+    worker = partial(_kernel_sums, domain, params, xa, y_list, t_grid, h, rng_seed)
+    return (n, worker), partial(_kernel_estimates, params, xa, y_list, t_grid, n, h, rng_seed)
+
+
+def _kernel_estimates(params, xa, y_list, t_grid, n, h, rng_seed, parts, wall) -> dict:
     s1 = sum(p[0] for p in parts)
     s2 = sum(p[1] for p in parts)
-    wall = time.perf_counter() - t0
     out = {}
     for i, t in enumerate(t_grid):
         for j, y in enumerate(y_list):
@@ -880,11 +920,9 @@ def bhp_cross_ratio(
     if np.array_equal(x1a, x2a) or target1 == target2:
         return MCEstimate(1.0, 0.0, n, rng_seed, 0.0)
     t0 = time.perf_counter()
-    counts = []
-    for i, xs in enumerate((x1a, x2a)):
-        job = partial(_wos_counts, u_domain, params, xs, (target1, target2), rng_seed + i)
-        parts = _run_batches(n, job, workers)
-        counts.append(np.sum(parts, axis=0))
+    jobs = [(n, partial(_wos_counts, u_domain, params, xs, (target1, target2), rng_seed + i))
+            for i, xs in enumerate((x1a, x2a))]
+    counts = [np.sum(parts, axis=0) for parts in _run_batches(jobs, workers)]
     wall = time.perf_counter() - t0
     c11, c12 = counts[0]
     c21, c22 = counts[1]

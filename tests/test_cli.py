@@ -1,7 +1,7 @@
 """Exit codes of the command-line driver on bad input and on default
 settings: 2 with an ``error:`` line for configuration errors, 3 for an
-inconclusive sweep; and the lifetime of the worker pool that
-``montecarlo._run_batches`` keeps between calls."""
+inconclusive sweep; and the job lists of ``montecarlo._run_batches`` and
+the lifetime of the worker pool that it keeps between calls."""
 
 import argparse
 import ast
@@ -16,6 +16,7 @@ import sys
 import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 
 import numpy as np
 import pytest
@@ -264,7 +265,7 @@ def test_lambda1_on_a_domain_that_is_not_a_ball_exits_2(capsys, monkeypatch, tmp
 
 def test_run_batches_rejects_empty_runs():
     with pytest.raises(ValueError, match="path count must be positive"):
-        mc._run_batches(0, lambda i, m: m)
+        mc._run_batches([(0, lambda i, m: m)])
 
 
 # batch workers for the pool tests; module-level so that they pickle
@@ -300,18 +301,18 @@ def no_pool():
 
 
 def test_pooled_calls_reuse_one_executor(no_pool):
-    first = set(mc._run_batches(N_POOLED, _pid, 2))
+    first = set(mc._run_batches([(N_POOLED, _pid)], 2)[0])
     pool = mc._pool
-    second = set(mc._run_batches(N_POOLED, _pid, 2))
+    second = set(mc._run_batches([(N_POOLED, _pid)], 2)[0])
     assert mc._pool is pool
     assert len(first | second) <= 2
     assert os.getpid() not in first | second
 
 
 def test_another_worker_count_replaces_the_executor(no_pool):
-    before = set(mc._run_batches(N_POOLED, _pid, 2))
+    before = set(mc._run_batches([(N_POOLED, _pid)], 2)[0])
     pool = mc._pool
-    after = set(mc._run_batches(N_POOLED, _pid, 3))
+    after = set(mc._run_batches([(N_POOLED, _pid)], 3)[0])
     assert mc._pool is not pool and mc._pool[0] == 3
     assert not before & after
     assert not any(p.pid in before for p in multiprocessing.active_children())
@@ -319,25 +320,108 @@ def test_another_worker_count_replaces_the_executor(no_pool):
 
 def test_a_failing_batch_propagates_and_the_pool_still_works(no_pool):
     with pytest.raises(ArithmeticError, match="batch 1 failed"):
-        mc._run_batches(N_POOLED, _fail_on_batch_1, 2)
+        mc._run_batches([(N_POOLED, _fail_on_batch_1)], 2)
     pool = mc._pool
-    assert mc._run_batches(N_POOLED, _size, 2) == SIZES
+    assert mc._run_batches([(N_POOLED, _size)], 2)[0] == SIZES
     assert mc._pool is pool
 
 
 def test_a_dead_worker_breaks_the_pool_and_the_next_call_starts_afresh(no_pool):
     with pytest.raises(BrokenProcessPool):
-        mc._run_batches(N_POOLED, _exit_worker, 2)
+        mc._run_batches([(N_POOLED, _exit_worker)], 2)
     assert mc._pool is None
-    assert mc._run_batches(N_POOLED, _size, 2) == SIZES
+    assert mc._run_batches([(N_POOLED, _size)], 2)[0] == SIZES
 
 
 def test_shutdown_pool_twice_is_safe(no_pool):
-    mc._run_batches(N_POOLED, _size, 2)
+    mc._run_batches([(N_POOLED, _size)], 2)
     mc.shutdown_pool()
     mc.shutdown_pool()
     assert mc._pool is None
     assert multiprocessing.active_children() == []
+
+
+def _draws(seed, i, m):
+    return mc._stream(seed, i).random(m).sum()
+
+
+def _fail_on_batch_0(i, m):
+    raise ArithmeticError("batch 0 of the second job failed")
+
+
+def _mark_and_wait(folder, i, m):
+    pathlib.Path(folder, str(i)).touch()
+    time.sleep(0.05)
+    return m
+
+
+#: job sizes that are not multiples of BATCH, for the job-list tests
+JOB_SIZES = (mc.BATCH + 5, 3, 2 * mc.BATCH + 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_job_list_gives_each_job_what_it_gives_alone(no_pool, workers):
+    jobs = [(n, partial(_draws, seed)) for seed, n in enumerate(JOB_SIZES)]
+    alone = [mc._run_batches([job])[0] for job in jobs]
+    assert mc._run_batches(jobs, workers) == alone
+    assert [len(parts) for parts in alone] == [2, 1, 3]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_job_without_paths_anywhere_in_the_list_runs_no_batch(no_pool, workers):
+    ran = []
+    jobs = [(mc.BATCH + 5, lambda i, m: ran.append(i)), (3, _size), (0, _size)]
+    with pytest.raises(ValueError, match="path count must be positive, got 0"):
+        mc._run_batches(jobs, workers)
+    assert ran == []
+    assert mc._pool is None  # no pool was started for it
+
+
+def test_a_failing_batch_of_the_second_job_cancels_the_batches_not_started(no_pool, tmp_path):
+    slow = 40 * mc.BATCH  # 40 batches of 0.05 s each behind the failing one
+    jobs = [(N_POOLED, _size), (3, _fail_on_batch_0), (slow, partial(_mark_and_wait, tmp_path))]
+    with pytest.raises(ArithmeticError, match="batch 0 of the second job failed"):
+        mc._run_batches(jobs, 2)
+    pool = mc._pool
+    assert mc._run_batches([(N_POOLED, _size)], 2)[0] == SIZES  # after the started ones
+    assert mc._pool is pool
+    assert len(os.listdir(tmp_path)) < 10
+
+
+@pytest.mark.parametrize("sweep", ["factorization", "factorization_profile", "profile", "bhp"])
+def test_a_pooled_sweep_makes_one_run_batches_call(no_pool, monkeypatch, sweep):
+    # one call submits every batch of the sweep before it waits for any; a
+    # call per estimator waits for its slowest batch before the next submits
+    from stableheat import kernels
+
+    calls = []
+    run_batches = mc._run_batches
+
+    def counted(jobs, workers=1):
+        calls.append(len(jobs))
+        return run_batches(jobs, workers)
+
+    monkeypatch.setattr(mc, "_run_batches", counted)
+    ball, params = dom.Ball((0.0,), 1.0), StableParams(1, 1.0)
+    points = [(-0.5,), (0.0,), (0.6,)]
+    if sweep.startswith("factorization"):
+        profile = (kernels.survival_profile(ball, params, lambda1=1.1577738836977)
+                   if sweep.endswith("profile") else None)
+        harness.factorization_sweep(ball, params, (0.25, 0.5), [(p, p) for p in points],
+                                    4096, 1.0 / 32, 7, workers=2, profile=profile)
+        jobs = 3 if profile else 6
+    elif sweep == "profile":
+        half = dom.HalfSpace((0.0, 1.0))
+        harness.profile_sweep(kernels.survival_profile(half, StableParams(2, 1.5)), (0.25, 1.0),
+                              [(0.0, 0.3), (0.5, 1.0)], 4096, 1.0 / 16, 8, workers=2)
+        jobs = 2
+    else:
+        mc.bhp_cross_ratio(StableParams(2, 1.5),
+                           dom.Intersection((dom.HalfSpace((0.0, 1.0)), dom.Ball((0.0, 0.0), 1.0))),
+                           (0.0, 0.1), (0.2, 0.3), mc.BoxRegion((-4.0, 1.2), (0.0, 4.0)),
+                           mc.BoxRegion((0.0, 1.2), (4.0, 4.0)), 4096, 9, workers=2)
+        jobs = 2
+    assert calls == [jobs]
 
 
 def test_cli_leaves_no_pool_behind(no_pool, capsys):
