@@ -333,12 +333,29 @@ def _cmd_bhp(args) -> int:
     return 0
 
 
+def _float(value) -> float:
+    """``float(value)``, or NaN for a string that holds no number, so that the
+    caller's range check rejects it with a message that names the key."""
+    try:
+        return float(value)
+    except ValueError:
+        return math.nan
+
+
 def _finite_floats(values, what: str) -> tuple:
     """``values`` as a tuple of finite floats, or a ValueError that names ``what``."""
-    out = tuple(float(v) for v in values)
+    out = tuple(_float(v) for v in values)
     if not all(map(math.isfinite, out)):
         raise ValueError(f"{what} must be finite, got {values!r}")
     return out
+
+
+def _point(doc: dict, key: str, d: int) -> tuple:
+    """``doc[key]`` as given, once it is checked to be d finite numbers."""
+    pt = tuple(doc[key]) if isinstance(doc[key], (list, tuple)) else ()
+    if len(pt) != d or not all(type(v) in (int, float) and math.isfinite(v) for v in pt):
+        raise ValueError(f"{key} must be a list of {d} finite numbers, got {doc[key]!r}")
+    return pt
 
 
 def _parse_region(doc: dict, name: str, d: int):
@@ -349,7 +366,7 @@ def _parse_region(doc: dict, name: str, d: int):
     """
     t = doc.get("type")
     if t == "ball":
-        radius = float(doc["radius"])
+        radius = _float(doc["radius"])
         if not 0 < radius < math.inf:
             raise ValueError(f"{name} radius must be positive and finite, got {doc['radius']!r}")
         region = mc.BallRegion(_finite_floats(doc["center"], f"{name} center"), radius)
@@ -372,9 +389,11 @@ def _parse_region(doc: dict, name: str, d: int):
 def _parse_bhp_config(doc: dict, d: Optional[int] = None) -> harness.BHPConfig:
     ambient = dom.domain_from_dict(doc["domain"], expect_dim=d)
     d = dom.dim(ambient)
-    x0 = tuple(doc["x0"])
-    r = float(doc["r"])
-    p = float(doc.get("p", 0.5))
+    x0 = _point(doc, "x0", d)
+    r = _float(doc["r"])
+    if not 0 < r < math.inf:
+        raise ValueError(f"r must be positive and finite, got {doc['r']!r}")
+    p = _float(doc.get("p", 0.5))
     if not 0 < p < 1:
         raise ValueError(f"p must lie in (0, 1), got {doc['p']!r}")
     u = dom.Intersection((ambient, dom.Ball(x0, r)))
@@ -383,8 +402,8 @@ def _parse_bhp_config(doc: dict, d: Optional[int] = None) -> harness.BHPConfig:
         x0=x0,
         r=r,
         p=p,
-        x1=tuple(doc["x1"]),
-        x2=tuple(doc["x2"]),
+        x1=_point(doc, "x1", d),
+        x2=_point(doc, "x2", d),
         target1=_parse_region(doc["target1"], "target1", d),
         target2=_parse_region(doc["target2"], "target2", d),
     )

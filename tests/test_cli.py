@@ -682,6 +682,41 @@ def test_bhp_target_or_p_out_of_range_exits_2(tmp_path, capsys, cell, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ({"r": "nan"}, "error: r must be positive and finite, got 'nan'"),
+        ({"r": "inf"}, "error: r must be positive and finite, got 'inf'"),
+        ({"r": -1}, "error: r must be positive and finite, got -1"),
+        ({"r": "abc"}, "error: r must be positive and finite, got 'abc'"),
+        ({"x0": ["nan", 0]}, "error: x0 must be a list of 2 finite numbers, got ['nan', 0]"),
+        ({"x1": "ab"}, "error: x1 must be a list of 2 finite numbers, got 'ab'"),
+        ({"x1": [0, 0.1, 0]}, "error: x1 must be a list of 2 finite numbers, got [0, 0.1, 0]"),
+        ({"x2": [0.2, True]}, "error: x2 must be a list of 2 finite numbers, got [0.2, True]"),
+        ({"p": "abc"}, "error: p must lie in (0, 1), got 'abc'"),
+        ({"target1": {"type": "ball", "center": [-2, 2], "radius": "abc"}},
+         "error: target1 radius must be positive and finite, got 'abc'"),
+        ({"target1": {"type": "ball", "center": [-2, "abc"], "radius": 1}},
+         "error: target1 center must be finite, got [-2, 'abc']"),
+    ],
+    ids=["nan_r", "inf_r", "negative_r", "text_r", "nan_x0", "text_x1", "x1_of_3d",
+         "bool_in_x2", "text_p", "text_radius", "text_center"],
+)
+def test_bhp_config_values_are_checked_under_their_own_key(tmp_path, capsys, cell, message):
+    # each was checked only through other code: NaN r or x0 blamed x1 ("x1 must
+    # lie in the localized domain"), an infinite r blamed target1, r = -1 named
+    # no key, text gave "could not convert string to float", and a 3-D x1 a
+    # numpy broadcast error
+    config = tmp_path / "bhp.json"
+    config.write_text(json.dumps({"configs": [{**BHP_CELL, **cell}]}))
+    argv = ["verify", "bhp", "--d", "2", "--alpha", "1.5", "--config", str(config),
+            "--n", "64", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == message + "\n"
+    assert os.listdir(tmp_path) == ["bhp.json"]  # no report
+
+
 def test_interval_target_with_a_above_b_exits_2(tmp_path, capsys):
     cell = {"domain": {"type": "halfspace", "axis": [1]}, "x0": [1], "r": 1, "p": 0.5,
             "x1": [0.8], "x2": [1.2], "target1": {"type": "interval", "a": 0, "b": -4},
