@@ -305,7 +305,7 @@ def factorization_sweep(
 
     # one path batch per distinct x gives the kernel for every (t, y);
     # survival factors come from separate seeds to keep numerator and
-    # denominator independent.  Every estimate comes from one pooled run.
+    # denominator independent.  All the estimates come from one _run_batches call.
     jobs = {("kernel", p): mc._kernel_job(domain, params, p, xs, t_set, n, h,
                                           seed + 7919 * x_index[p]) for p in xs}
     if profile is None:
@@ -345,7 +345,8 @@ def profile_sweep(
     seed: int,
     workers: int = 1,
 ) -> RatioReport:
-    """Ratio of survival estimates to the built ``profile`` per (t, x) cell."""
+    """Ratio of survival estimates to the built ``profile`` per (t, x) cell;
+    the survival curves of all the points come from one ``_run_batches`` call."""
     domain, params = profile.domain, profile.params
     t_set = sorted(float(t) for t in t_set)
     points = [tuple(np.atleast_1d(np.asarray(x, float))) for x in x_set]
