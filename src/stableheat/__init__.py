@@ -39,7 +39,6 @@ from .kernels import (
 )
 from .montecarlo import (
     MCEstimate,
-    bhp_cross_ratio,
     estimate_beta,
     estimate_heat_kernel,
     estimate_lambda1,

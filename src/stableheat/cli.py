@@ -283,6 +283,10 @@ def _sweep_grid(args) -> tuple:
         pts = [_parse_vec(p) for p in args.points.split(";")]
     else:
         pts = _default_points(domain)
+    # a repeat would double its cells in the report and its weight in the quantiles
+    for option, given, values in (("--t", args.t, t_set), ("--points", args.points, pts)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{option} must not list a value twice, got {given!r}")
     return params, domain, t_set, pts
 
 
@@ -552,8 +556,6 @@ def main(argv=None) -> int:
     except (InconclusiveError, EstimateDiagnostic) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
-    finally:
-        mc.shutdown_pool()
 
 
 if __name__ == "__main__":

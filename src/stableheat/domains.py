@@ -665,10 +665,20 @@ def domain_to_dict(domain: Domain) -> dict:
     return out
 
 
+def _doc_numbers(v) -> bool:
+    """True for a finite number or a (nested) list of them; a boolean is
+    not a number."""
+    if isinstance(v, (list, tuple)):
+        return all(_doc_numbers(e) for e in v)
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < math.inf
+
+
 def domain_from_dict(doc: dict, expect_dim: Optional[int] = None) -> Domain:
     """Parse a domain document; dimensions are inferred from point fields
     and validated against ``expect_dim`` when given (a hyperplane
-    complement without a ``dim`` takes ``expect_dim``)."""
+    complement without a ``dim`` takes ``expect_dim``).  Every field must
+    be a finite number or a (nested) list of them: text, booleans and null
+    are refused, naming the field."""
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("domain document must be an object with a 'type' field")
     t = doc["type"]
@@ -679,6 +689,9 @@ def domain_from_dict(doc: dict, expect_dim: Optional[int] = None) -> Domain:
     for f in fields(cls):
         key = _DOC_KEYS.get(f.name, f.name)
         if key in doc:
+            if not _doc_numbers(doc[key]):
+                raise ValueError(f"domain field {key!r} must be a finite number or a list of "
+                                 f"them, got {doc[key]!r}")
             kwargs[f.name] = doc[key]
         elif cls is HyperplaneComplement:
             kwargs[f.name] = expect_dim or 1

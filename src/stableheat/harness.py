@@ -21,7 +21,7 @@ import numpy as np
 from . import domains as dom
 from . import kernels
 from . import montecarlo as mc
-from .errors import EstimateDiagnostic, InconclusiveError
+from .errors import InconclusiveError
 from .stable import (
     StableParams,
     free_density,
@@ -397,18 +397,18 @@ def bhp_sweep(
     seed: int,
     workers: int = 1,
 ) -> RatioReport:
-    """Cross-ratio report over a family of boundary-Harnack configurations."""
-    cells = []
-    for i, cfg in enumerate(configs):
+    """Cross-ratio report over a family of boundary-Harnack configurations.
+    Every configuration is checked before any walk runs, and the walks of
+    all of them come from one ``_run_batches`` call."""
+    for cfg in configs:
         cfg.validate()
-        try:
-            est = mc.bhp_cross_ratio(
-                params, cfg.u_domain, cfg.x1, cfg.x2, cfg.target1, cfg.target2, n,
-                seed + 613 * i, workers,
-            )
-            cells.append(_cell(0.0, tuple(cfg.x1), tuple(cfg.x2), est, 1.0))
-        except EstimateDiagnostic:
-            cells.append(Cell(0.0, tuple(cfg.x1), tuple(cfg.x2), None, None, "diagnostic"))
+    built = [mc._cross_ratio_job(params, cfg.u_domain, cfg.x1, cfg.x2, cfg.target1, cfg.target2,
+                                 n, seed + 613 * i) for i, cfg in enumerate(configs)]
+    cells = []
+    for cfg, est in zip(configs, mc._run_jobs(built, workers)):
+        x1, x2 = tuple(cfg.x1), tuple(cfg.x2)
+        cells.append(Cell(0.0, x1, x2, None, None, "diagnostic") if est is None
+                     else _cell(0.0, x1, x2, est, 1.0))
     u = configs[0].u_domain
     domain_desc = {"type": "intersection"} if isinstance(u, dom.Intersection) else u
     return _assemble_report(domain_desc, params, (0.0,), cells, n)

@@ -39,11 +39,10 @@ factor 0.63-0.69 per halving of h, which is the order h^{1/alpha}.
 Reproducibility: paths are organized in fixed-size batches; batch i uses
 a counter-based Philox stream keyed by (seed, i), and partial results are
 merged in batch order.  Results are therefore bit-identical for any
-worker count.  Pooled runs share one process pool, kept from the first
-pooled call until ``shutdown_pool``, so repeated calls do not pay for
-worker start-up and table building again; reuse does not change a result.
-A sweep submits the batches of all its estimates in one call, so that no
-estimate waits for the slowest batch of another before its own start.
+worker count.  A sweep submits the batches of all its estimates in one
+call, so that no estimate waits for the slowest batch of another before
+its own start, and each pooled call runs on a process pool of its own,
+stopped before the call returns.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from math import pi
@@ -430,39 +428,20 @@ def _walk_batch(
 # batch scheduling
 
 
-#: the worker pool kept between pooled calls, as (worker count, executor)
-_pool: Optional[tuple] = None
-
-
-def shutdown_pool() -> None:
-    """Stop the worker pool that ``_run_batches`` keeps, if there is one,
-    and wait for its workers to exit.  Safe to call at any time."""
-    global _pool
-    if _pool is not None:
-        _, ex = _pool
-        _pool = None
-        ex.shutdown()
-
-
 def _run_batches(jobs, workers: int = 1):
     """Run every job of ``jobs``, a list of ``(n, worker)`` pairs: split each
     job's n paths into fixed batches, run ``worker(batch_index, m)`` on each
     and return, per job, the list of its batch results in batch order.
 
     Every path count is checked before any batch runs.  With more than one
-    worker, all the batches of all the jobs are submitted before any result
-    is gathered, so no job waits for the slowest batch of the one before.
-    They run on a process pool that is started on first use and kept for
-    later calls with the same worker count, until ``shutdown_pool``, so a
-    worker's tables and caches outlive one call.  With one worker the same
-    batches run in the same order in this process, and every result is
-    bit-identical for any worker count.  If a batch raises, the batches not
-    yet started are cancelled and the error propagates; a broken pool is
-    dropped, so the next call starts a fresh one.  The ``wall_time`` of an
-    estimate is the wall time of the one call that made it, shared by every
-    job of that call.
+    worker, the batches run on a process pool of that many workers that
+    this call starts and stops, and all the batches of all the jobs are
+    submitted before any result is gathered, so no job waits for the
+    slowest batch of the one before.  With one worker the same batches run
+    in the same order in this process, and every result is bit-identical
+    for any worker count.  If a batch raises, the batches not yet started
+    are cancelled and the error propagates.
     """
-    global _pool
     for n, _ in jobs:
         if n < 1:
             raise ValueError(f"path count must be positive, got {n}")
@@ -470,34 +449,26 @@ def _run_batches(jobs, workers: int = 1):
                for n, worker in jobs]
     if workers <= 1 or not batches:
         return [[worker(i, m) for worker, i, m in job] for job in batches]
-    if _pool is None or _pool[0] != workers:
-        shutdown_pool()
-        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
-    ex = _pool[1]
-    futs = []
-    try:
-        for job in batches:
-            for batch in job:
-                futs.append(ex.submit(*batch))
-        results = iter([f.result() for f in futs])
-        return [[next(results) for _ in job] for job in batches]
-    except BrokenProcessPool:
-        shutdown_pool()
-        raise
-    except BaseException:
-        for f in futs:
-            f.cancel()
-        raise
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        try:
+            futs = [ex.submit(*batch) for job in batches for batch in job]
+            results = iter([f.result() for f in futs])
+        except BaseException:
+            ex.shutdown(cancel_futures=True)
+            raise
+    return [[next(results) for _ in job] for job in batches]
 
 
 def _run_jobs(built, workers: int = 1) -> list:
-    """Run the ``(job, finish)`` pairs of ``built`` in one ``_run_batches``
-    call and return what each ``finish(parts, wall)`` makes of its job's
-    batch results, in order; ``wall`` is the wall time of the call."""
+    """Run the ``(jobs, finish)`` pairs of ``built`` in one ``_run_batches``
+    call and return what each ``finish(parts, wall)`` makes of them, in
+    order: ``jobs`` is a list of ``(n, worker)`` jobs, ``parts`` holds one
+    list of batch results per job, and ``wall`` is the wall time of the
+    call, the pool's start and stop included."""
     t0 = time.perf_counter()
-    parts = _run_batches([job for job, _ in built], workers)
+    parts = iter(_run_batches([job for jobs, _ in built for job in jobs], workers))
     wall = time.perf_counter() - t0
-    return [finish(part, wall) for (_, finish), part in zip(built, parts)]
+    return [finish([next(parts) for _ in jobs], wall) for jobs, finish in built]
 
 
 # Batch jobs: module-level functions bound with functools.partial, so that
@@ -643,9 +614,9 @@ def survival_curve(
 
 
 def _survival_job(domain, params, x, t_grid, n, h, rng_seed, thin=None) -> tuple:
-    """Check the inputs of ``survival_curve`` and return its ``(n, worker)``
-    job for ``_run_batches`` and ``finish(parts, wall)``, which turns the
-    job's batch results into the list of estimates."""
+    """Check the inputs of ``survival_curve`` and return its one-job list
+    and its finisher for ``_run_jobs``, which turns the job's batch results
+    into the list of estimates."""
     xa = _start_point(domain, x)
     t_grid = tuple(float(t) for t in t_grid)
     _check_horizons(t_grid, h)
@@ -661,11 +632,11 @@ def _survival_job(domain, params, x, t_grid, n, h, rng_seed, thin=None) -> tuple
         _check_step_budget(t_grid, h)
         worker = partial(_survival_counts, domain, params, xa, t_grid, h, thin, rng_seed)
         step = h
-    return (n, worker), partial(_survival_estimates, t_grid, n, rng_seed, step)
+    return [(n, worker)], partial(_survival_estimates, t_grid, n, rng_seed, step)
 
 
 def _survival_estimates(t_grid, n, rng_seed, step, parts, wall) -> list:
-    counts = np.sum(parts, axis=0)
+    counts = np.sum(parts[0], axis=0)
     out = []
     for t, c in zip(t_grid, counts):
         p = c / n
@@ -718,9 +689,9 @@ def heat_kernel_grid(
 
 
 def _kernel_job(domain, params, x, y_list, t_grid, n, h, rng_seed) -> tuple:
-    """Check the inputs of ``heat_kernel_grid`` and return its ``(n, worker)``
-    job for ``_run_batches`` and ``finish(parts, wall)``, which turns the
-    job's batch results into the dict of estimates."""
+    """Check the inputs of ``heat_kernel_grid`` and return its one-job list
+    and its finisher for ``_run_jobs``, which turns the job's batch results
+    into the dict of estimates."""
     xa = _start_point(domain, x)
     y_list = tuple(tuple(np.atleast_1d(np.asarray(y, dtype=float))) for y in y_list)
     bad = [list(map(float, y)) for y in y_list if len(y) != params.d or not np.isfinite(y).all()]
@@ -730,12 +701,12 @@ def _kernel_job(domain, params, x, y_list, t_grid, n, h, rng_seed) -> tuple:
     _check_horizons(t_grid, h)
     _check_step_budget(t_grid, h)
     worker = partial(_kernel_sums, domain, params, xa, y_list, t_grid, h, rng_seed)
-    return (n, worker), partial(_kernel_estimates, params, xa, y_list, t_grid, n, h, rng_seed)
+    return [(n, worker)], partial(_kernel_estimates, params, xa, y_list, t_grid, n, h, rng_seed)
 
 
 def _kernel_estimates(params, xa, y_list, t_grid, n, h, rng_seed, parts, wall) -> dict:
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
+    s1 = sum(p[0] for p in parts[0])
+    s2 = sum(p[1] for p in parts[0])
     out = {}
     for i, t in enumerate(t_grid):
         for j, y in enumerate(y_list):
@@ -897,40 +868,30 @@ def _wos_counts(domain, params, x, targets, seed, index, m):
     return np.array([int(np.sum(t.contains_many(pos))) for t in targets])
 
 
-def bhp_cross_ratio(
-    params: StableParams,
-    u_domain: dom.Domain,
-    x1,
-    x2,
-    target1,
-    target2,
-    n: int,
-    rng_seed: int,
-    workers: int = 1,
-) -> MCEstimate:
-    """Exit-law cross ratio [P1(T1) P2(T2)] / [P1(T2) P2(T1)].
+def _cross_ratio_job(params, u_domain, x1, x2, target1, target2, n, rng_seed) -> tuple:
+    """The jobs and the finisher for ``_run_jobs`` of the exit-law cross
+    ratio [P1(T1) P2(T2)] / [P1(T2) P2(T1)]: one walk-on-spheres job per
+    start point, x1's first.
 
-    Estimated from exact walk-on-spheres exit positions (no time
-    discretization).  Targets are region objects with a vectorized
-    ``contains_many``.  Degenerate configurations (x1 = x2 or T1 = T2)
-    give exactly 1.  The stderr uses the delta method on log counts.
+    The estimate comes from exact exit positions (no time discretization).
+    Targets are region objects with a vectorized ``contains_many``.  A
+    degenerate configuration (x1 = x2 or T1 = T2) has no jobs and gives
+    exactly 1.  The stderr uses the delta method on log counts, and a zero
+    count in any cell gives None.
     """
     x1a = np.atleast_1d(np.asarray(x1, dtype=float))
     x2a = np.atleast_1d(np.asarray(x2, dtype=float))
     if np.array_equal(x1a, x2a) or target1 == target2:
-        return MCEstimate(1.0, 0.0, n, rng_seed, 0.0)
-    t0 = time.perf_counter()
+        return [], lambda parts, wall: MCEstimate(1.0, 0.0, n, rng_seed, 0.0)
     jobs = [(n, partial(_wos_counts, u_domain, params, xs, (target1, target2), rng_seed + i))
             for i, xs in enumerate((x1a, x2a))]
-    counts = [np.sum(parts, axis=0) for parts in _run_batches(jobs, workers)]
-    wall = time.perf_counter() - t0
-    c11, c12 = counts[0]
-    c21, c22 = counts[1]
+    return jobs, partial(_cross_ratio_estimate, n, rng_seed)
+
+
+def _cross_ratio_estimate(n, rng_seed, parts, wall) -> Optional[MCEstimate]:
+    (c11, c12), (c21, c22) = (np.sum(p, axis=0) for p in parts)
     if min(c11, c12, c21, c22) == 0:
-        raise EstimateDiagnostic(
-            "zero exit counts in a cross-ratio cell; increase n to at least "
-            f"{10 * n} or enlarge the targets"
-        )
+        return None
     ratio = (c11 * c22) / (c12 * c21)
     var_log = sum((1.0 - c / n) / c for c in (c11, c12, c21, c22))
     return MCEstimate(float(ratio), float(ratio * math.sqrt(var_log)), n, rng_seed, 0.0, wall)

@@ -194,33 +194,26 @@ def _tail_terms(d: int, alpha: float) -> tuple:
     )
 
 
-# Both series below are summed in one loop with the same error control.
-# ``mag`` is a term's magnitude with any oscillating factor stripped, so
-# that the optimal-truncation point of an asymptotic expansion is found
-# reliably.  The sum stops at a term past exp(650) (overflow ahead), once
-# the magnitudes rise again after falling (past the optimal truncation),
-# or at the second term or later once ``mag <= tol_rel s / 4``.  The
-# result is the partial sum at that last term, or else at the smallest
-# magnitude seen, with relative error (that magnitude + 2e-15 x the
-# largest one so far) / sum.  The route is unusable (None) when a
-# magnitude passes 1e290, no term was summed or the sum is not positive
-# (divergence, overflow or cancellation).
+def _sum_series(terms, tol_rel: float):
+    """Sum a series given as (log-magnitude, sign) pairs: (value, rel_err),
+    or None where it is unusable.
 
-
-def _p1_ascending(d: int, alpha: float, r: float, tol_rel: float):
-    """Power series in r^2 around the origin, summed as described above:
-    (value, rel_err), or None where it is unusable."""
-    lead = (1 - d) * _LN2 - 0.5 * d * _LNPI - log(alpha)
-    x = r * r / 4.0
-    if x == 0.0:
-        return exp(lead + lgamma(d / alpha) - lgamma(d / 2)), 1e-15
-    lnx = log(x)
+    The magnitude leaves out any oscillating factor, which goes in the
+    sign, so that the optimal-truncation point of an asymptotic expansion
+    is found reliably.  The sum stops at a term past exp(650) (overflow
+    ahead), once the magnitudes rise again after falling (past the optimal
+    truncation), or at the second term or later once ``mag <= tol_rel s /
+    4``.  The result is the partial sum at that last term, or else at the
+    smallest magnitude seen, with relative error (that magnitude + 2e-15 x
+    the largest one so far) / sum.  The series is unusable when a
+    magnitude passes 1e290, no term was summed or the sum is not positive
+    (divergence, overflow or cancellation).
+    """
     stop = 0.25 * tol_rel
     s = maxmag = prev = 0.0
     best_s = best_mag = best_max = 0.0
     falling = False
-    for k, c in enumerate(_ascending_terms(d, alpha)):
-        lnt = c + k * lnx + lead
+    for k, (lnt, sign) in enumerate(terms):
         if lnt > 650.0:
             break
         mag = exp(lnt)
@@ -231,7 +224,7 @@ def _p1_ascending(d: int, alpha: float, r: float, tol_rel: float):
                 falling = True
             elif falling and mag > prev:
                 break
-        s += mag if k % 2 == 0 else -mag
+        s += sign * mag
         if mag > maxmag:
             maxmag = mag
         if k == 0 or mag < best_mag:
@@ -245,9 +238,23 @@ def _p1_ascending(d: int, alpha: float, r: float, tol_rel: float):
     return best_s, (best_mag + best_max * 2e-15) / best_s
 
 
+def _p1_ascending(d: int, alpha: float, r: float, tol_rel: float):
+    """Power series in r^2 around the origin, summed by ``_sum_series``:
+    (value, rel_err), or None where it is unusable."""
+    lead = (1 - d) * _LN2 - 0.5 * d * _LNPI - log(alpha)
+    x = r * r / 4.0
+    if x == 0.0:
+        return exp(lead + lgamma(d / alpha) - lgamma(d / 2)), 1e-15
+    lnx = log(x)
+    return _sum_series(((c + k * lnx + lead, -1.0 if k % 2 else 1.0)
+                        for k, c in enumerate(_ascending_terms(d, alpha))), tol_rel)
+
+
 def _p1_tail(d: int, alpha: float, r: float, tol_rel: float, ln_t: float = 0.0):
     """Heavy-tail expansion in powers of r^{-alpha}; k=1 term is nu(r).
-    Summed as described above: (value, rel_err), or None where unusable.
+    Summed by ``_sum_series``: (value, rel_err), or None where unusable;
+    the sin factor goes in the sign, since it would fake a truncation
+    minimum where it dips.
 
     With ``ln_t`` = log t it sums p_t(r) = t^{-d/alpha} p_1(r t^{-1/alpha})
     instead: the scaling enters each term's logarithm as k log t, so a
@@ -257,36 +264,8 @@ def _p1_tail(d: int, alpha: float, r: float, tol_rel: float, ln_t: float = 0.0):
         return None
     lead = -(0.5 * d + 1) * _LNPI
     lnr = log(r)
-    stop = 0.25 * tol_rel
-    s = maxmag = prev = 0.0
-    best_s = best_mag = best_max = 0.0
-    falling = False
-    for k, (c, sg) in enumerate(_tail_terms(d, alpha), 1):
-        lnt = c - (d + k * alpha) * lnr + k * ln_t + lead
-        if lnt > 650.0:
-            break
-        mag = exp(lnt)
-        if mag > 1e290:
-            return None
-        if k > 1:
-            if mag < prev:
-                falling = True
-            elif falling and mag > prev:
-                break
-        # the sin factor stays out of mag: it modulates the sign pattern
-        # and would fake a truncation minimum where it dips
-        s += sg * mag if k % 2 == 1 else -sg * mag
-        if mag > maxmag:
-            maxmag = mag
-        if k == 1 or mag < best_mag:
-            best_s, best_mag, best_max = s, mag, maxmag
-        prev = mag
-        if s > 0 and mag <= stop * s and k >= 2:
-            best_s, best_mag, best_max = s, mag, maxmag
-            break
-    if best_s <= 0:
-        return None
-    return best_s, (best_mag + best_max * 2e-15) / best_s
+    return _sum_series(((c - (d + k * alpha) * lnr + k * ln_t + lead, sg if k % 2 else -sg)
+                        for k, (c, sg) in enumerate(_tail_terms(d, alpha), 1)), tol_rel)
 
 
 @lru_cache(maxsize=64)
@@ -300,34 +279,16 @@ def _p1_quadrature(d: int, alpha: float, r: float):
     """Radial Fourier inversion by oscillatory quadrature (d <= 3)."""
     from scipy import integrate, special
 
-    if d == 1:
+    if d in (1, 3):
+        # p_1 is a cosine transform in d = 1 and a sine transform over r in d = 3
+        if d == 1:
+            f, weight, c = (lambda u: exp(-(u ** alpha)) / pi), "cos", 1.0
+        else:
+            f, weight, c = (lambda u: u * exp(-(u ** alpha))), "sin", 1.0 / (2.0 * pi * pi * r)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            v, e = integrate.quad(
-                lambda u: exp(-(u ** alpha)) / pi,
-                0.0,
-                np.inf,
-                weight="cos",
-                wvar=r,
-                epsabs=1e-13,
-                limlst=200,
-                limit=300,
-            )
-        return v, e
-    if d == 3:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            v, e = integrate.quad(
-                lambda u: u * exp(-(u ** alpha)),
-                0.0,
-                np.inf,
-                weight="sin",
-                wvar=r,
-                epsabs=1e-13,
-                limlst=200,
-                limit=300,
-            )
-        c = 1.0 / (2.0 * pi * pi * r)
+            v, e = integrate.quad(f, 0.0, np.inf, weight=weight, wvar=r, epsabs=1e-13,
+                                  limlst=200, limit=300)
         return c * v, c * e
     if d == 2:
         ucut = _ULOG ** (1.0 / alpha)

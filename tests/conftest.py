@@ -1,7 +1,17 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from stableheat import StableParams
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a live child process: each pooled call
+    stops the process pool it started before it returns."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Exit codes of the command-line driver on bad input and on default
 settings: 2 with an ``error:`` line for configuration errors, 3 for an
 inconclusive sweep; and the job lists of ``montecarlo._run_batches`` and
-the lifetime of the worker pool that it keeps between calls."""
+the process pool that each pooled call starts and stops."""
 
 import argparse
 import ast
@@ -16,6 +16,7 @@ import sys
 import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -27,6 +28,7 @@ from stableheat import domains as dom
 from stableheat import montecarlo as mc
 from stableheat.errors import InconclusiveError
 from stableheat.stable import StableParams
+from test_golden import BHP_CONFIGS
 
 BALL_1D = '{"type": "ball", "center": [0], "radius": 1}'
 
@@ -188,6 +190,28 @@ def test_option_without_numbers_exits_2(capsys, argv, text):
     assert capsys.readouterr().err == f"error: cannot parse numbers from {text!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, option, given",
+    [
+        (["verify", "factorization", "--t", "0.25,0.25", "--h", "0.25", *BALL_ARGS],
+         "--t", "0.25,0.25"),
+        ([*PROFILES, "--t", "0.5 0.25 0.5"], "--t", "0.5 0.25 0.5"),
+        ([*PROFILES, "--points", "0;0"], "--points", "0;0"),
+        ([*PROFILES, "--d", "2", "--domain-json", '{"type": "halfspace", "axis": [0, 1]}',
+          "--points", "0,1;0.5,1;0 1.0"], "--points", "0,1;0.5,1;0 1.0"),
+    ],
+    ids=["factorization_t", "profiles_t", "profiles_points", "profiles_points_spelled_apart"],
+)
+def test_a_repeated_horizon_or_probe_point_exits_2(capsys, monkeypatch, tmp_path, argv,
+                                                   option, given):
+    # each copy once wrote its cells again and counted twice in the quantiles
+    monkeypatch.chdir(tmp_path)  # the default report directory
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {option} must not list a value twice, got {given!r}\n"
+    assert os.listdir(tmp_path) == []  # no report
+
+
 CONE_2D = '{"type": "cone", "angle": 1, "axis": [0, 1]}'
 BALL_PROFILE = ["survival", "profile", "--t", "2", "--x", "0", "--domain-json", BALL_1D]
 CONE_PROFILE = ["survival", "profile", "--t", "2", "--x", "0,1", "--d", "2",
@@ -263,6 +287,26 @@ def test_lambda1_on_a_domain_that_is_not_a_ball_exits_2(capsys, monkeypatch, tmp
     assert os.listdir(tmp_path) == []  # no report
 
 
+@pytest.mark.parametrize(
+    "doc, d, x, key",
+    [
+        ('{"type": "ball", "center": [0], "radius": "nan"}', 1, "0.5", "radius"),
+        ('{"type": "ball", "center": [0], "radius": true}', 1, "0.5", "radius"),
+        ('{"type": "cone", "angle": 1, "axis": [0, 1], "beta": "0.3"}', 2, "0 1", "beta"),
+        ('{"type": "interval_complement", "intervals": [["-inf", "0"]]}', 1, "1", "intervals"),
+    ],
+    ids=["radius_text", "radius_bool", "cone_beta_text", "interval_text"],
+)
+def test_a_domain_field_that_is_not_a_number_exits_2(capsys, doc, d, x, key):
+    # these printed a profile value, read true as 1 or ended in a TypeError
+    argv = ["survival", "profile", "--d", str(d), "--alpha", "1", "--domain-json", doc,
+            "--x", x, "--t", "1"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: domain field '{key}' must be a finite number")
+
+
 def test_run_batches_rejects_empty_runs():
     with pytest.raises(ValueError, match="path count must be positive"):
         mc._run_batches([(0, lambda i, m: m)])
@@ -293,52 +337,36 @@ N_POOLED = 3 * mc.BATCH + 5
 SIZES = [mc.BATCH] * 3 + [5]
 
 
-@pytest.fixture
-def no_pool():
-    mc.shutdown_pool()
-    yield
-    mc.shutdown_pool()
+def _counted_pools(monkeypatch) -> list:
+    """The worker counts of the process pools started from now on."""
+    starts = []
+    executor = mc.ProcessPoolExecutor
+
+    def counted(max_workers):
+        starts.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", counted)
+    return starts
 
 
-def test_pooled_calls_reuse_one_executor(no_pool):
-    first = set(mc._run_batches([(N_POOLED, _pid)], 2)[0])
-    pool = mc._pool
-    second = set(mc._run_batches([(N_POOLED, _pid)], 2)[0])
-    assert mc._pool is pool
-    assert len(first | second) <= 2
-    assert os.getpid() not in first | second
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_pooled_call_runs_its_batches_in_at_most_workers_other_processes(workers):
+    pids = set(mc._run_batches([(N_POOLED, _pid)], workers)[0])
+    assert len(pids) <= workers
+    assert os.getpid() not in pids
 
 
-def test_another_worker_count_replaces_the_executor(no_pool):
-    before = set(mc._run_batches([(N_POOLED, _pid)], 2)[0])
-    pool = mc._pool
-    after = set(mc._run_batches([(N_POOLED, _pid)], 3)[0])
-    assert mc._pool is not pool and mc._pool[0] == 3
-    assert not before & after
-    assert not any(p.pid in before for p in multiprocessing.active_children())
-
-
-def test_a_failing_batch_propagates_and_the_pool_still_works(no_pool):
+def test_a_failing_batch_propagates_and_the_pool_still_works():
     with pytest.raises(ArithmeticError, match="batch 1 failed"):
         mc._run_batches([(N_POOLED, _fail_on_batch_1)], 2)
-    pool = mc._pool
     assert mc._run_batches([(N_POOLED, _size)], 2)[0] == SIZES
-    assert mc._pool is pool
 
 
-def test_a_dead_worker_breaks_the_pool_and_the_next_call_starts_afresh(no_pool):
+def test_a_dead_worker_breaks_the_pool_and_the_next_call_starts_afresh():
     with pytest.raises(BrokenProcessPool):
         mc._run_batches([(N_POOLED, _exit_worker)], 2)
-    assert mc._pool is None
     assert mc._run_batches([(N_POOLED, _size)], 2)[0] == SIZES
-
-
-def test_shutdown_pool_twice_is_safe(no_pool):
-    mc._run_batches([(N_POOLED, _size)], 2)
-    mc.shutdown_pool()
-    mc.shutdown_pool()
-    assert mc._pool is None
-    assert multiprocessing.active_children() == []
 
 
 def _draws(seed, i, m):
@@ -360,7 +388,7 @@ JOB_SIZES = (mc.BATCH + 5, 3, 2 * mc.BATCH + 1)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_a_job_list_gives_each_job_what_it_gives_alone(no_pool, workers):
+def test_a_job_list_gives_each_job_what_it_gives_alone(workers):
     jobs = [(n, partial(_draws, seed)) for seed, n in enumerate(JOB_SIZES)]
     alone = [mc._run_batches([job])[0] for job in jobs]
     assert mc._run_batches(jobs, workers) == alone
@@ -368,28 +396,27 @@ def test_a_job_list_gives_each_job_what_it_gives_alone(no_pool, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_job_without_paths_anywhere_in_the_list_runs_no_batch(no_pool, workers):
+def test_a_job_without_paths_anywhere_in_the_list_runs_no_batch(monkeypatch, workers):
+    starts = _counted_pools(monkeypatch)
     ran = []
     jobs = [(mc.BATCH + 5, lambda i, m: ran.append(i)), (3, _size), (0, _size)]
     with pytest.raises(ValueError, match="path count must be positive, got 0"):
         mc._run_batches(jobs, workers)
     assert ran == []
-    assert mc._pool is None  # no pool was started for it
+    assert starts == []  # no pool was started for it
 
 
-def test_a_failing_batch_of_the_second_job_cancels_the_batches_not_started(no_pool, tmp_path):
+def test_a_failing_batch_of_the_second_job_cancels_the_batches_not_started(tmp_path):
     slow = 40 * mc.BATCH  # 40 batches of 0.05 s each behind the failing one
     jobs = [(N_POOLED, _size), (3, _fail_on_batch_0), (slow, partial(_mark_and_wait, tmp_path))]
     with pytest.raises(ArithmeticError, match="batch 0 of the second job failed"):
         mc._run_batches(jobs, 2)
-    pool = mc._pool
     assert mc._run_batches([(N_POOLED, _size)], 2)[0] == SIZES  # after the started ones
-    assert mc._pool is pool
     assert len(os.listdir(tmp_path)) < 10
 
 
 @pytest.mark.parametrize("sweep", ["factorization", "factorization_profile", "profile", "bhp"])
-def test_a_pooled_sweep_makes_one_run_batches_call(no_pool, monkeypatch, sweep):
+def test_a_pooled_sweep_makes_one_run_batches_call(monkeypatch, sweep):
     # one call submits every batch of the sweep before it waits for any; a
     # call per estimator waits for its slowest batch before the next submits
     from stableheat import kernels
@@ -416,18 +443,27 @@ def test_a_pooled_sweep_makes_one_run_batches_call(no_pool, monkeypatch, sweep):
                               [(0.0, 0.3), (0.5, 1.0)], 4096, 1.0 / 16, 8, workers=2)
         jobs = 2
     else:
-        mc.bhp_cross_ratio(StableParams(2, 1.5),
-                           dom.Intersection((dom.HalfSpace((0.0, 1.0)), dom.Ball((0.0, 0.0), 1.0))),
-                           (0.0, 0.1), (0.2, 0.3), mc.BoxRegion((-4.0, 1.2), (0.0, 4.0)),
-                           mc.BoxRegion((0.0, 1.2), (4.0, 4.0)), 4096, 9, workers=2)
-        jobs = 2
+        configs = [cli._parse_bhp_config(c) for c in BHP_CONFIGS]
+        harness.bhp_sweep(configs, StableParams(2, 1.5), 4096, 9, workers=2)
+        jobs = 6  # two walks per configuration
     assert calls == [jobs]
 
 
-def test_cli_leaves_no_pool_behind(no_pool, capsys):
+def test_a_bhp_configuration_that_fails_validation_raises_before_any_batch_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(mc, "_run_batches", lambda jobs, workers=1: calls.append(jobs))
+    good = cli._parse_bhp_config(BHP_CONFIGS[0])
+    bad = replace(good, x1=(0.0, 0.9))  # outside the inner ball of radius p r = 0.5
+    with pytest.raises(ValueError, match="x1 must lie in the inner ball"):
+        harness.bhp_sweep([good, bad], StableParams(2, 1.5), 4096, 9)
+    assert calls == []
+
+
+def test_cli_leaves_no_pool_behind(monkeypatch, capsys):
+    starts = _counted_pools(monkeypatch)
     assert cli.main(_survival("--n", "20000", "--h", "0.25", "--workers", "2")) == 0
     assert capsys.readouterr().out.startswith("mean ")
-    assert mc._pool is None
+    assert starts == [2]
     assert multiprocessing.active_children() == []
 
 

@@ -235,6 +235,29 @@ class TestSerialization:
         with pytest.raises(ValueError):
             dom.domain_from_dict({"type": "ball", "center": [0.0]})
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"type": "ball", "center": [0], "radius": "nan"}, "radius"),
+            ({"type": "ball", "center": [0], "radius": True}, "radius"),
+            ({"type": "ball", "center": [0, "1"], "radius": 1}, "center"),
+            ({"type": "halfspace", "axis": [0, 1], "offset": float("nan")}, "offset"),
+            ({"type": "cone", "angle": 1, "axis": [0, 1], "beta": "0.3"}, "beta"),
+            ({"type": "cone", "angle": 1, "axis": [0, 1], "beta": None}, "beta"),
+            ({"type": "hyperplane_complement", "dim": "2"}, "dim"),
+            ({"type": "special_lipschitz", "breakpoints": [[0, 0], [1, "1"]],
+              "lipschitz_constant": 1}, "breakpoints"),
+            ({"type": "interval_complement", "intervals": [["-inf", "0"]]}, "intervals"),
+            ({"type": "interval_complement", "intervals": [[False, True]]}, "intervals"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v["type"],
+    )
+    def test_a_field_that_is_not_numbers_is_refused_by_name(self, doc, key):
+        # each was once taken as given, converted by float() or int(), or ended
+        # in a TypeError
+        with pytest.raises(ValueError, match=f"domain field '{key}' must be a finite number"):
+            dom.domain_from_dict(doc)
+
 
 class TestValidation:
     def test_interval_overlap_rejected(self):

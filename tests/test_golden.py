@@ -489,8 +489,7 @@ for _d, _alpha in ((1, 1.0), (2, 1.5), (3, 0.7), (1, 0.5)):
 for _d, _alpha in ((1, 1.1), (2, 1.5), (3, 0.7), (1, 0.5), (2, 1.9)):
     CASES[f"table/{_d}_{_alpha}"] = (_table, _d, _alpha)
 # bit-identical for any worker count: each workers=2 case shares one expected
-# value with its workers=1 case; listed after the first of them, they run
-# on the worker pool that it started
+# value with its workers=1 case, and each runs on a process pool of its own
 CASES["factorization/ball_d1/workers1"] = (_factorization, "mc", 1)
 CASES["factorization/ball_d1/workers2"] = (_factorization, "mc", 2)
 CASES["survival/halfspace_d2/workers2"] = (_survival, "halfspace_d2", 2)

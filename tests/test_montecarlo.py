@@ -383,11 +383,7 @@ def test_the_right_angle_cone_exponent_is_half_alpha():
 def test_halfspace_survival_is_identical_on_two_workers():
     args = (dom.HalfSpace((0.0, 1.0)), StableParams(2, 1.5), (0.0, 0.3), (0.25, 1.0),
             2 * mc.BATCH + 100, 1.0 / 16, 7)
-    mc.shutdown_pool()
-    try:
-        assert _fields(mc.survival_curve(*args, workers=2)) == _fields(mc.survival_curve(*args))
-    finally:
-        mc.shutdown_pool()
+    assert _fields(mc.survival_curve(*args, workers=2)) == _fields(mc.survival_curve(*args))
 
 
 def test_wos_rejects_a_start_at_distance_zero_at_once():
