@@ -74,6 +74,24 @@ def test_exit_radius_from_the_center_matches_the_beta_law(d, alpha):
         assert abs(_z_prob(dist > rho * radius, exact)) <= Z_GATE, rho
 
 
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+def test_exit_direction_from_the_center_is_uniform_in_d2(alpha):
+    # the angle theta of Y - c is uniform on (-pi, pi), so E[cos k theta] and
+    # E[sin k theta] are 0 for every k >= 1; the radius keeps its Beta law
+    center, radius = np.array([0.4, -0.3]), 0.5
+    pos = mc._exit_from_center(StableParams(2, alpha), center, radius,
+                               _rng(44, int(100 * alpha)), 4 * GATE_N)
+    rel = pos - center
+    theta = np.arctan2(rel[:, 1], rel[:, 0])
+    for k in range(1, 5):
+        assert abs(_z_mean(np.cos(k * theta), 0.0)) <= Z_GATE, k
+        assert abs(_z_mean(np.sin(k * theta), 0.0)) <= Z_GATE, k
+    dist = np.linalg.norm(rel, axis=1)
+    for rho in (1.05, 1.5, 3.0, 10.0):
+        exact = special.betainc(alpha / 2.0, 1.0 - alpha / 2.0, rho ** -2)
+        assert abs(_z_prob(dist > rho * radius, exact)) <= Z_GATE, rho
+
+
 # ---------------------------------------------------------------------------
 # stable increments against P(X_1 > q)
 
@@ -156,13 +174,19 @@ class _EdgeUniforms:
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("alpha", [0.1, 1.0, 1.5, 1.99])
-def test_ball_jumps_at_the_ends_of_the_uniform_are_finite(d, alpha):
+def test_ball_jumps_at_the_ends_of_the_uniform_are_finite(d, alpha, monkeypatch):
     # U = V = 0 must not give 0/0 in 1/B = (X + Y)/X; the direction's
     # norm may round 1 ulp below 1
     radius = 0.7
     pos = mc._jump(StableParams(d, alpha), np.zeros(d), radius, _EdgeUniforms(), 256)
     dist = np.linalg.norm(pos, axis=1)
     assert np.all(np.isfinite(pos)) and np.all(dist >= radius * (1.0 - 1e-15))
+    if d == 2:
+        # with 1/B = 1 and radius 1 a jump is its direction, and in d = 2 the
+        # edge uniforms make its Cauchy draw -1.6e16 or 2e15
+        monkeypatch.setattr(mc, "_inverse_beta", lambda a, rng, n: np.ones(n))
+        unit = mc._jump(StableParams(d, alpha), np.zeros(d), 1.0, _EdgeUniforms(), 256)
+        assert np.all(np.abs(np.linalg.norm(unit, axis=1) - 1.0) <= 2 * np.spacing(1.0))
 
 
 @pytest.mark.parametrize("d", [1, 3])
