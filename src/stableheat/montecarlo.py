@@ -10,8 +10,11 @@ law 1/(2 Z^2) of one standard normal Z and the increment is the Cauchy
 law dt N/|Z|.
 Ball exit positions are exact: the radial law from the center reduces to
 a Beta(alpha/2, 1 - alpha/2) variable B, whose inverse 1/B is drawn by
-Johnk's rejection on whole arrays of uniform pairs, and general starting
-points use rejection against the center law (falling back to an exact
+Johnk's rejection on whole arrays of uniform pairs.  The direction is
+uniform; in d = 2 it is the stereographic image ((1 - c^2), 2c)/(1 + c^2)
+of one Cauchy draw c = tan(pi (U - 1/2)), whose angle 2 arctan c is
+uniform on (-pi, pi), so it takes one uniform where two normals were
+drawn.  General starting points use rejection against the center law (falling back to an exact
 composition of center draws when the acceptance bound degrades).  Exit
 positions from any other catalog domain with a complement of positive
 measure are exact by walk-on-spheres: each live walker jumps to the exact
@@ -234,7 +237,14 @@ def _jump(params: StableParams, p, radius, rng: np.random.Generator, n: int) -> 
     The radial law is |Y - c| = r / sqrt(B) with B ~ Beta(a/2, 1 - a/2)
     (inverting the radial variable of the exit density), and 1/B comes
     from ``_inverse_beta``'s vectorized Johnk rejection, so no division
-    by B is needed; the direction is uniform by isotropy.  The jump-size
+    by B is needed; the direction is uniform by isotropy.  In d = 1 it is
+    a random sign, and in d >= 3 a normalized standard normal vector.  In
+    d = 2 it is the stereographic point ((1 - c^2), 2c) / (1 + c^2) of
+    one Cauchy draw c = tan(pi (U - 1/2)): that point is at angle
+    2 arctan c = 2 pi (U - 1/2), which is uniform on (-pi, pi).  Even the
+    ends of U, c = -1.6e16 and 2e15, give finite points of unit norm.
+    The radius is folded into the factor 1/(1 + c^2), so the d = 2 draw
+    needs no array besides c, the radii and the output.  The jump-size
     clamp guards float overflow on astronomically long excursions
     (critical recurrent case); bounded targets are unaffected.
     """
@@ -245,6 +255,19 @@ def _jump(params: StableParams, p, radius, rng: np.random.Generator, n: int) -> 
     if d == 1:
         sgn = rng.integers(0, 2, n) * 2.0 - 1.0
         return p + (rad * sgn)[:, None]
+    if d == 2:
+        c = _symmetric_stable(1.0, rng, n)
+        z = np.empty((n, 2))
+        cos, sin = z[:, 0], z[:, 1]
+        np.multiply(c, c, out=cos)
+        np.add(cos, 1.0, out=sin)
+        rad /= sin
+        np.subtract(1.0, cos, out=cos)
+        cos *= rad
+        np.multiply(c, rad, out=sin)
+        sin *= 2.0
+        z += p
+        return z
     z = rng.standard_normal((n, d))
     q = z[:, 0] * z[:, 0]
     for j in range(1, d):
