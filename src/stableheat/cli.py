@@ -338,12 +338,12 @@ def _cmd_bhp(args) -> int:
 
 
 def _float(value) -> float:
-    """``float(value)``, or NaN for a string that holds no number, so that the
-    caller's range check rejects it with a message that names the key."""
-    try:
-        return float(value)
-    except ValueError:
+    """``float(value)`` for a number, or NaN for text or a boolean, so that the
+    caller's range check rejects it with a message that names the key, as
+    ``domain_from_dict`` refuses them in a domain document."""
+    if isinstance(value, (str, bool)):
         return math.nan
+    return float(value)
 
 
 def _finite_floats(values, what: str) -> tuple:
