@@ -665,20 +665,35 @@ def domain_to_dict(domain: Domain) -> dict:
     return out
 
 
-def _doc_numbers(v) -> bool:
-    """True for a finite number or a (nested) list of them; a boolean is
-    not a number."""
-    if isinstance(v, (list, tuple)):
-        return all(_doc_numbers(e) for e in v)
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < math.inf
+#: nesting depth of each dataclass field that is not one number: a point,
+#: or a list of pairs
+_DOC_DEPTHS = {"center": 1, "normal": 1, "axis": 1, "breakpoints": 2, "intervals": 2}
+
+#: what a field of each depth must be, for the error message
+_DOC_SHAPES = (
+    "a finite number",
+    "a finite number per coordinate, as in [0, 1]",
+    "a finite number per coordinate of each pair, as in [[0, 1], [2, 3]]",
+)
+
+
+def _doc_shape(v, depth: int) -> bool:
+    """True for a finite number at depth 0, a list of them at depth 1 and a
+    list of pairs of them at depth 2; a boolean is not a number."""
+    if depth == 0:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) < math.inf
+    return isinstance(v, (list, tuple)) and all(
+        _doc_shape(e, depth - 1) and (depth == 1 or len(e) == 2) for e in v
+    )
 
 
 def domain_from_dict(doc: dict, expect_dim: Optional[int] = None) -> Domain:
     """Parse a domain document; dimensions are inferred from point fields
     and validated against ``expect_dim`` when given (a hyperplane
     complement without a ``dim`` takes ``expect_dim``).  Every field must
-    be a finite number or a (nested) list of them: text, booleans and null
-    are refused, naming the field."""
+    be a finite number, a point (a list of them) or a list of pairs of
+    them, as its dataclass field is: text, booleans, null and lists nested
+    deeper or shallower than the field are refused, naming the field."""
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("domain document must be an object with a 'type' field")
     t = doc["type"]
@@ -689,9 +704,10 @@ def domain_from_dict(doc: dict, expect_dim: Optional[int] = None) -> Domain:
     for f in fields(cls):
         key = _DOC_KEYS.get(f.name, f.name)
         if key in doc:
-            if not _doc_numbers(doc[key]):
-                raise ValueError(f"domain field {key!r} must be a finite number or a list of "
-                                 f"them, got {doc[key]!r}")
+            depth = _DOC_DEPTHS.get(f.name, 0)
+            if not _doc_shape(doc[key], depth):
+                raise ValueError(f"domain field {key!r} must be {_DOC_SHAPES[depth]}, "
+                                 f"got {doc[key]!r}")
             kwargs[f.name] = doc[key]
         elif cls is HyperplaneComplement:
             kwargs[f.name] = expect_dim or 1

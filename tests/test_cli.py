@@ -294,8 +294,11 @@ def test_lambda1_on_a_domain_that_is_not_a_ball_exits_2(capsys, monkeypatch, tmp
         ('{"type": "ball", "center": [0], "radius": true}', 1, "0.5", "radius"),
         ('{"type": "cone", "angle": 1, "axis": [0, 1], "beta": "0.3"}', 2, "0 1", "beta"),
         ('{"type": "interval_complement", "intervals": [["-inf", "0"]]}', 1, "1", "intervals"),
+        ('{"type": "halfspace", "axis": [[0], [1]]}', 2, "0 1", "axis"),
+        ('{"type": "interval_complement", "intervals": [[[-1, 0]]]}', 1, "1", "intervals"),
     ],
-    ids=["radius_text", "radius_bool", "cone_beta_text", "interval_text"],
+    ids=["radius_text", "radius_bool", "cone_beta_text", "interval_text", "axis_too_deep",
+         "intervals_too_deep"],
 )
 def test_a_domain_field_that_is_not_a_number_exits_2(capsys, doc, d, x, key):
     # these printed a profile value, read true as 1 or ended in a TypeError
@@ -750,6 +753,53 @@ def test_bhp_config_values_are_checked_under_their_own_key(tmp_path, capsys, cel
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err == message + "\n"
+    assert os.listdir(tmp_path) == ["bhp.json"]  # no report
+
+
+BHP_INTERVAL_CELL = {
+    "domain": {"type": "halfspace", "axis": [1]}, "x0": [1], "r": 1, "p": 0.5,
+    "x1": [0.8], "x2": [1.2], "target1": {"type": "interval", "a": -4, "b": 0},
+    "target2": {"type": "interval", "a": 2, "b": 6},
+}
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ({**BHP_CELL, "r": "1"}, "error: r must be positive and finite, got '1'"),
+        ({**BHP_CELL, "r": True}, "error: r must be positive and finite, got True"),
+        ({**BHP_CELL, "p": "0.5"}, "error: p must lie in (0, 1), got '0.5'"),
+        ({**BHP_CELL, "target1": {"type": "ball", "center": [-2, 2], "radius": True}},
+         "error: target1 radius must be positive and finite, got True"),
+        ({**BHP_CELL, "target1": {"type": "ball", "center": [-2, 2], "radius": "1"}},
+         "error: target1 radius must be positive and finite, got '1'"),
+        ({**BHP_CELL, "target1": {"type": "ball", "center": ["-2", 2], "radius": 1}},
+         "error: target1 center must be finite, got ['-2', 2]"),
+        ({**BHP_CELL, "target1": {"type": "ball", "center": [-2, True], "radius": 1}},
+         "error: target1 center must be finite, got [-2, True]"),
+        ({**BHP_CELL, "target2": {"type": "box", "lo": ["0", 1.2], "hi": [4, 4]}},
+         "error: target2 lo must be finite, got ['0', 1.2]"),
+        ({**BHP_CELL, "target2": {"type": "box", "lo": [0, 1.2], "hi": [4, True]}},
+         "error: target2 hi must be finite, got [4, True]"),
+        ({**BHP_INTERVAL_CELL, "target1": {"type": "interval", "a": "-4", "b": 0}},
+         "error: target1 a must be finite, got ['-4']"),
+        ({**BHP_INTERVAL_CELL, "target2": {"type": "interval", "a": 2, "b": True}},
+         "error: target2 b must be finite, got [True]"),
+    ],
+    ids=["text_r", "bool_r", "text_p", "bool_radius", "text_radius", "text_center",
+         "bool_center", "text_box_lo", "bool_box_hi", "text_interval_a", "bool_interval_b"],
+)
+def test_bhp_config_text_and_booleans_are_refused_under_their_own_key(tmp_path, capsys, cell,
+                                                                     message):
+    # each ran, reading "1" as 1 and true as 1, where a domain document
+    # refuses text and booleans
+    config = tmp_path / "bhp.json"
+    config.write_text(json.dumps({"configs": [cell]}))
+    d = str(len(cell["x0"]))
+    argv = ["verify", "bhp", "--d", d, "--alpha", "1.5", "--config", str(config),
+            "--n", "64", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == message + "\n"
     assert os.listdir(tmp_path) == ["bhp.json"]  # no report
 
 

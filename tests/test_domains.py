@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -256,6 +257,45 @@ class TestSerialization:
         # each was once taken as given, converted by float() or int(), or ended
         # in a TypeError
         with pytest.raises(ValueError, match=f"domain field '{key}' must be a finite number"):
+            dom.domain_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, key, shape",
+        [
+            ({"type": "ball", "center": [0], "radius": [1]}, "radius", "a finite number,"),
+            ({"type": "halfspace", "axis": [0, 1], "offset": [[0]]}, "offset",
+             "a finite number,"),
+            ({"type": "hyperplane_complement", "dim": [2]}, "dim", "a finite number,"),
+            ({"type": "special_lipschitz", "breakpoints": [[0, 0], [1, 0]],
+              "lipschitz_constant": [1]}, "lipschitz_constant", "a finite number,"),
+            ({"type": "ball_union_exterior_ball", "center": [0], "inner_radius": 1,
+              "outer_radius": [[2]]}, "outer_radius", "a finite number,"),
+            ({"type": "halfspace", "axis": [[0], [1]]}, "axis", "a finite number per coordinate,"),
+            ({"type": "cone", "angle": 1, "axis": [[0, 1]]}, "axis",
+             "a finite number per coordinate,"),
+            ({"type": "ball", "center": [[0, 0]], "radius": 1}, "center",
+             "a finite number per coordinate,"),
+            ({"type": "exterior_ball", "center": 0, "radius": 1}, "center",
+             "a finite number per coordinate,"),
+            ({"type": "interval_complement", "intervals": [[[0, 1]]]}, "intervals",
+             "a finite number per coordinate of each pair,"),
+            ({"type": "interval_complement", "intervals": [0, 1]}, "intervals",
+             "a finite number per coordinate of each pair,"),
+            ({"type": "interval_complement", "intervals": [[0, 1, 2]]}, "intervals",
+             "a finite number per coordinate of each pair,"),
+            ({"type": "special_lipschitz", "breakpoints": [[0, 0], [1]],
+              "lipschitz_constant": 1}, "breakpoints",
+             "a finite number per coordinate of each pair,"),
+        ],
+        ids=["radius", "offset", "dim", "lipschitz_constant", "outer_radius", "halfspace_axis",
+             "cone_axis", "center_too_deep", "center_scalar", "intervals_too_deep",
+             "intervals_flat", "interval_of_three", "breakpoint_of_one"],
+    )
+    def test_a_field_nested_unlike_its_shape_is_refused_by_name(self, doc, key, shape):
+        # a number field is one number, a point one list of numbers, and
+        # intervals and breakpoints a list of pairs; each of these ended in
+        # a TypeError, was read anyway, or failed with a message naming no field
+        with pytest.raises(ValueError, match=re.escape(f"domain field '{key}' must be {shape}")):
             dom.domain_from_dict(doc)
 
 
