@@ -11,17 +11,18 @@ law dt N/|Z|.
 Ball exit positions are exact: the radial law from the center reduces to
 a Beta(alpha/2, 1 - alpha/2) variable B, whose inverse 1/B is drawn by
 Johnk's rejection on whole arrays of uniform pairs.  The direction is
-uniform; in d = 2 it is the stereographic image ((1 - c^2), 2c)/(1 + c^2)
+uniform; in d = 2 it is the stereographic point ((1 - c^2), 2c)/(1 + c^2)
 of one Cauchy draw c = tan(pi (U - 1/2)), whose angle 2 arctan c is
 uniform on (-pi, pi), so it takes one uniform where two normals were
-drawn.  General starting points use rejection against the center law (falling back to an exact
-composition of center draws when the acceptance bound degrades).  Exit
-positions from any other catalog domain with a complement of positive
-measure are exact by walk-on-spheres: each live walker jumps to the exact
-exit point of its largest inscribed ball, a point is in the domain when
-its distance to the complement is positive (a non-positive or NaN
-distance is an exit), and one distance evaluation per jump serves both
-as the exit test and as the next radii.
+drawn.  General starting points use rejection against the center law
+(falling back to an exact composition of center draws when the
+acceptance bound degrades).  Exit positions from any other catalog
+domain with a complement of positive measure are exact by
+walk-on-spheres: each live walker jumps to the exact exit point of its
+largest inscribed ball, a point is in the domain when its distance to
+the complement is positive (a non-positive or NaN distance is an exit),
+and one distance evaluation per jump serves both as the exit test and as
+the next radii.
 Both walks keep their live walkers contiguous and in path order: each
 step turns its exit mask into index lists of the walkers that stay and
 of those that leave, gathers the first with ``take`` and scatters the
