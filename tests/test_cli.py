@@ -804,9 +804,7 @@ def test_bhp_config_text_and_booleans_are_refused_under_their_own_key(tmp_path, 
 
 
 def test_interval_target_with_a_above_b_exits_2(tmp_path, capsys):
-    cell = {"domain": {"type": "halfspace", "axis": [1]}, "x0": [1], "r": 1, "p": 0.5,
-            "x1": [0.8], "x2": [1.2], "target1": {"type": "interval", "a": 0, "b": -4},
-            "target2": {"type": "interval", "a": 2, "b": 6}}
+    cell = {**BHP_INTERVAL_CELL, "target1": {"type": "interval", "a": 0, "b": -4}}
     config = tmp_path / "bhp.json"
     config.write_text(json.dumps({"configs": [cell]}))
     argv = ["verify", "bhp", "--d", "1", "--alpha", "1.5", "--config", str(config),
@@ -1068,8 +1066,7 @@ def test_heatkernel_with_a_diagnostic_estimate_is_inconclusive(capsys):
 
 
 def _bhp_1d(tmp_path, capsys, target1, target2):
-    cell = {"domain": {"type": "halfspace", "axis": [1]}, "x0": [1], "r": 1, "p": 0.5,
-            "x1": [0.8], "x2": [1.2], "target1": target1, "target2": target2}
+    cell = {**BHP_INTERVAL_CELL, "target1": target1, "target2": target2}
     out = tmp_path / target1["type"]
     config = tmp_path / f"{target1['type']}.json"
     config.write_text(json.dumps({"configs": [cell]}))

@@ -77,19 +77,15 @@ def test_exit_radius_from_the_center_matches_the_beta_law(d, alpha):
 @pytest.mark.parametrize("alpha", [0.7, 1.5])
 def test_exit_direction_from_the_center_is_uniform_in_d2(alpha):
     # the angle theta of Y - c is uniform on (-pi, pi), so E[cos k theta] and
-    # E[sin k theta] are 0 for every k >= 1; the radius keeps its Beta law
+    # E[sin k theta] are 0 for every k >= 1; the radius at these (d, alpha) is
+    # gated by test_exit_radius_from_the_center_matches_the_beta_law
     center, radius = np.array([0.4, -0.3]), 0.5
     pos = mc._exit_from_center(StableParams(2, alpha), center, radius,
                                _rng(44, int(100 * alpha)), 4 * GATE_N)
-    rel = pos - center
-    theta = np.arctan2(rel[:, 1], rel[:, 0])
+    theta = np.arctan2(pos[:, 1] - center[1], pos[:, 0] - center[0])
     for k in range(1, 5):
         assert abs(_z_mean(np.cos(k * theta), 0.0)) <= Z_GATE, k
         assert abs(_z_mean(np.sin(k * theta), 0.0)) <= Z_GATE, k
-    dist = np.linalg.norm(rel, axis=1)
-    for rho in (1.05, 1.5, 3.0, 10.0):
-        exact = special.betainc(alpha / 2.0, 1.0 - alpha / 2.0, rho ** -2)
-        assert abs(_z_prob(dist > rho * radius, exact)) <= Z_GATE, rho
 
 
 # ---------------------------------------------------------------------------
