@@ -661,6 +661,13 @@ BHP_CELL = {
 }
 
 
+BHP_INTERVAL_CELL = {
+    "domain": {"type": "halfspace", "axis": [1]}, "x0": [1], "r": 1, "p": 0.5,
+    "x1": [0.8], "x2": [1.2], "target1": {"type": "interval", "a": -4, "b": 0},
+    "target2": {"type": "interval", "a": 2, "b": 6},
+}
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -737,69 +744,46 @@ def test_bhp_target_or_p_out_of_range_exits_2(tmp_path, capsys, cell, message):
          "error: target1 radius must be positive and finite, got 'abc'"),
         ({"target1": {"type": "ball", "center": [-2, "abc"], "radius": 1}},
          "error: target1 center must be finite, got [-2, 'abc']"),
-    ],
-    ids=["nan_r", "inf_r", "negative_r", "text_r", "nan_x0", "text_x1", "x1_of_3d",
-         "bool_in_x2", "text_p", "text_radius", "text_center"],
-)
-def test_bhp_config_values_are_checked_under_their_own_key(tmp_path, capsys, cell, message):
-    # each was checked only through other code: NaN r or x0 blamed x1 ("x1 must
-    # lie in the localized domain"), an infinite r blamed target1, r = -1 named
-    # no key, text gave "could not convert string to float", and a 3-D x1 a
-    # numpy broadcast error
-    config = tmp_path / "bhp.json"
-    config.write_text(json.dumps({"configs": [{**BHP_CELL, **cell}]}))
-    argv = ["verify", "bhp", "--d", "2", "--alpha", "1.5", "--config", str(config),
-            "--n", "64", "--out", str(tmp_path)]
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert err == message + "\n"
-    assert os.listdir(tmp_path) == ["bhp.json"]  # no report
-
-
-BHP_INTERVAL_CELL = {
-    "domain": {"type": "halfspace", "axis": [1]}, "x0": [1], "r": 1, "p": 0.5,
-    "x1": [0.8], "x2": [1.2], "target1": {"type": "interval", "a": -4, "b": 0},
-    "target2": {"type": "interval", "a": 2, "b": 6},
-}
-
-
-@pytest.mark.parametrize(
-    "cell, message",
-    [
-        ({**BHP_CELL, "r": "1"}, "error: r must be positive and finite, got '1'"),
-        ({**BHP_CELL, "r": True}, "error: r must be positive and finite, got True"),
-        ({**BHP_CELL, "p": "0.5"}, "error: p must lie in (0, 1), got '0.5'"),
-        ({**BHP_CELL, "target1": {"type": "ball", "center": [-2, 2], "radius": True}},
+        ({"r": "1"}, "error: r must be positive and finite, got '1'"),
+        ({"r": True}, "error: r must be positive and finite, got True"),
+        ({"p": "0.5"}, "error: p must lie in (0, 1), got '0.5'"),
+        ({"target1": {"type": "ball", "center": [-2, 2], "radius": True}},
          "error: target1 radius must be positive and finite, got True"),
-        ({**BHP_CELL, "target1": {"type": "ball", "center": [-2, 2], "radius": "1"}},
+        ({"target1": {"type": "ball", "center": [-2, 2], "radius": "1"}},
          "error: target1 radius must be positive and finite, got '1'"),
-        ({**BHP_CELL, "target1": {"type": "ball", "center": ["-2", 2], "radius": 1}},
+        ({"target1": {"type": "ball", "center": ["-2", 2], "radius": 1}},
          "error: target1 center must be finite, got ['-2', 2]"),
-        ({**BHP_CELL, "target1": {"type": "ball", "center": [-2, True], "radius": 1}},
+        ({"target1": {"type": "ball", "center": [-2, True], "radius": 1}},
          "error: target1 center must be finite, got [-2, True]"),
-        ({**BHP_CELL, "target2": {"type": "box", "lo": ["0", 1.2], "hi": [4, 4]}},
+        ({"target2": {"type": "box", "lo": ["0", 1.2], "hi": [4, 4]}},
          "error: target2 lo must be finite, got ['0', 1.2]"),
-        ({**BHP_CELL, "target2": {"type": "box", "lo": [0, 1.2], "hi": [4, True]}},
+        ({"target2": {"type": "box", "lo": [0, 1.2], "hi": [4, True]}},
          "error: target2 hi must be finite, got [4, True]"),
         ({**BHP_INTERVAL_CELL, "target1": {"type": "interval", "a": "-4", "b": 0}},
          "error: target1 a must be finite, got ['-4']"),
         ({**BHP_INTERVAL_CELL, "target2": {"type": "interval", "a": 2, "b": True}},
          "error: target2 b must be finite, got [True]"),
     ],
-    ids=["text_r", "bool_r", "text_p", "bool_radius", "text_radius", "text_center",
-         "bool_center", "text_box_lo", "bool_box_hi", "text_interval_a", "bool_interval_b"],
+    ids=["nan_r", "inf_r", "negative_r", "text_r", "nan_x0", "text_x1", "x1_of_3d",
+         "bool_in_x2", "text_p", "text_radius", "text_center", "numeric_text_r", "bool_r",
+         "numeric_text_p", "bool_radius", "numeric_text_radius", "numeric_text_center",
+         "bool_center", "numeric_text_box_lo", "bool_box_hi", "numeric_text_interval_a",
+         "bool_interval_b"],
 )
-def test_bhp_config_text_and_booleans_are_refused_under_their_own_key(tmp_path, capsys, cell,
-                                                                     message):
-    # each ran, reading "1" as 1 and true as 1, where a domain document
-    # refuses text and booleans
+def test_bhp_config_values_are_checked_under_their_own_key(tmp_path, capsys, cell, message):
+    # each was checked only through other code: NaN r or x0 blamed x1 ("x1 must
+    # lie in the localized domain"), an infinite r blamed target1, r = -1 named
+    # no key, text gave "could not convert string to float", and a 3-D x1 a
+    # numpy broadcast error; numeric text and booleans ran, read as numbers,
+    # where a domain document refuses them
+    cell = {**BHP_CELL, **cell}
     config = tmp_path / "bhp.json"
     config.write_text(json.dumps({"configs": [cell]}))
-    d = str(len(cell["x0"]))
-    argv = ["verify", "bhp", "--d", d, "--alpha", "1.5", "--config", str(config),
-            "--n", "64", "--out", str(tmp_path)]
+    argv = ["verify", "bhp", "--d", str(len(cell["x0"])), "--alpha", "1.5", "--config",
+            str(config), "--n", "64", "--out", str(tmp_path)]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err == message + "\n"
+    err = capsys.readouterr().err
+    assert err == message + "\n"
     assert os.listdir(tmp_path) == ["bhp.json"]  # no report
 
 
