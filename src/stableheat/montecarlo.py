@@ -8,17 +8,16 @@ evaluated at an independent one-sided stable time, which is drawn by
 Kanter's trigonometric method, except at alpha = 1, where it is the Levy
 law 1/(2 Z^2) of one standard normal Z and the increment is the Cauchy
 law dt N/|Z|.
-Ball exit positions are exact: the radial law from the center reduces to
-a Beta(alpha/2, 1 - alpha/2) variable B, whose inverse 1/B is drawn by
-Johnk's rejection on whole arrays of uniform pairs.  The direction is
-uniform; in d = 2 it is the stereographic point ((1 - c^2), 2c)/(1 + c^2)
-of one Cauchy draw c = tan(pi (U - 1/2)), whose angle 2 arctan c is
-uniform on (-pi, pi), so it takes one uniform where two normals were
-drawn.  General starting points use rejection against the center law
-(falling back to an exact composition of center draws when the
-acceptance bound degrades).  Exit positions from any other catalog
-domain with a complement of positive measure are exact by
-walk-on-spheres: each live walker jumps to the exact exit point of its
+Exit positions from a ball started at its center are exact: the radial
+law reduces to a Beta(alpha/2, 1 - alpha/2) variable B, whose inverse 1/B
+is drawn by Johnk's rejection on whole arrays of uniform pairs.  The
+direction is uniform; in d = 2 it is the stereographic point
+((1 - c^2), 2c)/(1 + c^2) of one Cauchy draw c = tan(pi (U - 1/2)),
+whose angle 2 arctan c is uniform on (-pi, pi), so it takes one uniform
+where two normals were drawn.  Exit positions from any other start point
+in a ball, and from any other catalog domain with a complement of
+positive measure, are exact by walk-on-spheres, a composition of these
+center draws: each live walker jumps to the exact exit point of its
 largest inscribed ball, a point is in the domain when its distance to
 the complement is positive (a non-positive or NaN distance is an exit),
 and one distance evaluation per jump serves both as the exit test and as
@@ -292,13 +291,8 @@ def sample_ball_exit_positions(
     """n exact draws from the ball exit law started at x (shape (n, d)).
 
     From the center the radial inversion is used directly.  Elsewhere the
-    draws are rejection-sampled against the center law, whose shape
-    matches both singular features of the target (the (|y|^2 - r^2)^{-a/2}
-    blow-up at the sphere and the |y|^{-d-a} tail); the acceptance
-    probability [(r - |x-c|) |y-c| / (r |x-y|)]^d is exact.  When the
-    acceptance bound drops below 0.1 the draw is a walk-on-spheres in the
-    ball instead, composed of center draws from inscribed balls, which is
-    exact by the strong Markov property.
+    draw is a walk-on-spheres in the ball, composed of center draws from
+    inscribed balls, which is exact by the strong Markov property.
     """
     d = params.d
     c = np.atleast_1d(np.asarray(center, dtype=float))
@@ -310,24 +304,7 @@ def sample_ball_exit_positions(
         raise ValueError("start point must lie in the open ball")
     if rho == 0.0:
         return _exit_from_center(params, c, radius, rng, n)
-    accept_floor = ((radius - rho) / radius) ** d * (
-        radius ** 2 / (radius ** 2 - rho ** 2)
-    ) ** (params.alpha / 2)
-    if accept_floor < 0.1:
-        return sample_exit_positions_wos(dom.Ball(tuple(c), radius), params, xa, rng, n)[0]
-    out = np.empty((n, d))
-    have = 0
-    while have < n:
-        m = max(int((n - have) / max(accept_floor, 0.05)) + 16, 64)
-        y = _exit_from_center(params, c, radius, rng, m)
-        dy = np.sqrt(dom._sq_dist(y, c))
-        dxy = np.sqrt(dom._sq_dist(y, xa))
-        acc = ((radius - rho) * dy / (radius * dxy)) ** d
-        keep = rng.random(m) < acc
-        k = min(int(keep.sum()), n - have)
-        out[have : have + k] = y[keep][:k]
-        have += k
-    return out
+    return sample_exit_positions_wos(dom.Ball(tuple(c), radius), params, xa, rng, n)[0]
 
 
 def sample_exit_positions_wos(

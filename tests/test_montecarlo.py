@@ -46,8 +46,8 @@ GATE_N = 32768
 @pytest.mark.parametrize("sampler,rho", [("ball_exit", 0.0), ("ball_exit", 0.3),
                                          ("ball_exit", 0.99), ("wos", 0.5)])
 def test_exit_positions_match_the_exact_exit_tail(d, alpha, sampler, rho):
-    # rho = 0, 0.3 and 0.99 take the centre, rejection and composition
-    # paths of sample_ball_exit_positions for every (d, alpha) here
+    # rho = 0 takes the centre draw of sample_ball_exit_positions, and
+    # rho = 0.3 and 0.99 its walk-on-spheres in the ball
     params = StableParams(d, alpha)
     x = np.zeros(d)
     x[0] = rho
@@ -58,6 +58,19 @@ def test_exit_positions_match_the_exact_exit_tail(d, alpha, sampler, rho):
         pos = mc.sample_ball_exit_positions(params, np.zeros(d), 1.0, x, rng, GATE_N)
     exact = kernels.ball_exit_tail_exact(params, x, 2.0)
     assert abs(_z_prob(np.linalg.norm(pos, axis=1) > 2.0, exact)) <= Z_GATE
+
+
+@pytest.mark.parametrize("d,alpha", GATE_PARAMS)
+@pytest.mark.parametrize("rho", [0.3, 0.99])
+def test_an_exit_from_off_the_centre_is_the_walk_on_spheres_in_the_ball(d, alpha, rho):
+    params = StableParams(d, alpha)
+    center, radius = np.linspace(-0.3, 0.2, d), 0.5
+    x = center.copy()
+    x[0] += rho * radius
+    got = mc.sample_ball_exit_positions(params, center, radius, x, _rng(49, d), 2000)
+    walk, _ = mc.sample_exit_positions_wos(dom.Ball(tuple(center), radius), params, x,
+                                           _rng(49, d), 2000)
+    assert np.array_equal(got, walk)
 
 
 @pytest.mark.parametrize("d,alpha", [(1, 0.1), (2, 0.7), (3, 1.0), (2, 1.5), (1, 1.95)])
