@@ -508,13 +508,13 @@ for _case in PRINTED:
 
 EXPECTED = {
     'ball_exit/0/0.0': 'da7fc9667b733f3d88f7',
-    'ball_exit/0/0.3': 'af5ad777b920fec17c1d',
+    'ball_exit/0/0.3': '0fad1c3690b4954fdb27',
     'ball_exit/0/0.99': '9810e904e11e43754830',
     'ball_exit/1/0.0': 'b5f02b2c0957839565f3',
-    'ball_exit/1/0.3': '36ed62910c7eaed0c663',
+    'ball_exit/1/0.3': '6af473a9ba0032f7fa9f',
     'ball_exit/1/0.99': 'a5a57c481bf64db80ee5',
     'ball_exit/2/0.0': 'b69cda63920abe310a64',
-    'ball_exit/2/0.3': '1676d751e96cb9e2781a',
+    'ball_exit/2/0.3': '24bcf029616c35ccfc02',
     'ball_exit/2/0.99': '95cae28e13a140a504f7',
     'bhp_sweep': 'e8ed95cd5d3aa24648bb',
     'bhp_sweep/workers2': 'e8ed95cd5d3aa24648bb',
