@@ -322,14 +322,12 @@ def _cmd_profiles(args) -> int:
 def _cmd_bhp(args) -> int:
     params = _params(args)
     doc = _read_json(f"bhp config {args.config!r}", path=args.config)
-    if not isinstance(doc, dict) or not doc.get("configs"):
+    if not isinstance(doc, dict) or not isinstance(doc.get("configs"), list) or not doc["configs"]:
         raise ValueError("verify bhp needs a non-empty \"configs\" list")
     try:
         configs = [_parse_bhp_config(c, params.d) for c in doc["configs"]]
     except KeyError as exc:
         raise ValueError(f"bhp config is missing the key {exc}") from None
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed bhp config: {exc}") from None
     rep = harness.bhp_sweep(configs, params, args.n, args.seed, args.workers)
     jpath, _ = harness.write_report(rep, args.out, "bhp")
     print(f"empirical_C {_fmt(rep.empirical_C)}")
@@ -337,29 +335,25 @@ def _cmd_bhp(args) -> int:
     return 0
 
 
-def _float(value) -> float:
-    """``float(value)`` for a number, or NaN for text or a boolean, so that the
-    caller's range check rejects it with a message that names the key, as
-    ``domain_from_dict`` refuses them in a domain document."""
-    if isinstance(value, (str, bool)):
-        return math.nan
-    return float(value)
+def _number(value) -> float:
+    """``value`` as a float if it is a finite JSON number, else NaN, so that the
+    caller's range check refuses it with a message that names the key, as
+    ``domain_from_dict`` refuses text, booleans and null in a domain document."""
+    return float(value) if dom._doc_shape(value, 0) else math.nan
 
 
-def _finite_floats(values, what: str) -> tuple:
-    """``values`` as a tuple of finite floats, or a ValueError that names ``what``."""
-    out = tuple(_float(v) for v in values)
-    if not all(map(math.isfinite, out)):
-        raise ValueError(f"{what} must be finite, got {values!r}")
-    return out
-
-
-def _point(doc: dict, key: str, d: int) -> tuple:
+def _point(doc: dict, key: str, d: int, name: str) -> tuple:
     """``doc[key]`` as given, once it is checked to be d finite numbers."""
-    pt = tuple(doc[key]) if isinstance(doc[key], (list, tuple)) else ()
-    if len(pt) != d or not all(type(v) in (int, float) and math.isfinite(v) for v in pt):
-        raise ValueError(f"{key} must be a list of {d} finite numbers, got {doc[key]!r}")
-    return pt
+    if not (dom._doc_shape(doc[key], 1) and len(doc[key]) == d):
+        raise ValueError(f"{name} must be a list of {d} finite numbers, got {doc[key]!r}")
+    return tuple(doc[key])
+
+
+def _object(doc, name: str) -> dict:
+    """``doc``, once it is checked to be a JSON object."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed bhp config: {name} must be an object, got {doc!r}")
+    return doc
 
 
 def _parse_region(doc: dict, name: str, d: int):
@@ -368,36 +362,39 @@ def _parse_region(doc: dict, name: str, d: int):
     A ball's radius must be positive and finite, and a box's corners finite
     with lo <= hi in every coordinate.
     """
-    t = doc.get("type")
+    t = _object(doc, name).get("type")
     if t == "ball":
-        radius = _float(doc["radius"])
+        radius = _number(doc["radius"])
         if not 0 < radius < math.inf:
             raise ValueError(f"{name} radius must be positive and finite, got {doc['radius']!r}")
-        region = mc.BallRegion(_finite_floats(doc["center"], f"{name} center"), radius)
-    elif t in ("box", "interval"):
-        keys = ("lo", "hi") if t == "box" else ("a", "b")
-        lo, hi = (_finite_floats(doc[k] if t == "box" else [doc[k]], f"{name} {k}")
-                  for k in keys)
-        if not all(a <= b for a, b in zip(lo, hi)):
-            raise ValueError(f"{name} needs {keys[0]} <= {keys[1]}, got "
-                             f"{doc[keys[0]]!r} and {doc[keys[1]]!r}")
-        region = mc.BoxRegion(lo, hi)
+        return mc.BallRegion(_point(doc, "center", d, f"{name} center"), radius)
+    if t == "box":
+        keys = ("lo", "hi")
+        lo, hi = (_point(doc, k, d, f"{name} {k}") for k in keys)
+    elif t == "interval":
+        if d != 1:
+            raise ValueError(f"{name} must be a region of the domain's dimension {d}, got {doc!r}")
+        keys = ("a", "b")
+        for k in keys:
+            if not math.isfinite(_number(doc[k])):
+                raise ValueError(f"{name} {k} must be a finite number, got {doc[k]!r}")
+        lo, hi = ((doc[k],) for k in keys)
     else:
         raise ValueError(f"unknown region type {t!r}")
-    corners = [region.center] if t == "ball" else [region.lo, region.hi]
-    if any(len(c) != d for c in corners):
-        raise ValueError(f"{name} must be a region of the domain's dimension {d}, got {doc!r}")
-    return region
+    if not all(a <= b for a, b in zip(lo, hi)):
+        raise ValueError(f"{name} needs {keys[0]} <= {keys[1]}, got "
+                         f"{doc[keys[0]]!r} and {doc[keys[1]]!r}")
+    return mc.BoxRegion(lo, hi)
 
 
 def _parse_bhp_config(doc: dict, d: Optional[int] = None) -> harness.BHPConfig:
-    ambient = dom.domain_from_dict(doc["domain"], expect_dim=d)
+    ambient = dom.domain_from_dict(_object(doc, "a configs entry")["domain"], expect_dim=d)
     d = dom.dim(ambient)
-    x0 = _point(doc, "x0", d)
-    r = _float(doc["r"])
+    x0 = _point(doc, "x0", d, "x0")
+    r = _number(doc["r"])
     if not 0 < r < math.inf:
         raise ValueError(f"r must be positive and finite, got {doc['r']!r}")
-    p = _float(doc.get("p", 0.5))
+    p = _number(doc.get("p", 0.5))
     if not 0 < p < 1:
         raise ValueError(f"p must lie in (0, 1), got {doc['p']!r}")
     u = dom.Intersection((ambient, dom.Ball(x0, r)))
@@ -406,8 +403,8 @@ def _parse_bhp_config(doc: dict, d: Optional[int] = None) -> harness.BHPConfig:
         x0=x0,
         r=r,
         p=p,
-        x1=_point(doc, "x1", d),
-        x2=_point(doc, "x2", d),
+        x1=_point(doc, "x1", d, "x1"),
+        x2=_point(doc, "x2", d, "x2"),
         target1=_parse_region(doc["target1"], "target1", d),
         target2=_parse_region(doc["target2"], "target2", d),
     )

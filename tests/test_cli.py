@@ -673,13 +673,21 @@ BHP_INTERVAL_CELL = {
     [
         (None, "error: cannot read bhp config"),
         ("[]", 'error: verify bhp needs a non-empty "configs" list'),
-        (json.dumps({"configs": [{**BHP_CELL, "r": None}]}), "error: malformed bhp config"),
+        (json.dumps({"configs": [{**BHP_CELL, "r": None}]}),
+         "error: r must be positive and finite, got None\n"),
         (json.dumps({"configs": [{**BHP_CELL, "target1": {**BHP_CELL["target1"],
                                                           "radius": None}}]}),
-         "error: malformed bhp config"),
+         "error: target1 radius must be positive and finite, got None\n"),
         ('{"configs": [5]}', "error: malformed bhp config"),
+        ('{"configs": 5}', 'error: verify bhp needs a non-empty "configs" list\n'),
+        ('{"configs": "ab"}', 'error: verify bhp needs a non-empty "configs" list\n'),
+        (json.dumps({"configs": [{**BHP_CELL, "target1": 5}]}),
+         "error: malformed bhp config: target1 must be an object, got 5\n"),
+        (json.dumps({"configs": [{**BHP_CELL, "target2": [0, 1]}]}),
+         "error: malformed bhp config: target2 must be an object, got [0, 1]\n"),
     ],
-    ids=["missing_file", "top_level_list", "null_r", "null_region_radius", "number_cell"],
+    ids=["missing_file", "top_level_list", "null_r", "null_region_radius", "number_cell",
+         "number_configs", "text_configs", "number_target", "list_target"],
 )
 def test_malformed_bhp_config_exits_2(tmp_path, capsys, text, message):
     config = tmp_path / "bhp.json"
@@ -703,11 +711,11 @@ def test_malformed_bhp_config_exits_2(tmp_path, capsys, text, message):
         ({"target1": {"type": "ball", "center": [-2, 2], "radius": "nan"}},
          "error: target1 radius must be positive and finite, got 'nan'"),
         ({"target1": {"type": "ball", "center": [-2, "nan"], "radius": 1}},
-         "error: target1 center must be finite"),
+         "error: target1 center must be a list of 2 finite numbers, got [-2, 'nan']\n"),
         ({"target2": {"type": "box", "lo": [4, 1.2], "hi": [0, 4]}},
          "error: target2 needs lo <= hi, got [4, 1.2] and [0, 4]"),
         ({"target2": {"type": "box", "lo": [0, 1.2], "hi": [4, "nan"]}},
-         "error: target2 hi must be finite"),
+         "error: target2 hi must be a list of 2 finite numbers, got [4, 'nan']\n"),
         ({"p": 7}, "error: p must lie in (0, 1), got 7"),
         ({"p": 0}, "error: p must lie in (0, 1), got 0"),
     ],
@@ -743,7 +751,7 @@ def test_bhp_target_or_p_out_of_range_exits_2(tmp_path, capsys, cell, message):
         ({"target1": {"type": "ball", "center": [-2, 2], "radius": "abc"}},
          "error: target1 radius must be positive and finite, got 'abc'"),
         ({"target1": {"type": "ball", "center": [-2, "abc"], "radius": 1}},
-         "error: target1 center must be finite, got [-2, 'abc']"),
+         "error: target1 center must be a list of 2 finite numbers, got [-2, 'abc']"),
         ({"r": "1"}, "error: r must be positive and finite, got '1'"),
         ({"r": True}, "error: r must be positive and finite, got True"),
         ({"p": "0.5"}, "error: p must lie in (0, 1), got '0.5'"),
@@ -752,17 +760,17 @@ def test_bhp_target_or_p_out_of_range_exits_2(tmp_path, capsys, cell, message):
         ({"target1": {"type": "ball", "center": [-2, 2], "radius": "1"}},
          "error: target1 radius must be positive and finite, got '1'"),
         ({"target1": {"type": "ball", "center": ["-2", 2], "radius": 1}},
-         "error: target1 center must be finite, got ['-2', 2]"),
+         "error: target1 center must be a list of 2 finite numbers, got ['-2', 2]"),
         ({"target1": {"type": "ball", "center": [-2, True], "radius": 1}},
-         "error: target1 center must be finite, got [-2, True]"),
+         "error: target1 center must be a list of 2 finite numbers, got [-2, True]"),
         ({"target2": {"type": "box", "lo": ["0", 1.2], "hi": [4, 4]}},
-         "error: target2 lo must be finite, got ['0', 1.2]"),
+         "error: target2 lo must be a list of 2 finite numbers, got ['0', 1.2]"),
         ({"target2": {"type": "box", "lo": [0, 1.2], "hi": [4, True]}},
-         "error: target2 hi must be finite, got [4, True]"),
+         "error: target2 hi must be a list of 2 finite numbers, got [4, True]"),
         ({**BHP_INTERVAL_CELL, "target1": {"type": "interval", "a": "-4", "b": 0}},
-         "error: target1 a must be finite, got ['-4']"),
+         "error: target1 a must be a finite number, got '-4'"),
         ({**BHP_INTERVAL_CELL, "target2": {"type": "interval", "a": 2, "b": True}},
-         "error: target2 b must be finite, got [True]"),
+         "error: target2 b must be a finite number, got True"),
     ],
     ids=["nan_r", "inf_r", "negative_r", "text_r", "nan_x0", "text_x1", "x1_of_3d",
          "bool_in_x2", "text_p", "text_radius", "text_center", "numeric_text_r", "bool_r",
@@ -1080,7 +1088,7 @@ def test_interval_target_is_the_one_dimensional_box(tmp_path, capsys):
         ({"target1": {"type": "interval", "a": 2, "b": 3}},
          "error: target1 must be a region of the domain's dimension 2"),
         ({"target2": {"type": "box", "lo": [2], "hi": [3]}},
-         "error: target2 must be a region of the domain's dimension 2"),
+         "error: target2 lo must be a list of 2 finite numbers, got [2]\n"),
     ],
     ids=["boxes_at_x0", "ball_within_r", "interval_in_2d", "box_of_1d"],
 )
