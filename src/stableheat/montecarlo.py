@@ -776,6 +776,8 @@ def _window_grid(fit_window, h: float) -> np.ndarray:
     t1, t2 = fit_window
     if not 0 < t1 < t2 < math.inf:
         raise ValueError(f"fit window must be finite with 0 < t1 < t2, got {fit_window!r}")
+    if not math.isfinite(t2 / h):
+        raise ValueError(f"fit window end {t2!r} is not a finite number of steps of {h!r}")
     tvals = np.geomspace(t1, t2, FIT_POINTS)
     return np.unique(np.array([max(round(t / h), 1) * h for t in tvals]))
 

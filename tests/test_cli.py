@@ -881,16 +881,24 @@ HYPERPLANE_BETA = ["calibrate", "beta", "--d", "2", "--alpha", "1.5", "--x", "0,
          "argument --window: must be positive and finite"),
         (["calibrate", "lambda1", "--window", "3", "1", "--n", "64"],
          "error: --window must satisfy T1 < T2, got 3.0 1.0"),
+        (["calibrate", "lambda1", "--window", "1", "1e308", "--n", "64"],
+         "error: fit window end 1e+308 is not a finite number of steps of 0.015625\n"),
+        ([*HYPERPLANE_BETA, "--window", "1", "1e308"],
+         "error: fit window end 1e+308 is not a finite number of steps of 0.015625\n"),
+        (["calibrate", "lambda1", "--r", "1e300", "--h", "1e-10", "--n", "64"],
+         "error: fit window end 3e+300 is not a finite number of steps of 1e-10\n"),
         (["verify", "identities", "--tol", "nan"], "error: --tol must be finite and nonnegative"),
         (["verify", "identities", "--tol", "-1"], "error: --tol must be finite and nonnegative"),
         (["verify", "identities", "--tol", "inf"], "error: --tol must be finite and nonnegative"),
     ],
     ids=["thin_negative", "thin_nan", "thin_0", "window_nan", "window_inf", "window_reversed",
-         "tol_nan", "tol_negative", "tol_inf"],
+         "lambda1_window_of_infinite_steps", "beta_window_of_infinite_steps",
+         "lambda1_default_window_of_infinite_steps", "tol_nan", "tol_negative", "tol_inf"],
 )
 def test_bad_thin_window_or_tolerance_exits_2(capsys, monkeypatch, tmp_path, argv, text):
     # these recorded beta -0, a reversed window or an unnamed NaN error, or
-    # printed FAIL lines, instead of naming the option
+    # printed FAIL lines, instead of naming the option; a window end of
+    # infinitely many steps ended in an OverflowError traceback
     monkeypatch.chdir(tmp_path)  # default calibration and report paths
     assert cli.main(argv) == 2
     assert text in capsys.readouterr().err
