@@ -117,6 +117,8 @@ class HyperplaneComplement:
     dim: int = 1
 
     def __post_init__(self):
+        if not float(self.dim).is_integer():
+            raise ValueError(f"dim must be a whole number, got {self.dim!r}")
         object.__setattr__(self, "dim", int(self.dim))
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")

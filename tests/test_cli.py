@@ -310,6 +310,15 @@ def test_a_domain_field_that_is_not_a_number_exits_2(capsys, doc, d, x, key):
     assert err.startswith(f"error: domain field '{key}' must be a finite number")
 
 
+def test_a_dimension_that_is_not_a_whole_number_exits_2(capsys):
+    # dim 2.5 was truncated to 2, and the walk ran on that plane
+    argv = ["survival", "mc", "--d", "2", "--alpha", "1.5", "--domain-json",
+            '{"type": "hyperplane_complement", "dim": 2.5}', "--x", "0 1", "--t", "1",
+            "--n", "64"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: dim must be a whole number, got 2.5\n")
+
+
 def test_run_batches_rejects_empty_runs():
     with pytest.raises(ValueError, match="path count must be positive"):
         mc._run_batches([(0, lambda i, m: m)])
